@@ -7,15 +7,15 @@ supporting theory.
 """
 
 from .config import RunConfig, dump_config, load_config, parse_config
-from .diffusion import (DiffusionSchedule, NoiseNet, ddim_sample,
-                        ddim_step, ddpm_sample, forward_corrupt,
-                        load_noise_net, make_schedule, noise_from_score,
-                        save_noise_net, score_from_noise, train_noise_net)
+from .diffusion import (DiffusionSchedule, NoiseNet, ddim_sample, ddim_vjp,
+                        ddpm_sample, forward_corrupt, load_noise_net,
+                        make_schedule, noise_from_score, save_noise_net,
+                        score_from_noise, train_noise_net)
 from .discovery import (DiscoveryResult, NotearsConfig, acyclicity,
                         corrupt_masks, discover_masks,
                         exhaustive_dag_oracle, notears_fit)
 from .dynamics import (CausalDynamics, do_intervention_joint_grad,
-                       fit_dynamics, load_dynamics,
+                       fit_dynamics, joint_grad_jacobian, load_dynamics,
                        reward_logpdf_grad, save_dynamics,
                        transition_logpdf_grad)
 from .envs import EnvSpec, EnvState, Environment, make_env_scm, \
@@ -23,16 +23,14 @@ from .envs import EnvSpec, EnvState, Environment, make_env_scm, \
 from .guidance import (GuidanceConfig, GuidanceHook, KlAccumulator,
                        LipschitzBundle, estimate_lipschitz,
                        euler_maruyama_guided, guided_noise,
-                       kl_path_integral, make_guidance_hook,
                        stability_max_step)
-from .numerics import AdamState, Mlp, gaussian_sample, mat_expm
+from .numerics import AdamState, Mlp, mat_expm
 from .rl import (CriticPair, OfflineArtifacts, ReplayBuffer,
                  TrainerConfig, critic_update, offline_stage,
-                 online_stage, policy_update, td_target)
+                 online_stage, policy_update)
 from .scm import (CausalMasks, Dag, GroundTruthScm, Transition,
-                  acyclicity_value, exact_masks, generate_dataset,
-                  load_dataset, random_scm, save_dataset, scm_step,
-                  stacked_adjacency)
+                  exact_masks, generate_dataset, load_dataset, random_scm,
+                  save_dataset, scm_step, stacked_adjacency)
 from .verify import (PosteriorSpec, check_lemma1, check_prop1,
                      check_prop2, check_theorem1, gaussian_posterior)
 

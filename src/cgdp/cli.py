@@ -4,13 +4,12 @@ and the theory checks.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  All commands
 are deterministic given (config, seed): re-running overwrites outputs
-with byte-identical files.  CGDP_THREADS caps ablation-arm parallelism.
+with byte-identical files.
 """
 
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -34,22 +33,20 @@ _METRIC_FIELDS = ("episode", "return", "denoise_loss", "q_loss",
 
 
 def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (bool, np.bool_, int, np.integer)):
         return str(int(x))
     return f"{float(x):.9g}"
 
 
-def _threads():
-    try:
-        return max(1, int(os.environ.get("CGDP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _resolve(out_dir, path):
     return path if os.path.isabs(path) else os.path.join(out_dir, path)
+
+
+def _load_data(cfg, out_dir):
+    path = _resolve(out_dir, cfg["data.path"])
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"dataset not found: {path}")
+    return load_dataset(path)[0]
 
 
 def _write_metrics(records, path):
@@ -75,7 +72,7 @@ def cmd_gen_data(cfg, out_dir):
 
 
 def cmd_discover(cfg, out_dir):
-    data, _, _ = load_dataset(_resolve(out_dir, cfg["data.path"]))
+    data = _load_data(cfg, out_dir)
     result = discover_masks(data, cfg.notears_config(), return_result=True)
     path = os.path.join(out_dir, "discovery.txt")
     lines = []
@@ -94,29 +91,29 @@ def cmd_discover(cfg, out_dir):
     return 0
 
 
-def _train_once(data, cfg, guidance_on, env, r_star, seed):
-    tcfg = cfg.trainer_config()
-    if not guidance_on:
-        tcfg = replace(tcfg, guidance=replace(tcfg.guidance, lam=0.0))
-    tcfg = replace(tcfg, guidance=replace(tcfg.guidance, r_star=r_star))
-    rng = np.random.default_rng(seed)
-    artifacts = offline_stage(data, tcfg, rng)
-    records, artifacts = online_stage(env, artifacts, tcfg, rng)
-    return records, artifacts
+def _guidance_config(cfg, scm, guidance_on=True):
+    """The guidance settings train, eval and ablate all run with.
+
+    The target r* is ``guidance.r_star`` raised to the environment's
+    optimal one-step reward on lin-scm, read off the ground-truth SCM
+    (``scm``).  ``guidance_on = False`` sets lambda to 0.
+    """
+    spec = cfg.env_spec()
+    r_star = cfg["guidance.r_star"]
+    if spec.kind == "lin-scm":
+        r_star = max(r_star, optimal_reward(spec, scm))
+    guid = replace(cfg.guidance_config(), r_star=r_star)
+    return guid if guidance_on else replace(guid, lam=0.0)
 
 
 def cmd_train(cfg, out_dir, guidance_on):
-    data_path = _resolve(out_dir, cfg["data.path"])
-    if not os.path.exists(data_path):
-        raise FileNotFoundError(f"dataset not found: {data_path}")
-    data, _, _ = load_dataset(data_path)
-    spec = cfg.env_spec()
-    env = Environment(spec)
-    r_star = max(cfg["guidance.r_star"],
-                 optimal_reward(spec, env.scm)) if spec.kind == "lin-scm" \
-        else cfg["guidance.r_star"]
-    records, artifacts = _train_once(data, cfg, guidance_on, env, r_star,
-                                     cfg["seed"])
+    data = _load_data(cfg, out_dir)
+    env = Environment(cfg.env_spec())
+    tcfg = replace(cfg.trainer_config(),
+                   guidance=_guidance_config(cfg, env.scm, guidance_on))
+    rng = np.random.default_rng(cfg["seed"])
+    artifacts = offline_stage(data, tcfg, rng)
+    records, artifacts = online_stage(env, artifacts, tcfg, rng)
     _write_metrics(records, os.path.join(out_dir, "metrics.txt"))
     save_noise_net(artifacts.net, os.path.join(out_dir, "noise_net.txt"))
     if artifacts.dyn.kind == "linear":
@@ -130,13 +127,10 @@ def cmd_train(cfg, out_dir, guidance_on):
 def cmd_eval(cfg, out_dir, guidance_on):
     net = load_noise_net(os.path.join(out_dir, "noise_net.txt"))
     dyn = load_dynamics(os.path.join(out_dir, "dynamics.txt"))
-    spec = cfg.env_spec()
-    env = Environment(spec)
+    env = Environment(cfg.env_spec())
     schedule = make_schedule(cfg["train.k_steps"], cfg["train.beta_start"],
                              cfg["train.beta_end"])
-    guid = cfg.guidance_config()
-    if not guidance_on:
-        guid = replace(guid, lam=0.0)
+    guid = _guidance_config(cfg, env.scm, guidance_on)
     rng = np.random.default_rng(cfg["seed"])
     returns = []
     for _ in range(cfg["eval.episodes"]):
@@ -164,24 +158,20 @@ def _final_return(records, tail_frac=0.1):
 
 
 def cmd_ablate(cfg, out_dir):
-    data_path = _resolve(out_dir, cfg["data.path"])
-    if not os.path.exists(data_path):
-        raise FileNotFoundError(f"dataset not found: {data_path}")
-    data, _, _ = load_dataset(data_path)
+    data = _load_data(cfg, out_dir)
     spec = cfg.env_spec()
     scm = make_env_scm(spec) if spec.kind == "lin-scm" else None
-    r_star = optimal_reward(spec, scm)
     result = discover_masks(data, cfg.notears_config(), return_result=True)
+    guid = _guidance_config(cfg, scm)
 
     def run_arm(arm, seed):
-        tcfg = cfg.trainer_config()
+        tcfg = replace(cfg.trainer_config(), guidance=guid)
         masks = result.masks
         if arm == "corrupted":
             masks = corrupt_masks(result.masks, cfg["ablate.flip_prob"],
                                   np.random.default_rng(10 ** 6 + seed))
         if arm == "unguided":
-            tcfg = replace(tcfg, guidance=replace(tcfg.guidance, lam=0.0))
-        tcfg = replace(tcfg, guidance=replace(tcfg.guidance, r_star=r_star))
+            tcfg = replace(tcfg, guidance=replace(guid, lam=0.0))
         rng = np.random.default_rng(cfg["seed"] + seed)
         env = Environment(spec, scm=scm)
         artifacts = offline_stage(data, tcfg, rng, masks=masks, w0=result.w)
@@ -189,13 +179,8 @@ def cmd_ablate(cfg, out_dir):
         return _final_return(records)
 
     arms = ("notears", "corrupted", "unguided")
-    jobs = [(arm, seed) for arm in arms
-            for seed in range(cfg["ablate.seeds"])]
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        results = list(pool.map(lambda job: run_arm(*job), jobs))
-    per_arm = {arm: [] for arm in arms}
-    for (arm, _), value in zip(jobs, results):
-        per_arm[arm].append(value)
+    seeds = range(cfg["ablate.seeds"])
+    per_arm = {arm: [run_arm(arm, seed) for seed in seeds] for arm in arms}
     path = os.path.join(out_dir, "ablation.csv")
     with open(path, "w") as fh:
         fh.write("arm,mean,std\n")

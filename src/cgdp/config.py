@@ -14,52 +14,57 @@ from .rl import TrainerConfig
 __all__ = ["RunConfig", "parse_config", "load_config", "dump_config",
            "CONFIG_SCHEMA"]
 
+# the env.*, train.*, notears.* and guidance.* defaults are the
+# dataclasses' own
+_E = EnvSpec()
+_T = TrainerConfig()
+
 # key -> (type tag, default); order fixes the dump layout
 CONFIG_SCHEMA = {
     "seed": ("int", 0),
-    "env.kind": ("str", "lin-scm"),
-    "env.n": ("int", 6),
-    "env.d": ("int", 4),
-    "env.horizon": ("int", 20),
-    "env.n_causal_actions": ("int", 2),
-    "env.noise_scale": ("float", 1.0),
-    "env.reward_noise": ("float", 0.5),
-    "env.goal_x": ("float", 1.0),
-    "env.goal_y": ("float", 1.0),
-    "env.seed": ("int", 0),
+    "env.kind": ("str", _E.kind),
+    "env.n": ("int", _E.n),
+    "env.d": ("int", _E.d),
+    "env.horizon": ("int", _E.horizon),
+    "env.n_causal_actions": ("int", _E.n_causal_actions),
+    "env.noise_scale": ("float", _E.noise_scale),
+    "env.reward_noise": ("float", _E.reward_noise),
+    "env.goal_x": ("float", _E.goal[0]),
+    "env.goal_y": ("float", _E.goal[1]),
+    "env.seed": ("int", _E.seed),
     "data.path": ("str", "dataset.txt"),
     "data.episodes": ("int", 400),
     "data.horizon": ("int", 5),
     "data.behavior_noise": ("float", 1.5),
-    "train.lr": ("float", 3e-4),
-    "train.eta": ("float", 3.0),
-    "train.batch_size": ("int", 64),
-    "train.offline_steps": ("int", 2000),
-    "train.online_episodes": ("int", 200),
-    "train.mask_refresh": ("int", 1000),
-    "train.refresh_window": ("int", 2000),
-    "train.refresh_min_action_std": ("float", 0.4),
-    "train.buffer_capacity": ("int", 100000),
-    "train.k_steps": ("int", 10),
-    "train.beta_start": ("float", 1e-4),
-    "train.beta_end": ("float", 2e-2),
-    "train.hidden": ("str", "64,64"),
-    "train.gamma_disc": ("float", 0.99),
-    "train.rho_target": ("float", 0.005),
-    "train.dyn_kind": ("str", "linear"),
-    "train.dyn_mlp_steps": ("int", 2000),
-    "notears.l1": ("float", 0.1),
-    "notears.rho": ("float", 1.0),
-    "notears.rho_growth": ("float", 10.0),
-    "notears.tol": ("float", 1e-8),
-    "notears.max_outer": ("int", 30),
-    "notears.max_inner": ("int", 300),
-    "notears.tau": ("float", 0.3),
-    "guidance.lambda": ("float", 1.0),
-    "guidance.gamma_t": ("float", 1.0),
-    "guidance.beta_guid_t": ("float", 1.0),
-    "guidance.r_star": ("float", 0.0),
-    "guidance.use_r_star": ("bool", True),
+    "train.lr": ("float", _T.lr),
+    "train.eta": ("float", _T.eta),
+    "train.batch_size": ("int", _T.batch_size),
+    "train.offline_steps": ("int", _T.offline_steps),
+    "train.online_episodes": ("int", _T.online_episodes),
+    "train.mask_refresh": ("int", _T.mask_refresh),
+    "train.refresh_window": ("int", _T.refresh_window),
+    "train.refresh_min_action_std": ("float", _T.refresh_min_action_std),
+    "train.buffer_capacity": ("int", _T.buffer_capacity),
+    "train.k_steps": ("int", _T.k_steps),
+    "train.beta_start": ("float", _T.beta_start),
+    "train.beta_end": ("float", _T.beta_end),
+    "train.hidden": ("str", ",".join(str(w) for w in _T.hidden)),
+    "train.gamma_disc": ("float", _T.gamma_disc),
+    "train.rho_target": ("float", _T.rho_target),
+    "train.dyn_kind": ("str", _T.dyn_kind),
+    "train.dyn_mlp_steps": ("int", _T.dyn_mlp_steps),
+    "notears.l1": ("float", _T.notears.l1),
+    "notears.rho": ("float", _T.notears.rho),
+    "notears.rho_growth": ("float", _T.notears.rho_growth),
+    "notears.tol": ("float", _T.notears.tol),
+    "notears.max_outer": ("int", _T.notears.max_outer),
+    "notears.max_inner": ("int", _T.notears.max_inner),
+    "notears.tau": ("float", _T.notears.tau),
+    "guidance.lambda": ("float", _T.guidance.lam),
+    "guidance.gamma_t": ("float", _T.guidance.gamma_t),
+    "guidance.beta_guid_t": ("float", _T.guidance.beta_guid_t),
+    "guidance.r_star": ("float", _T.guidance.r_star),
+    "guidance.use_r_star": ("bool", _T.guidance.use_r_star),
     "eval.episodes": ("int", 20),
     "ablate.flip_prob": ("float", 0.25),
     "ablate.seeds": ("int", 5),
@@ -163,7 +168,7 @@ class RunConfig:
             dyn_kind=v["train.dyn_kind"],
             dyn_mlp_steps=v["train.dyn_mlp_steps"],
             notears=self.notears_config(),
-            guidance=self.guidance_config(), seed=v["seed"])
+            guidance=self.guidance_config())
 
 
 def parse_config(text):

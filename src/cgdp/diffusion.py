@@ -5,7 +5,8 @@ Diffusion steps are indexed k = 1..K; schedule arrays use index k-1.
 Samplers accept an optional guidance hook ``hook(a_k, k) -> correction``
 returning an epsilon-space additive correction; a hook returning zeros is
 bit-identical to no hook under the same seed, because hooks never touch
-the random stream.
+the random stream.  A noise predictor is anything with ``d_action`` and
+``forward(a, s, k)``.
 """
 
 from dataclasses import dataclass
@@ -21,22 +22,28 @@ __all__ = [
     "forward_corrupt",
     "train_noise_net",
     "ddpm_sample",
-    "ddim_step",
     "ddim_sample",
+    "ddim_vjp",
     "score_from_noise",
     "noise_from_score",
     "save_noise_net",
     "load_noise_net",
 ]
 
-_ABAR_FLOOR = 1e-8
-
-
 @dataclass
 class DiffusionSchedule:
     betas: np.ndarray      # (K,) in (0,1)
     alphas: np.ndarray     # 1 - betas
     abar: np.ndarray       # cumulative products of alphas
+
+    def __post_init__(self):
+        # DDIM step a^{k-1} = u_k a^k + w_k eps_hat with
+        # u_k = sqrt(abar_{k-1} / abar_k) (= 1/sqrt(alpha_k), bounded) and
+        # w_k = sqrt(1 - abar_{k-1}) - u_k sqrt(1 - abar_k)
+        abar_prev = np.concatenate([[1.0], self.abar[:-1]])
+        self.ddim_u = np.sqrt(abar_prev / self.abar)
+        self.ddim_w = np.sqrt(1.0 - abar_prev) - \
+            self.ddim_u * np.sqrt(1.0 - self.abar)
 
     @property
     def k_steps(self):
@@ -95,13 +102,6 @@ class NoiseNet:
         return clone
 
 
-def _eval_net(net, a, s, k):
-    # verify-style callables stand in for a trained NoiseNet
-    if callable(net) and not isinstance(net, NoiseNet):
-        return net(a, s, k)
-    return net.forward(a, s, k)
-
-
 def forward_corrupt(schedule, a0, k, rng):
     """Closed-form corruption a^k = sqrt(abar_k) a0 + sqrt(1-abar_k) eps.
 
@@ -139,17 +139,6 @@ def train_noise_net(net, dataset, schedule, opt, steps, rng, batch_size=64):
     return losses
 
 
-def noise_loss(net, dataset, schedule, rng, batch_size=256):
-    """Monte Carlo estimate of the noise-prediction loss on a dataset."""
-    states = np.array([tr.s for tr in dataset])
-    actions = np.array([tr.a for tr in dataset])
-    idx = rng.integers(len(dataset), size=batch_size)
-    k = int(rng.integers(1, schedule.k_steps + 1))
-    ak, eps = forward_corrupt(schedule, actions[idx], k, rng)
-    pred = net.forward(ak, states[idx], k)
-    return float(((pred - eps) ** 2).sum(axis=1).mean())
-
-
 def ddpm_sample(net, schedule, s, rng, hook=None):
     """Stochastic reverse sampler.
 
@@ -162,13 +151,13 @@ def ddpm_sample(net, schedule, s, rng, hook=None):
     squeeze = s.ndim == 1
     s2 = s[None, :] if squeeze else s
     batch = s2.shape[0]
-    d = _action_dim(net)
+    d = net.d_action
     a = rng.standard_normal((batch, d))
     for k in range(schedule.k_steps, 0, -1):
         beta_k = schedule.betas[k - 1]
         alpha_k = schedule.alphas[k - 1]
         abar_k = schedule.abar_at(k)
-        eps_hat = _eval_net(net, a, s2, k)
+        eps_hat = net.forward(a, s2, k)
         if hook is not None:
             eps_hat = eps_hat + hook(a, k)
         mean = (a - beta_k / np.sqrt(1.0 - abar_k) * eps_hat) / np.sqrt(alpha_k)
@@ -179,42 +168,48 @@ def ddpm_sample(net, schedule, s, rng, hook=None):
     return a[0] if squeeze else a
 
 
-def ddim_step(net, schedule, ak, s, k, hook=None, eps_hat=None):
-    """One deterministic reverse step.
+def ddim_sample(net, schedule, s, rng, hook=None, tape=None):
+    """Deterministic reverse chain from a^K ~ N(0, I):
+    a^{k-1} = u_k a^k + w_k eps_hat(a^k, s, k).
 
-    Returns (a0_hat, a^{k-1}) with
-    a0_hat = (a^k - sqrt(1-abar_k) eps_hat) / sqrt(abar_k) and
-    a^{k-1} = sqrt(abar_{k-1}) a0_hat + sqrt(1-abar_{k-1}) eps_hat.
+    Passing a list as ``tape`` records each step's ``(k, net cache)`` for
+    :func:`ddim_vjp`; the returned sample is the same either way.
     """
-    if not 1 <= k <= schedule.k_steps:
-        raise ValueError(f"step {k} out of range 1..{schedule.k_steps}")
-    ak = np.asarray(ak, dtype=float)
-    abar_k = max(schedule.abar_at(k), _ABAR_FLOOR)
-    abar_prev = max(schedule.abar_at(k - 1), _ABAR_FLOOR)
-    if eps_hat is None:
-        eps_hat = _eval_net(net, ak, s, k)
-        if hook is not None:
-            eps_hat = eps_hat + hook(ak, k)
-    a0_hat = (ak - np.sqrt(1.0 - abar_k) * eps_hat) / np.sqrt(abar_k)
-    a_prev = np.sqrt(abar_prev) * a0_hat + np.sqrt(1.0 - abar_prev) * eps_hat
-    return a0_hat, a_prev
-
-
-def ddim_sample(net, schedule, s, rng, hook=None):
-    """Full deterministic reverse chain from a^K ~ N(0, I)."""
     s = np.asarray(s, dtype=float)
     squeeze = s.ndim == 1
     s2 = s[None, :] if squeeze else s
-    a = rng.standard_normal((s2.shape[0], _action_dim(net)))
+    a = rng.standard_normal((s2.shape[0], net.d_action))
     for k in range(schedule.k_steps, 0, -1):
-        _, a = ddim_step(net, schedule, a, s2, k, hook=hook)
+        if tape is None:
+            eps_hat = net.forward(a, s2, k)
+        else:
+            eps_hat, cache = net.forward_cache(a, s2, k)
+            tape.append((k, cache))
+        if hook is not None:
+            eps_hat = eps_hat + hook(a, k)
+        a = schedule.ddim_u[k - 1] * a + schedule.ddim_w[k - 1] * eps_hat
     return a[0] if squeeze else a
 
 
-def _action_dim(net):
-    if isinstance(net, NoiseNet):
-        return net.d_action
-    return net.d_action  # callables must expose d_action
+def ddim_vjp(net, schedule, tape, cot, hook=None):
+    """Exact VJP of a taped :func:`ddim_sample` with respect to the noise
+    net's parameters, for the cotangent ``cot`` of a^0.
+
+    The hook's dependence on a^k enters through ``hook.eps_jacobian(k)``,
+    a (d, d) matrix, or is treated as locally constant where that is None.
+    """
+    grads = [np.zeros_like(p) for p in net.mlp.params()]
+    for k, cache in reversed(tape):
+        cot_eps = schedule.ddim_w[k - 1] * cot
+        step_grads, ga = net.backward(cache, cot_eps)
+        for acc, g in zip(grads, step_grads):
+            acc += g
+        cot = schedule.ddim_u[k - 1] * cot + ga
+        if hook is not None:
+            jac = hook.eps_jacobian(k)
+            if jac is not None:
+                cot = cot + cot_eps @ jac
+    return grads
 
 
 def save_noise_net(net, path):

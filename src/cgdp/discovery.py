@@ -9,7 +9,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .numerics import mat_expm
+from .numerics import acyclicity
 from .scm import CausalMasks, Dag
 
 __all__ = [
@@ -52,21 +52,6 @@ class DiscoveryResult:
     converged: bool = True
 
 
-def acyclicity(w, with_grad=False):
-    """h(W) = tr(e^{W o W}) - d, optionally with its gradient.
-
-    The gradient is (e^{W o W})^T o 2W.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("acyclicity requires a square matrix")
-    e = mat_expm(w * w)
-    h = float(np.trace(e) - w.shape[0])
-    if with_grad:
-        return h, e.T * (2.0 * w)
-    return h
-
-
 def _soft_threshold(w, thresh):
     return np.sign(w) * np.maximum(np.abs(w) - thresh, 0.0)
 
@@ -93,16 +78,21 @@ def notears_fit(data, cfg, forbidden=None, w0=None):
         fixed_zero = fixed_zero | np.asarray(forbidden, dtype=bool)
 
     gram = x.T @ x / n_samples
+    # when the allowed support is itself acyclic, so is every admissible
+    # W: h(W) = 0 and its gradient vanishes, and neither is evaluated
+    acyclic_support = acyclicity((~fixed_zero).astype(float)) == 0.0
 
     def smooth_and_grad(w, rho, alpha):
         resid_op = np.eye(dim) - w
         # 0.5/n ||X - XW||_F^2 expressed through the Gram matrix
-        loss = 0.5 * float(np.sum(resid_op * (gram @ resid_op)))
-        g_loss = -gram @ resid_op
-        with np.errstate(over="ignore", invalid="ignore"):
-            h, g_h = acyclicity(w, with_grad=True)
-            val = loss + 0.5 * rho * h * h + alpha * h
-            grad = g_loss + (rho * h + alpha) * g_h
+        val = 0.5 * float(np.sum(resid_op * (gram @ resid_op)))
+        grad = -gram @ resid_op
+        h = 0.0
+        if not acyclic_support:
+            with np.errstate(over="ignore", invalid="ignore"):
+                h, g_h = acyclicity(w, with_grad=True)
+                val = val + 0.5 * rho * h * h + alpha * h
+                grad = grad + (rho * h + alpha) * g_h
         if not np.isfinite(val):
             val = np.inf  # backtracking rejects oversized proposals
         return val, grad, h
@@ -110,7 +100,7 @@ def notears_fit(data, cfg, forbidden=None, w0=None):
     w = np.zeros((dim, dim)) if w0 is None else np.array(w0, dtype=float)
     w[fixed_zero] = 0.0
     rho, alpha = cfg.rho, cfg.alpha
-    h_val = acyclicity(w)
+    h_val = 0.0 if acyclic_support else acyclicity(w)
     best_w, best_h = w.copy(), h_val
     converged = False
     rho_max = 1e16

@@ -7,7 +7,8 @@ a zero gate makes the output provably independent of that input.  The
 reward model is scalar and gated by the vectors u_sr, u_ar.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,37 +17,17 @@ from .scm import CausalMasks
 
 __all__ = [
     "CausalDynamics",
-    "apply_masks",
-    "apply_reward_masks",
+    "min_fit_rows",
     "fit_dynamics",
     "transition_logpdf_grad",
     "reward_logpdf_grad",
     "do_intervention_joint_grad",
+    "joint_grad_jacobian",
     "save_dynamics",
     "load_dynamics",
 ]
 
 _VAR_FLOOR = 1e-9
-
-
-def apply_masks(masks, s, a):
-    """Per-output Hadamard gating for the transition model.
-
-    Returns (S, A) with S[i, j] = c_ss[i, j] * s[i] and
-    A[i, j] = c_as[i, j] * a[i]: column j holds the gated inputs feeding
-    output coordinate j.
-    """
-    s = np.asarray(s, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if s.shape[0] != masks.c_ss.shape[0] or a.shape[0] != masks.c_as.shape[0]:
-        raise ValueError("state/action dimension mismatch with masks")
-    return masks.c_ss * s[:, None], masks.c_as * a[:, None]
-
-
-def apply_reward_masks(masks, s_next, a):
-    """Gated inputs of the scalar reward model."""
-    return masks.u_sr * np.asarray(s_next, dtype=float), \
-        masks.u_ar * np.asarray(a, dtype=float)
 
 
 @dataclass
@@ -88,20 +69,9 @@ class CausalDynamics:
     def d(self):
         return self.masks.c_as.shape[0]
 
-    # ---- means -----------------------------------------------------------
-
-    def transition_mean(self, s, a):
-        if self.kind == "linear":
-            return s @ self.a_s + a @ self.a_a
-        gated_s, gated_a = apply_masks(self.masks, s, a)
-        out = np.empty(self.n)
-        for j, net in enumerate(self.trans_nets):
-            out[j] = net.forward(np.concatenate([gated_s[:, j], gated_a[:, j]]))[0]
-        return out
+    # ---- means (rows of s / s_next (B, n) and a (B, d)) -----------------
 
     def transition_mean_batch(self, s, a):
-        """Vectorized over rows of s (B, n) and a (B, d); linear kind only
-        takes the fast path, the mlp kind loops per output net."""
         s = np.atleast_2d(s)
         a = np.atleast_2d(a)
         if self.kind == "linear":
@@ -113,12 +83,6 @@ class CausalDynamics:
             out[:, j] = net.forward(x)[:, 0]
         return out
 
-    def reward_mean(self, s_next, a):
-        if self.kind == "linear":
-            return float(s_next @ self.b_s + a @ self.b_a)
-        gs, ga = apply_reward_masks(self.masks, s_next, a)
-        return float(self.reward_net.forward(np.concatenate([gs, ga]))[0])
-
     def reward_mean_batch(self, s_next, a):
         s_next = np.atleast_2d(s_next)
         a = np.atleast_2d(a)
@@ -127,6 +91,11 @@ class CausalDynamics:
         x = np.concatenate([s_next * self.masks.u_sr,
                             a * self.masks.u_ar], axis=1)
         return self.reward_net.forward(x)[:, 0]
+
+
+def min_fit_rows(kind, n, d):
+    """Fewest transitions :func:`fit_dynamics` accepts for a model kind."""
+    return 10 * (n + d) if kind == "linear" else 1
 
 
 def _masked_ols(features, targets, gate, ridge=1e-6):
@@ -163,9 +132,9 @@ def fit_dynamics(transitions, masks, kind="linear", rng=None,
         raise ValueError("fit_dynamics needs transitions")
     n = transitions[0].s.shape[0]
     d = transitions[0].a.shape[0]
-    if kind == "linear" and len(transitions) < 10 * (n + d):
+    if len(transitions) < min_fit_rows(kind, n, d):
         raise ValueError(
-            f"linear fit needs >= {10 * (n + d)} transitions, "
+            f"{kind} fit needs >= {min_fit_rows(kind, n, d)} transitions, "
             f"got {len(transitions)}")
     s = np.array([tr.s for tr in transitions])
     a = np.array([tr.a for tr in transitions])
@@ -228,52 +197,107 @@ def fit_dynamics(transitions, masks, kind="linear", rng=None,
                          trans_nets=trans_nets, reward_net=reward_net,
                          r_star=r_star)
     resid = s_next - dyn.transition_mean_batch(s, a)
-    dyn.sigma_s = np.diag((resid ** 2).mean(axis=0) + _VAR_FLOOR)
-    dyn._prec_s = np.linalg.inv(dyn.sigma_s)
-    dyn._logdet_s = float(np.linalg.slogdet(dyn.sigma_s)[1])
     resid_r = r - dyn.reward_mean_batch(s_next, a)
-    dyn.sigma_r = float((resid_r ** 2).mean()) + _VAR_FLOOR
-    return dyn
+    return replace(dyn,
+                   sigma_s=np.diag((resid ** 2).mean(axis=0) + _VAR_FLOOR),
+                   sigma_r=float((resid_r ** 2).mean()) + _VAR_FLOOR)
 
 
-def _trans_action_jacobian(dyn, s, a):
-    """d transition_mean / d a as a (d, n) matrix (mlp kind: exact
-    backprop per output coordinate)."""
-    if dyn.kind == "linear":
-        return dyn.a_a
-    jac = np.zeros((dyn.d, dyn.n))
-    gated_s, gated_a = apply_masks(dyn.masks, s, a)
-    for j, net in enumerate(dyn.trans_nets):
-        x = np.concatenate([gated_s[:, j], gated_a[:, j]])
-        _, cache = net.forward_cache(x)
-        _, gx = net.backward(cache, np.ones(1))
-        jac[:, j] = gx[dyn.n:] * dyn.masks.c_as[:, j]
+def do_intervention_joint_grad(dyn, s, a, s_next, r_target, gamma_t,
+                               beta_guid_t):
+    """gamma_t * grad_a log p(s_next | s, do(a))
+    + beta_guid_t * grad_a log p(r_target | s_next, do(a)), row by row.
+
+    ``s``, ``a`` and ``s_next`` are rows or batches of rows and
+    ``r_target`` a scalar or one value per row; a single row serves every
+    row of the others.  ``s_next = None`` evaluates at the model's
+    predicted mean, where the transition term vanishes.  The reward term
+    holds s_next fixed.  Returns one gradient row per row of the batch, or
+    a vector when every argument is a single row and ``a`` is 1-D.  The
+    do-semantics hold by construction: a enters only through its
+    structural-equation role in the two masked models.
+    """
+    if not (math.isfinite(gamma_t) and math.isfinite(beta_guid_t)):
+        raise ValueError("guidance coefficients must be finite")
+    a2 = np.atleast_2d(np.asarray(a, dtype=float))
+    sn = None if s_next is None else \
+        np.atleast_2d(np.asarray(s_next, dtype=float))
+    batch = max(a2.shape[0], np.size(r_target),
+                0 if sn is None else sn.shape[0])
+    if dyn.kind != "linear":
+        grad = _mlp_joint_grad(dyn, s, a2, sn, r_target, gamma_t,
+                               beta_guid_t, batch)
+    else:
+        grad = np.zeros((batch, a2.shape[1]))
+        with_trans = gamma_t != 0.0 and sn is not None
+        if sn is None or with_trans:
+            mean_next = dyn.transition_mean_batch(s, a2)
+        if with_trans:
+            grad += gamma_t * (sn - mean_next) @ dyn._prec_s @ dyn.a_a.T
+        if beta_guid_t != 0.0:
+            sn = mean_next if sn is None else sn
+            resid = r_target - (sn @ dyn.b_s + a2 @ dyn.b_a)
+            grad += beta_guid_t * resid[:, None] * dyn.b_a[None, :] \
+                / dyn.sigma_r
+    return grad[0] if batch == 1 and np.ndim(a) == 1 else grad
+
+
+def _mlp_joint_grad(dyn, s, a, s_next, r_target, gamma_t, beta_guid_t,
+                    batch):
+    """The mlp kind of :func:`do_intervention_joint_grad`: exact backprop
+    of the residual-weighted outputs, one output net at a time."""
+    masks = dyn.masks
+    a = np.broadcast_to(a, (batch, dyn.d))
+    grad = np.zeros((batch, dyn.d))
+    with_trans = gamma_t != 0.0 and s_next is not None
+    if s_next is None or with_trans:
+        s = np.broadcast_to(np.atleast_2d(np.asarray(s, dtype=float)),
+                            (batch, dyn.n))
+        mean_next = dyn.transition_mean_batch(s, a)
+    s_next = mean_next if s_next is None else \
+        np.broadcast_to(s_next, (batch, dyn.n))
+    if with_trans:
+        weights = (s_next - mean_next) @ dyn._prec_s
+        for j, net in enumerate(dyn.trans_nets):
+            _, cache = net.forward_cache(np.concatenate(
+                [s * masks.c_ss[:, j], a * masks.c_as[:, j]], axis=1))
+            _, gx = net.backward(cache, weights[:, j:j + 1])
+            grad += gamma_t * gx[:, dyn.n:] * masks.c_as[:, j]
+    if beta_guid_t != 0.0:
+        y, cache = dyn.reward_net.forward_cache(
+            np.concatenate([s_next * masks.u_sr, a * masks.u_ar], axis=1))
+        resid = (r_target - y[:, 0]) / dyn.sigma_r
+        _, gx = dyn.reward_net.backward(cache, resid[:, None])
+        grad += beta_guid_t * gx[:, dyn.n:] * masks.u_ar
+    return grad
+
+
+def joint_grad_jacobian(dyn, gamma_t, beta_guid_t, predicted_next):
+    """d(joint gradient)/da, a constant (d, d) matrix for the linear kind;
+    None for the mlp kind.
+
+    ``predicted_next`` selects the ``s_next = None`` form: the transition
+    residual is then identically zero, and the reward residual sees a
+    both directly and through the predicted next state.
+    """
+    if dyn.kind != "linear":
+        return None
+    jac = np.zeros((dyn.d, dyn.d))
+    if gamma_t != 0.0 and not predicted_next:
+        jac += -gamma_t * dyn.a_a @ dyn._prec_s @ dyn.a_a.T
+    if beta_guid_t != 0.0:
+        eff = dyn.a_a @ dyn.b_s + dyn.b_a if predicted_next else dyn.b_a
+        jac += -beta_guid_t / dyn.sigma_r * np.outer(dyn.b_a, eff)
     return jac
-
-
-def _reward_action_grad_coeff(dyn, s_next, a):
-    """d reward_mean / d a as a (d,) vector."""
-    if dyn.kind == "linear":
-        return dyn.b_a
-    gs, ga = apply_reward_masks(dyn.masks, s_next, a)
-    x = np.concatenate([gs, ga])
-    _, cache = dyn.reward_net.forward_cache(x)
-    _, gx = dyn.reward_net.backward(cache, np.ones(1))
-    return gx[dyn.n:] * dyn.masks.u_ar
 
 
 def transition_logpdf_grad(dyn, s, a, s_next):
     """log N(s_next; f(s, a), Sigma) and its exact gradient w.r.t. a."""
-    s = np.asarray(s, dtype=float)
-    a = np.asarray(a, dtype=float)
-    s_next = np.asarray(s_next, dtype=float)
-    mean = dyn.transition_mean(s, a)
-    resid = s_next - mean
-    prec_resid = dyn._prec_s @ resid
-    logp = -0.5 * (float(resid @ prec_resid) + dyn._logdet_s
+    resid = np.asarray(s_next, dtype=float) - \
+        dyn.transition_mean_batch(s, a)[0]
+    logp = -0.5 * (float(resid @ dyn._prec_s @ resid) + dyn._logdet_s
                    + dyn.n * np.log(2 * np.pi))
-    grad = _trans_action_jacobian(dyn, s, a) @ prec_resid
-    return logp, grad
+    return logp, do_intervention_joint_grad(dyn, s, a, s_next, 0.0, 1.0, 0.0)
 
 
 def reward_logpdf_grad(dyn, s_next, a, r):
@@ -281,34 +305,11 @@ def reward_logpdf_grad(dyn, s_next, a, r):
 
     Pass r = r_star for optimal-reward conditioning.
     """
-    s_next = np.asarray(s_next, dtype=float)
-    a = np.asarray(a, dtype=float)
-    mean = dyn.reward_mean(s_next, a)
-    resid = r - mean
+    resid = r - dyn.reward_mean_batch(s_next, a)[0]
     logp = -0.5 * (resid * resid / dyn.sigma_r
                    + np.log(2 * np.pi * dyn.sigma_r))
-    grad = _reward_action_grad_coeff(dyn, s_next, a) * (resid / dyn.sigma_r)
+    grad = do_intervention_joint_grad(dyn, None, a, s_next, r, 0.0, 1.0)
     return float(logp), grad
-
-
-def do_intervention_joint_grad(dyn, s, a, s_next, r_target, gamma_t,
-                               beta_guid_t):
-    """gamma_t * grad_a log p(s_next | s, do(a))
-    + beta_guid_t * grad_a log p(r_target | s_next, do(a)).
-
-    The do-semantics hold by construction: a enters only through its
-    structural-equation role in the two masked models.
-    """
-    if not (np.isfinite(gamma_t) and np.isfinite(beta_guid_t)):
-        raise ValueError("guidance coefficients must be finite")
-    grad = np.zeros(dyn.d)
-    if gamma_t != 0.0:
-        _, g = transition_logpdf_grad(dyn, s, a, s_next)
-        grad += gamma_t * g
-    if beta_guid_t != 0.0:
-        _, g = reward_logpdf_grad(dyn, s_next, a, r_target)
-        grad += beta_guid_t * g
-    return grad
 
 
 # ---- checkpoint serialization -------------------------------------------

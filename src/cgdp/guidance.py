@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import NoiseNet, score_from_noise
-from .dynamics import do_intervention_joint_grad
+from .diffusion import score_from_noise
+from .dynamics import do_intervention_joint_grad, joint_grad_jacobian
 
 __all__ = [
     "GuidanceConfig",
@@ -21,8 +21,6 @@ __all__ = [
     "KlAccumulator",
     "guided_noise",
     "GuidanceHook",
-    "make_guidance_hook",
-    "kl_path_integral",
     "stability_max_step",
     "estimate_lipschitz",
     "euler_maruyama_guided",
@@ -87,28 +85,16 @@ class KlAccumulator:
         self.records = []
 
     def add(self, correction, g_t, dt):
-        contrib = kl_step_value(correction, g_t, dt)
+        """Add one term; a batch of correction rows adds its row mean."""
+        if g_t <= 0 or dt <= 0:
+            raise ValueError("g_t and dt must be > 0")
+        c = np.asarray(correction, dtype=float)
+        sq = float(np.sum(c * c, axis=-1).mean()) if c.ndim > 1 \
+            else float(c @ c)
+        contrib = sq / (g_t * g_t) * dt
         self.total += contrib
         self.records.append(contrib)
         return self
-
-    def reset(self):
-        self.total = 0.0
-        self.records = []
-
-
-def kl_step_value(correction, g_t, dt):
-    if g_t <= 0 or dt <= 0:
-        raise ValueError("g_t and dt must be > 0")
-    c = np.asarray(correction, dtype=float)
-    sq = float(np.sum(c * c, axis=-1).mean()) if c.ndim > 1 \
-        else float(c @ c)
-    return sq / (g_t * g_t) * dt
-
-
-def kl_path_integral(acc, correction, g_t, dt):
-    """Add one discretized term of the path-KL integral to ``acc``."""
-    return acc.add(correction, g_t, dt)
 
 
 def guided_noise(eps_raw, causal_grad, lam_k, abar_k):
@@ -130,7 +116,8 @@ class GuidanceHook:
     recorded next state (replay) or the model-predicted mean (online
     acting, where the transition term then vanishes at its own mean), and
     returns -lam_k sqrt(1-abar_k) * gradient.  Every call also feeds the
-    KL accumulator.
+    KL accumulator; at lam_k = 0 the gradient is skipped and the
+    correction and KL term are zero.
     """
 
     def __init__(self, dyn, cfg, schedule, s_t, s_next=None, r_value=None,
@@ -145,97 +132,38 @@ class GuidanceHook:
             r_value = cfg.r_star if cfg.use_r_star else dyn.r_star
         self.r_value = r_value
         self.kl_acc = kl_acc
+        self._grad_jac = None
 
     def joint_grad(self, a):
-        """Interventional gradient rows for a batch of candidate actions."""
-        a2 = np.atleast_2d(np.asarray(a, dtype=float))
-        batch = a2.shape[0]
-        s2 = self.s_t if self.s_t.shape[0] == batch else \
-            np.broadcast_to(self.s_t, (batch, self.s_t.shape[1]))
-        dyn, cfg = self.dyn, self.cfg
-        if dyn.kind == "linear":
-            mean_next = s2 @ dyn.a_s + a2 @ dyn.a_a
-            s_next = mean_next if self.s_next is None else (
-                self.s_next if self.s_next.shape[0] == batch
-                else np.broadcast_to(self.s_next, mean_next.shape))
-            grad = np.zeros_like(a2)
-            if cfg.gamma_t != 0.0:
-                grad += cfg.gamma_t * (s_next - mean_next) @ dyn._prec_s @ dyn.a_a.T
-            if cfg.beta_guid_t != 0.0:
-                if isinstance(self.r_value, np.ndarray):
-                    r_val = self.r_value
-                else:
-                    r_val = np.full(batch, self.r_value)
-                resid = r_val - (s_next @ dyn.b_s + a2 @ dyn.b_a)
-                grad += cfg.beta_guid_t * resid[:, None] * dyn.b_a[None, :] / dyn.sigma_r
-            return grad
-        grad = np.zeros_like(a2)
-        for i in range(batch):
-            if self.s_next is None:
-                s_next_i = dyn.transition_mean(s2[i], a2[i])
-            else:
-                s_next_i = self.s_next[i if self.s_next.shape[0] == batch else 0]
-            r_i = self.r_value[i] if isinstance(self.r_value, np.ndarray) \
-                else self.r_value
-            grad[i] = do_intervention_joint_grad(
-                dyn, s2[i], a2[i], s_next_i, r_i,
-                cfg.gamma_t, cfg.beta_guid_t)
-        return grad
-
-    def grad_jacobian(self):
-        """d(joint_grad)/da, a constant (d, d) matrix for the linear kind.
-
-        Used to propagate actor gradients exactly through the guided DDIM
-        chain.  None for mlp dynamics (the correction is then treated as
-        locally constant in the chain rule).
-        """
-        dyn, cfg = self.dyn, self.cfg
-        if dyn.kind != "linear":
-            return None
-        jac = np.zeros((dyn.d, dyn.d))
-        if self.s_next is None:
-            # predicted-mean next state: the transition residual is
-            # identically zero, and the reward residual sees a both
-            # directly and through the predicted next state
-            if cfg.beta_guid_t != 0.0:
-                eff = dyn.a_a @ dyn.b_s + dyn.b_a
-                jac += -cfg.beta_guid_t / dyn.sigma_r * np.outer(dyn.b_a, eff)
-        else:
-            if cfg.gamma_t != 0.0:
-                jac += -cfg.gamma_t * dyn.a_a @ dyn._prec_s @ dyn.a_a.T
-            if cfg.beta_guid_t != 0.0:
-                jac += -cfg.beta_guid_t / dyn.sigma_r * np.outer(dyn.b_a, dyn.b_a)
-        return jac
+        """Interventional gradient rows for candidate actions."""
+        return do_intervention_joint_grad(
+            self.dyn, self.s_t, a, self.s_next, self.r_value,
+            self.cfg.gamma_t, self.cfg.beta_guid_t)
 
     def __call__(self, a, k):
         lam_k = self.cfg.lam_at(k)
-        abar_k = self.schedule.abar_at(k)
+        beta_k = self.schedule.betas[k - 1]
+        if lam_k == 0.0:
+            corr = np.zeros(np.shape(a))
+            if self.kl_acc is not None:
+                self.kl_acc.add(corr, np.sqrt(beta_k), 1.0)
+            return corr
         grad = self.joint_grad(a)
         if self.kl_acc is not None:
-            beta_k = self.schedule.betas[k - 1]
-            kl_path_integral(self.kl_acc, beta_k * lam_k * grad,
-                             np.sqrt(beta_k), 1.0)
-        if lam_k == 0.0:
-            return np.zeros_like(np.atleast_2d(a)) if np.asarray(a).ndim > 1 \
-                else np.zeros_like(np.asarray(a, dtype=float))
-        corr = -lam_k * np.sqrt(1.0 - abar_k) * grad
-        return corr if np.asarray(a).ndim > 1 else corr[0]
+            self.kl_acc.add(beta_k * lam_k * grad, np.sqrt(beta_k), 1.0)
+        return -lam_k * np.sqrt(1.0 - self.schedule.abar_at(k)) * grad
 
     def eps_jacobian(self, k):
         """d(correction)/da at step k (linear kind), else None."""
-        gj = self.grad_jacobian()
-        if gj is None:
-            return None
         lam_k = self.cfg.lam_at(k)
-        abar_k = self.schedule.abar_at(k)
-        return -lam_k * np.sqrt(1.0 - abar_k) * gj
-
-
-def make_guidance_hook(dyn, cfg, schedule, s_t, s_next=None, r_value=None,
-                       kl_acc=None):
-    """Build a sampler hook closing over immutable dyn/cfg snapshots."""
-    return GuidanceHook(dyn, cfg, schedule, s_t, s_next=s_next,
-                        r_value=r_value, kl_acc=kl_acc)
+        if lam_k == 0.0 or self.dyn.kind != "linear":
+            return None
+        if self._grad_jac is None:
+            self._grad_jac = joint_grad_jacobian(
+                self.dyn, self.cfg.gamma_t, self.cfg.beta_guid_t,
+                predicted_next=self.s_next is None)
+        return -lam_k * np.sqrt(1.0 - self.schedule.abar_at(k)) * \
+            self._grad_jac
 
 
 def stability_max_step(bundle, gamma_t, beta_guid_t, t=1.0, cap=1e6):
@@ -270,37 +198,37 @@ def estimate_lipschitz(dyn, net, schedule, probes=200, rng=None, delta=0.5):
 
     d = dyn.d
     if dyn.kind == "linear":
-        l_phi = _spectral_norm(dyn.a_a @ dyn._prec_s @ dyn.a_a.T)
-        l_omega = float(dyn.b_a @ dyn.b_a) / dyn.sigma_r
+        l_phi = _spectral_norm(joint_grad_jacobian(dyn, 1.0, 0.0, False))
+        l_omega = _spectral_norm(joint_grad_jacobian(dyn, 0.0, 1.0, False))
     else:
         l_phi = l_omega = 0.0
         s0 = rng.standard_normal(dyn.n)
-        from .dynamics import transition_logpdf_grad, reward_logpdf_grad
         s_ref = rng.standard_normal(dyn.n)
+
+        def ratio(a1, a2, gamma_t, beta_guid_t):
+            g1, g2 = (do_intervention_joint_grad(
+                dyn, s0, a_i, s_ref, dyn.r_star, gamma_t, beta_guid_t)
+                for a_i in (a1, a2))
+            return np.linalg.norm(g1 - g2) / np.linalg.norm(a1 - a2)
+
         for _ in range(probes):
             a1 = rng.uniform(-1, 1, size=d)
             a2 = a1 + 1e-3 * rng.standard_normal(d)
-            _, g1 = transition_logpdf_grad(dyn, s0, a1, s_ref)
-            _, g2 = transition_logpdf_grad(dyn, s0, a2, s_ref)
-            l_phi = max(l_phi, np.linalg.norm(g1 - g2) / np.linalg.norm(a1 - a2))
-            _, g1 = reward_logpdf_grad(dyn, s_ref, a1, dyn.r_star)
-            _, g2 = reward_logpdf_grad(dyn, s_ref, a2, dyn.r_star)
-            l_omega = max(l_omega, np.linalg.norm(g1 - g2) / np.linalg.norm(a1 - a2))
+            l_phi = max(l_phi, ratio(a1, a2, 1.0, 0.0))
+            l_omega = max(l_omega, ratio(a1, a2, 0.0, 1.0))
 
     l_s = 0.0
     if net is not None:
-        s_probe = rng.standard_normal(dyn.n)
+        s_probe = rng.standard_normal((1, dyn.n))
         for _ in range(probes):
             k = int(rng.integers(1, schedule.k_steps + 1))
             abar_k = schedule.abar_at(k)
             a1 = rng.standard_normal(d)
             a2 = a1 + 1e-3 * rng.standard_normal(d)
-            e1 = net.forward(a1, s_probe, k) if isinstance(net, NoiseNet) \
-                else net(a1[None], s_probe[None], k)[0]
-            e2 = net.forward(a2, s_probe, k) if isinstance(net, NoiseNet) \
-                else net(a2[None], s_probe[None], k)[0]
-            sc1 = score_from_noise(e1, abar_k)
-            sc2 = score_from_noise(e2, abar_k)
+            sc1 = score_from_noise(net.forward(a1[None], s_probe, k)[0],
+                                   abar_k)
+            sc2 = score_from_noise(net.forward(a2[None], s_probe, k)[0],
+                                   abar_k)
             l_s = max(l_s, np.linalg.norm(sc1 - sc2) / np.linalg.norm(a1 - a2))
 
     beta_start = float(schedule.betas.min())
@@ -312,14 +240,15 @@ def estimate_lipschitz(dyn, net, schedule, probes=200, rng=None, delta=0.5):
                            delta=delta, g2_max=beta_max, g2_fn=g2_fn)
 
 
-def euler_maruyama_guided(dyn, net, schedule, cfg, s, dt, steps, rng,
-                          s_next=None, score_fn=None, a0=None):
+def euler_maruyama_guided(dyn, net, schedule, cfg, s, dt, steps, rng):
     """Explicit Euler integration of the guided reverse VP-SDE.
 
     Integrated in the denoising direction: the drift is
     -f(a, t) + g(t)^2 * score + (gamma grad_phi + beta_guid grad_omega)
     with the VP ingredients f(a, t) = -0.5 beta(t) a, g(t) = sqrt(beta(t)),
-    beta interpolated over [0, 1] process time and clamped beyond.
+    beta interpolated over [0, 1] process time and clamped beyond.  The
+    score comes from ``net``, or is -a (a standard normal) for None; the
+    guidance is evaluated at the predicted next state.
     Returns (trajectory, diverged); the flag is set once the norm exceeds
     1e6 or any entry goes non-finite (reported, never raised).
     """
@@ -329,8 +258,8 @@ def euler_maruyama_guided(dyn, net, schedule, cfg, s, dt, steps, rng,
     s = np.asarray(s, dtype=float)
     beta_start = float(schedule.betas.min())
     beta_end = float(schedule.betas.max())
-    hook = GuidanceHook(dyn, cfg, schedule, s, s_next=s_next)
-    a = rng.standard_normal(dyn.d) if a0 is None else np.array(a0, dtype=float)
+    hook = GuidanceHook(dyn, cfg, schedule, s)
+    a = rng.standard_normal(dyn.d)
     traj = [a.copy()]
     diverged = False
     k_steps = schedule.k_steps
@@ -338,15 +267,13 @@ def euler_maruyama_guided(dyn, net, schedule, cfg, s, dt, steps, rng,
         t = min(nstep * dt, 1.0)
         beta_t = beta_start + (beta_end - beta_start) * t
         g = np.sqrt(beta_t)
-        if score_fn is not None:
-            score = score_fn(a, t)
-        elif net is not None:
+        if net is not None:
             k = int(np.clip(round(t * k_steps), 1, k_steps))
             eps = net.forward(a, s, k)
             score = score_from_noise(eps, min(schedule.abar_at(k), 1 - 1e-12))
         else:
             score = -a
-        guid = hook.joint_grad(a[None])[0]  # carries the gamma/beta weights
+        guid = hook.joint_grad(a)  # carries the gamma/beta weights
         drift = 0.5 * beta_t * a + beta_t * score + guid
         a = a + drift * dt + g * np.sqrt(dt) * rng.standard_normal(dyn.d)
         if not np.all(np.isfinite(a)) or np.linalg.norm(a) > 1e6:

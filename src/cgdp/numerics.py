@@ -1,5 +1,6 @@
-"""Dense numerical substrate: matrix exponential, seeded Gaussian sampling,
-a small feed-forward network with exact manual backprop, and Adam.
+"""Dense numerical substrate: matrix exponential, the NOTEARS acyclicity
+function, a small feed-forward network with exact manual backprop, and
+Adam.
 
 Everything operates on plain numpy float64 arrays and takes an explicit
 ``numpy.random.Generator`` wherever randomness is involved, so that any
@@ -10,7 +11,7 @@ import numpy as np
 
 __all__ = [
     "mat_expm",
-    "gaussian_sample",
+    "acyclicity",
     "Mlp",
     "AdamState",
 ]
@@ -49,20 +50,20 @@ def mat_expm(m):
     return result
 
 
-def gaussian_sample(mean, cov_chol, rng):
-    """Draw mean + L z with z ~ N(0, I) from the supplied generator.
+def acyclicity(w, with_grad=False):
+    """h(W) = tr(e^{W o W}) - d, optionally with its gradient.
 
-    ``cov_chol`` must be lower-triangular with strictly positive diagonal
-    (the Cholesky factor of the covariance).
+    The gradient is (e^{W o W})^T o 2W.  h is exactly 0 for the weights
+    of a DAG.
     """
-    mean = np.asarray(mean, dtype=float)
-    L = np.asarray(cov_chol, dtype=float)
-    if np.any(np.diag(L) <= 0):
-        raise ValueError("cov_chol must have a positive diagonal")
-    if np.any(np.triu(L, 1) != 0):
-        raise ValueError("cov_chol must be lower-triangular")
-    z = rng.standard_normal(mean.shape[-1])
-    return mean + L @ z
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError("acyclicity requires a square matrix")
+    e = mat_expm(w * w)
+    h = float(np.trace(e) - w.shape[0])
+    if with_grad:
+        return h, e.T * (2.0 * w)
+    return h
 
 
 class Mlp:

@@ -7,10 +7,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diffusion import (NoiseNet, ddim_sample, forward_corrupt, make_schedule,
-                        train_noise_net)
+from .diffusion import (NoiseNet, ddim_sample, ddim_vjp, forward_corrupt,
+                        make_schedule, train_noise_net)
 from .discovery import NotearsConfig, discover_masks
-from .dynamics import fit_dynamics
+from .dynamics import fit_dynamics, min_fit_rows
 from .guidance import GuidanceConfig, GuidanceHook, KlAccumulator, guided_noise
 from .numerics import AdamState, Mlp
 from .scm import Transition
@@ -19,7 +19,6 @@ __all__ = [
     "ReplayBuffer",
     "CriticPair",
     "TrainerConfig",
-    "td_target",
     "critic_update",
     "policy_update",
     "offline_stage",
@@ -79,10 +78,6 @@ class CriticPair:
         self.gamma_disc = gamma_disc
         self.opt = AdamState(self.q1.params() + self.q2.params(), lr=lr)
 
-    def q_value(self, net, s, a):
-        x = np.concatenate([np.atleast_2d(s), np.atleast_2d(a)], axis=1)
-        return net.forward(x)[:, 0]
-
     def soft_update(self):
         rho = self.rho_target
         for online, target in ((self.q1, self.q1_target),
@@ -103,32 +98,22 @@ class TrainerConfig:
     refresh_window: int = 2000
     refresh_min_action_std: float = 0.4  # skip refresh below this exploration
     buffer_capacity: int = 100000
-    k_steps: int = 20                # diffusion steps (schedule K)
+    k_steps: int = 10                # diffusion steps (schedule K)
     beta_start: float = 1e-4
     beta_end: float = 2e-2
-    hidden: tuple = (128, 128, 128)
+    hidden: tuple = (64, 64)
     gamma_disc: float = 0.99
     rho_target: float = 0.005
     dyn_kind: str = "linear"
     dyn_mlp_steps: int = 2000
     notears: NotearsConfig = field(default_factory=NotearsConfig)
     guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
-    seed: int = 0
 
     def __post_init__(self):
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-
-
-def td_target(critics, r, s_next, a_next, done):
-    """y = r + gamma (1-done) min(Q1'(s', a'), Q2'(s', a'))."""
-    if done:
-        return float(r)
-    q1 = critics.q_value(critics.q1_target, s_next, a_next)[0]
-    q2 = critics.q_value(critics.q2_target, s_next, a_next)[0]
-    return float(r) + critics.gamma_disc * min(q1, q2)
 
 
 def _batch_arrays(batch):
@@ -141,7 +126,8 @@ def _batch_arrays(batch):
 
 
 def critic_update(critics, batch, policy_sampler, rng):
-    """One Adam step on the summed double-Q regression loss.
+    """One Adam step on the summed double-Q regression loss toward the TD
+    target y = r + gamma (1-done) min(Q1'(s', a'), Q2'(s', a')).
 
     ``policy_sampler(s_next_batch, rng)`` supplies fresh next actions from
     the current (guided) policy.  Targets are soft-updated afterwards.
@@ -167,44 +153,6 @@ def critic_update(critics, batch, policy_sampler, rng):
     critics.opt.step(critics.q1.params() + critics.q2.params(), g1 + g2)
     critics.soft_update()
     return loss
-
-
-def _guided_chain_forward(net, schedule, hook, s, z):
-    """Unrolled guided DDIM chain a^K = z -> a^0, keeping per-step caches."""
-    a = z
-    steps = []
-    for k in range(schedule.k_steps, 0, -1):
-        eps_raw, cache = net.forward_cache(a, s, k)
-        eps_hat = eps_raw + hook(a, k) if hook is not None else eps_raw
-        abar_k = schedule.abar_at(k)
-        abar_prev = schedule.abar_at(k - 1)
-        u = np.sqrt(abar_prev / abar_k)
-        w = np.sqrt(1.0 - abar_prev) - u * np.sqrt(1.0 - abar_k)
-        a_new = u * a + w * eps_hat
-        steps.append((k, cache, u, w))
-        a = a_new
-    return a, steps
-
-
-def _guided_chain_backward(net, hook, steps, cot):
-    """Exact VJP through the unrolled chain; returns noise-net param grads.
-
-    The guidance correction's dependence on a^k enters through the hook's
-    eps-space Jacobian (closed form for linear dynamics; treated as
-    locally constant otherwise).
-    """
-    grads = [np.zeros_like(p) for p in net.mlp.params()]
-    for k, cache, u, w in reversed(steps):
-        cot_eps = w * cot
-        step_grads, ga = net.backward(cache, cot_eps)
-        for acc, g in zip(grads, step_grads):
-            acc += g
-        cot = u * cot + ga
-        if hook is not None:
-            jac = hook.eps_jacobian(k)
-            if jac is not None:
-                cot = cot + cot_eps @ jac
-    return grads
 
 
 def policy_update(net, critics, dyn, batch, cfg, schedule, opt, rng,
@@ -237,17 +185,17 @@ def policy_update(net, critics, dyn, batch, cfg, schedule, opt, rng,
 
     q_obj = 0.0
     if cfg.eta != 0.0:
-        z = rng.standard_normal((batch_n, net.d_action))
         actor_hook = hook_factory(s) if hook_factory is not None else \
             GuidanceHook(dyn, guid, schedule, s)
-        a_gen, steps = _guided_chain_forward(net, schedule, actor_hook, s, z)
+        tape = []
+        a_gen = ddim_sample(net, schedule, s, rng, hook=actor_hook, tape=tape)
         x = np.concatenate([s, a_gen], axis=1)
         qv, qcache = critics.q1.forward_cache(x)
         q_obj = float(qv[:, 0].mean())
         _, gx = critics.q1.backward(qcache, np.full((batch_n, 1),
                                                     1.0 / batch_n))
         cot_a0 = -cfg.eta * gx[:, dyn.n:]
-        actor_grads = _guided_chain_backward(net, actor_hook, steps, cot_a0)
+        actor_grads = ddim_vjp(net, schedule, tape, cot_a0, hook=actor_hook)
         for acc, g in zip(grads, actor_grads):
             acc += g
 
@@ -296,8 +244,9 @@ def online_stage(env, artifacts, cfg, rng):
     Per environment step: sample an action through the guided DDIM chain,
     store the transition, run one critic and one policy update; every
     ``mask_refresh`` steps re-estimate masks and refit the dynamics on the
-    recent buffer window (warm-started).  Emits one metrics record per
-    episode.
+    recent buffer window (warm-started).  A refresh replaces the masks,
+    the warm start and the dynamics together, or none of them.  Emits one
+    metrics record per episode.
     """
     net, dyn, schedule = artifacts.net, artifacts.dyn, artifacts.schedule
     masks = artifacts.masks
@@ -312,12 +261,12 @@ def online_stage(env, artifacts, cfg, rng):
     records = []
     step_count = 0
 
-    def actor_hook_factory(states):
-        c = replace(guid, r_star=r_star)
-        return GuidanceHook(dyn, c, schedule, states)
+    def actor_hook_factory(states, kl_acc=None):
+        return GuidanceHook(dyn, replace(guid, r_star=r_star), schedule,
+                            states, kl_acc=kl_acc)
 
-    def policy_sampler(states, sampler_rng):
-        hook = actor_hook_factory(states)
+    def policy_sampler(states, sampler_rng, kl_acc=None):
+        hook = actor_hook_factory(states, kl_acc)
         a = ddim_sample(net, schedule, states, sampler_rng, hook=hook)
         return np.clip(a, -1.0, 1.0)
 
@@ -329,11 +278,7 @@ def online_stage(env, artifacts, cfg, rng):
         n_updates = 0
         refreshed = False
         while not state.done:
-            act_cfg = replace(guid, r_star=r_star)
-            hook = GuidanceHook(dyn, act_cfg, schedule, state.obs,
-                                kl_acc=kl_acc)
-            a = ddim_sample(net, schedule, state.obs, rng, hook=hook)
-            a = np.clip(a, -1.0, 1.0)
+            a = policy_sampler(state.obs, rng, kl_acc)
             s_prev = state.obs
             state, r, done = env.step(a, rng)
             buffer.add(Transition(s_prev.copy(), a, r, state.obs.copy(),
@@ -358,19 +303,20 @@ def online_stage(env, artifacts, cfg, rng):
                 acts = np.array([tr.a for tr in window])
                 informative = bool(
                     acts.std(axis=0).min() >= cfg.refresh_min_action_std)
-                if informative:
+                if informative and len(window) >= min_fit_rows(
+                        cfg.dyn_kind, dyn.n, dyn.d):
                     try:
                         result = discover_masks(window, cfg.notears,
                                                 w0=w_warm, return_result=True)
-                        masks = result.masks
-                        w_warm = result.w
-                        dyn = fit_dynamics(window, masks, kind=cfg.dyn_kind,
-                                           rng=rng,
-                                           mlp_steps=cfg.dyn_mlp_steps)
-                        dyn.r_star = max(dyn.r_star, r_star)
-                        refreshed = True
+                        new_dyn = fit_dynamics(window, result.masks,
+                                               kind=cfg.dyn_kind, rng=rng,
+                                               mlp_steps=cfg.dyn_mlp_steps)
                     except ValueError:
-                        pass  # window too small for a refit; keep model
+                        pass  # NOTEARS needs 30 rows; keep the current model
+                    else:
+                        new_dyn.r_star = max(new_dyn.r_star, r_star)
+                        masks, w_warm, dyn = result.masks, result.w, new_dyn
+                        refreshed = True
             ep_return += r
         records.append({
             "episode": episode,

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import mat_expm
+from .numerics import acyclicity
 
 __all__ = [
     "CausalMasks",
@@ -22,7 +22,6 @@ __all__ = [
     "generate_dataset",
     "exact_masks",
     "stacked_adjacency",
-    "acyclicity_value",
     "save_dataset",
     "load_dataset",
 ]
@@ -68,7 +67,7 @@ class Dag:
         w = np.asarray(self.adjacency, dtype=float)
         if np.any(np.diag(w) != 0):
             raise ValueError("Dag adjacency must have a zero diagonal")
-        h = acyclicity_value(w)
+        h = acyclicity(w)
         if abs(h) > 1e-8:
             raise ValueError(f"adjacency is cyclic: h(W) = {h:.3e}")
         self.adjacency = w
@@ -76,12 +75,6 @@ class Dag:
     @property
     def n_nodes(self):
         return self.adjacency.shape[0]
-
-
-def acyclicity_value(w):
-    """NOTEARS acyclicity function h(W) = tr(e^{W o W}) - d."""
-    w = np.asarray(w, dtype=float)
-    return float(np.trace(mat_expm(w * w)) - w.shape[0])
 
 
 @dataclass

@@ -12,11 +12,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diffusion import ddim_sample, ddpm_sample, make_schedule
-from .dynamics import fit_dynamics
+from .dynamics import (CausalDynamics, do_intervention_joint_grad,
+                       fit_dynamics)
 from .guidance import (GuidanceConfig, GuidanceHook, KlAccumulator,
                        estimate_lipschitz, euler_maruyama_guided,
                        stability_max_step)
-from .scm import generate_dataset
+from .scm import CausalMasks, generate_dataset, random_scm
 from .discovery import NotearsConfig, discover_masks
 
 __all__ = [
@@ -99,7 +100,7 @@ class GaussianPriorNet:
         return np.linalg.inv(abar * self.sigma
                              + (1.0 - abar) * np.eye(self.d_action))
 
-    def __call__(self, a, s, k):
+    def forward(self, a, s, k):
         a = np.asarray(a, dtype=float)
         abar = self.schedule.abar_at(k)
         prec = self.marginal_precision(k)
@@ -186,15 +187,13 @@ def check_prop2(dyn, s, a, samples, rng):
         raise ValueError("analytic reference needs the linear model")
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
-    mean_next = s @ dyn.a_s + a @ dyn.a_a
     chol = np.linalg.cholesky(dyn.sigma_s)
-    s_next = mean_next + rng.standard_normal((samples, dyn.n)) @ chol.T
-    r_mean = s_next @ dyn.b_s + a @ dyn.b_a
-    r = r_mean + np.sqrt(dyn.sigma_r) * rng.standard_normal(samples)
-    # grad_a log p(s'|s,do(a)) + grad_a log p(r|s',do(a)), vectorized
-    g_trans = (s_next - mean_next) @ dyn._prec_s @ dyn.a_a.T
-    g_rew = (r - r_mean)[:, None] * dyn.b_a[None, :] / dyn.sigma_r
-    estimate = ((g_trans + g_rew) * r[:, None]).mean(axis=0)
+    s_next = dyn.transition_mean_batch(s, a) + \
+        rng.standard_normal((samples, dyn.n)) @ chol.T
+    r = dyn.reward_mean_batch(s_next, a) + \
+        np.sqrt(dyn.sigma_r) * rng.standard_normal(samples)
+    score = do_intervention_joint_grad(dyn, s, a, s_next, r, 1.0, 1.0)
+    estimate = (score * r[:, None]).mean(axis=0)
     analytic = dyn.a_a @ dyn.b_s + dyn.b_a
     a_norm = np.linalg.norm(analytic)
     e_norm = np.linalg.norm(estimate)
@@ -210,11 +209,12 @@ def check_prop2(dyn, s, a, samples, rng):
     }
 
 
-def _rollout_returns(scm, policy, horizon, batch, gamma_disc, rng,
+def _rollout_returns(scm, policy, s0, horizon, gamma_disc, rng,
                      collect_states=False):
-    """Batched discounted returns of ``policy(states, rng)`` on a LinSCM."""
-    s = rng.standard_normal((batch, scm.f_s.shape[0]))
-    returns = np.zeros(batch)
+    """Batched discounted returns of ``policy(states, rng)`` on a LinSCM
+    from the initial state rows ``s0``."""
+    s = s0.copy()
+    returns = np.zeros(s.shape[0])
     states = []
     disc = 1.0
     for _ in range(horizon):
@@ -224,7 +224,7 @@ def _rollout_returns(scm, policy, horizon, batch, gamma_disc, rng,
         noise = rng.standard_normal(s.shape) @ scm._chol_s.T
         s = s @ scm.f_s + a @ scm.f_a + noise
         r = s @ scm.b_s + a @ scm.b_a \
-            + np.sqrt(scm.sigma_r) * rng.standard_normal(batch)
+            + np.sqrt(scm.sigma_r) * rng.standard_normal(s.shape[0])
         returns += disc * r
         disc *= gamma_disc
     return returns, states
@@ -235,7 +235,7 @@ def _q_grid_advantage(scm, policy, state, grid, m_rollouts, horizon,
     """sup over the action grid of A(s,a)^2, by first-action Monte Carlo."""
     n_grid, d = grid.shape
     batch = n_grid * m_rollouts
-    s = np.broadcast_to(state, (batch, state.shape[0])).copy()
+    s = np.broadcast_to(state, (batch, state.shape[0]))
     a0 = np.repeat(grid, m_rollouts, axis=0)
     first = [True]
 
@@ -245,26 +245,10 @@ def _q_grid_advantage(scm, policy, state, grid, m_rollouts, horizon,
             return a0
         return policy(states, q_rng)
 
-    returns, _ = _rollout_returns_from(scm, q_policy, s, horizon,
-                                       gamma_disc, rng)
+    returns, _ = _rollout_returns(scm, q_policy, s, horizon, gamma_disc, rng)
     q_vals = returns.reshape(n_grid, m_rollouts).mean(axis=1)
     v_val = q_vals.mean()  # grid-uniform baseline stands in for V
     return float(np.max((q_vals - v_val) ** 2))
-
-
-def _rollout_returns_from(scm, policy, s0, horizon, gamma_disc, rng):
-    s = s0.copy()
-    returns = np.zeros(s.shape[0])
-    disc = 1.0
-    for _ in range(horizon):
-        a = np.clip(policy(s, rng), -1.0, 1.0)
-        noise = rng.standard_normal(s.shape) @ scm._chol_s.T
-        s = s @ scm.f_s + a @ scm.f_a + noise
-        r = s @ scm.b_s + a @ scm.b_a \
-            + np.sqrt(scm.sigma_r) * rng.standard_normal(s.shape[0])
-        returns += disc * r
-        disc *= gamma_disc
-    return returns, None
 
 
 def check_theorem1(scm, dyn, schedule, seeds, lam=1.0, gamma_disc=0.99,
@@ -296,14 +280,15 @@ def check_theorem1(scm, dyn, schedule, seeds, lam=1.0, gamma_disc=0.99,
             return ddim_sample(net, schedule, states, p_rng, hook=hook)
 
         j_base, states = _rollout_returns(
-            scm, base_policy, horizon, n_rollouts, gamma_disc, rng,
-            collect_states=True)
+            scm, base_policy, rng.standard_normal((n_rollouts, scm.n)),
+            horizon, gamma_disc, rng, collect_states=True)
         per_step = max(len(states) // n_adv_states, 1)
         probe_states = [states[i * per_step][0]
                         for i in range(min(n_adv_states, len(states)))]
         j_guided, _ = _rollout_returns(
             scm, lambda st, r: guided_policy(st, r, acc=kl_acc),
-            horizon, n_rollouts, gamma_disc, rng)
+            rng.standard_normal((n_rollouts, scm.n)), horizon, gamma_disc,
+            rng)
         kl = kl_acc.total  # batch-averaged per-trajectory path KL
 
         axes = [np.arange(-1.0, 1.0 + grid_res / 2, grid_res)] * d
@@ -407,8 +392,6 @@ def stiff_linear_instance(l_total=100.0, n=2, d=1):
     constant alone reaches l_total, which makes explicit Euler far above
     the sufficient step bound visibly unstable.
     """
-    from .dynamics import CausalDynamics
-    from .scm import CausalMasks
     masks = CausalMasks(np.ones((n, n)), np.ones((d, n)),
                         np.ones(n), np.ones(d))
     b_a = np.zeros(d)
@@ -422,7 +405,6 @@ def stiff_linear_instance(l_total=100.0, n=2, d=1):
 def default_linear_instance(n=2, d=1, seed=0, episodes=60, horizon=10):
     """Small fitted linear model plus its generating SCM, for the checks
     that need trained artifacts but not a full pipeline run."""
-    from .scm import random_scm
     rng = np.random.default_rng(seed)
     scm = random_scm(n, d, d, rng=rng)
     data = generate_dataset(scm, episodes, horizon, 0.5, rng)

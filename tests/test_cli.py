@@ -109,6 +109,34 @@ class TestAblate:
         assert table["notears"] == table["corrupted"]
 
 
+class TestGuidanceTarget:
+    def test_train_eval_and_ablate_resolve_the_same_r_star(self, workdir,
+                                                            monkeypatch):
+        import cgdp.cli as cli
+        from cgdp.envs import optimal_reward
+        out, cfg_path = workdir
+        targets = {}
+
+        def recording_online_stage(env, artifacts, cfg, rng):
+            targets.setdefault(command, set()).add(cfg.guidance.r_star)
+            return online_stage(env, artifacts, cfg, rng)
+
+        class RecordingHook(cli.GuidanceHook):
+            def __init__(self, dyn, cfg, *args, **kwargs):
+                targets.setdefault(command, set()).add(cfg.r_star)
+                super().__init__(dyn, cfg, *args, **kwargs)
+
+        online_stage = cli.online_stage
+        monkeypatch.setattr(cli, "online_stage", recording_online_stage)
+        monkeypatch.setattr(cli, "GuidanceHook", RecordingHook)
+        assert run(cfg_path, out, "gen-data") == 0
+        for command in ("train", "eval", "ablate"):
+            assert run(cfg_path, out, command) == 0
+        spec = parse_config(SMALL_CFG).env_spec()
+        assert targets == {c: {optimal_reward(spec)}
+                           for c in ("train", "eval", "ablate")}
+
+
 class TestVerifyCommand:
     def test_prop2_check_writes_outputs(self, workdir):
         out, cfg_path = workdir

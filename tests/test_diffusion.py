@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cgdp.diffusion import (NoiseNet, ddim_sample, ddim_step, ddpm_sample,
+from cgdp.diffusion import (NoiseNet, ddim_sample, ddpm_sample,
                             forward_corrupt, load_noise_net, make_schedule,
-                            noise_from_score, noise_loss, save_noise_net,
+                            noise_from_score, save_noise_net,
                             score_from_noise, train_noise_net)
 from cgdp.numerics import AdamState
 from cgdp.scm import Transition
@@ -67,16 +67,20 @@ class TestForwardCorrupt:
             forward_corrupt(sched, np.zeros(1), 11, np.random.default_rng(0))
 
 
+class ZeroNet:
+    """Noise predictor that always predicts zero noise."""
+
+    d_action = 2
+
+    def forward(self, a, s, k):
+        return np.zeros_like(a)
+
+
 class TestSamplers:
     def test_ddpm_single_step_closed_form(self):
         sched = make_schedule(1, 0.36, 0.36)
-
-        def zero_net(a, s, k):
-            return np.zeros_like(a)
-
-        zero_net.d_action = 2
         rng = np.random.default_rng(2)
-        a0 = ddpm_sample(zero_net, sched, np.zeros(2), rng)
+        a0 = ddpm_sample(ZeroNet(), sched, np.zeros(2), rng)
         a1 = np.random.default_rng(2).standard_normal((1, 2))[0]
         assert np.allclose(a0, a1 / np.sqrt(1.0 - 0.36), rtol=1e-14)
 
@@ -95,21 +99,43 @@ class TestSamplers:
             assert np.array_equal(base, hooked)
 
     def test_ddim_step_zero_noise_rescale(self):
+        # with zero predicted noise the chain only rescales:
+        # a^0 = a^K / sqrt(abar_K)
         sched = make_schedule(2, 0.5, 0.5)  # abar = (0.5, 0.25)
-        ak = np.array([[0.8, -0.2]])
-        a0_hat, _ = ddim_step(None, sched, ak, None, 2,
-                              eps_hat=np.zeros((1, 2)))
-        assert np.allclose(a0_hat, 2.0 * ak, rtol=1e-14)
+        a0 = ddim_sample(ZeroNet(), sched, np.zeros((1, 2)),
+                         np.random.default_rng(0))
+        ak = np.random.default_rng(0).standard_normal((1, 2))
+        assert np.allclose(a0, 2.0 * ak, rtol=1e-14)
 
     def test_ddim_degenerate_step_reconstruction(self):
+        # u_k, w_k reproduce the two-stage step through the clean estimate
+        # a0_hat = (a^k - sqrt(1-abar_k) eps) / sqrt(abar_k)
         sched = make_schedule(3, 0.1, 0.3)
         ak = np.array([[0.4, 0.6]])
         eps = np.array([[0.3, -0.1]])
-        k = 2
-        abar_k = sched.abar_at(k)
-        a0_hat, a_prev = ddim_step(None, sched, ak, None, k, eps_hat=eps)
-        recon = np.sqrt(abar_k) * a0_hat + np.sqrt(1 - abar_k) * eps
-        assert np.allclose(recon, ak, rtol=1e-12)
+        for k in (1, 2, 3):
+            abar_k, abar_prev = sched.abar_at(k), sched.abar_at(k - 1)
+            a0_hat = (ak - np.sqrt(1 - abar_k) * eps) / np.sqrt(abar_k)
+            two_stage = np.sqrt(abar_prev) * a0_hat + \
+                np.sqrt(1 - abar_prev) * eps
+            one_step = sched.ddim_u[k - 1] * ak + sched.ddim_w[k - 1] * eps
+            assert np.allclose(one_step, two_stage, rtol=1e-12)
+
+    def test_taped_chain_matches_act_path_bitwise(self):
+        sched = make_schedule(10)
+        net = NoiseNet(3, 2, 10, hidden=(8,), rng=np.random.default_rng(0))
+        s = np.random.default_rng(1).standard_normal((4, 3))
+
+        def hook(a, k):
+            return 0.1 * k * np.tanh(a)
+
+        tape = []
+        taped = ddim_sample(net, sched, s, np.random.default_rng(2),
+                            hook=hook, tape=tape)
+        plain = ddim_sample(net, sched, s, np.random.default_rng(2),
+                            hook=hook)
+        assert np.array_equal(taped, plain)
+        assert [k for k, _ in tape] == list(range(10, 0, -1))
 
     def test_ddpm_matches_known_gaussian(self):
         # analytic noise for actions ~ N(mu, 0.1^2 I) under the forward kernel
@@ -119,7 +145,7 @@ class TestSamplers:
         class AnalyticNet:
             d_action = 2
 
-            def __call__(self, a, s, k):
+            def forward(self, a, s, k):
                 abar = sched.abar_at(k)
                 var = abar * 0.01 + (1 - abar)
                 score = -(a - np.sqrt(abar) * mu) / var
@@ -147,6 +173,17 @@ class TestScoreConversion:
     def test_rejects_bad_abar(self):
         with pytest.raises(ValueError):
             score_from_noise(np.zeros(2), 1.0)
+
+
+def heldout_loss(net, dataset, schedule, rng, batch_size=256):
+    """Monte Carlo estimate of the noise-prediction loss on a dataset."""
+    states = np.array([tr.s for tr in dataset])
+    actions = np.array([tr.a for tr in dataset])
+    idx = rng.integers(len(dataset), size=batch_size)
+    k = int(rng.integers(1, schedule.k_steps + 1))
+    ak, eps = forward_corrupt(schedule, actions[idx], k, rng)
+    pred = net.forward(ak, states[idx], k)
+    return float(((pred - eps) ** 2).sum(axis=1).mean())
 
 
 class TestTraining:
@@ -180,13 +217,13 @@ class TestTraining:
             data = toy_dataset(rng, count=128, mu=np.array([0.6, -0.6]))
             held = toy_dataset(rng, count=128, mu=np.array([0.6, -0.6]))
             net = NoiseNet(2, 2, 10, hidden=(16, 16), rng=rng)
-            before = np.mean([noise_loss(net, held, sched,
-                                         np.random.default_rng(100 + i))
+            before = np.mean([heldout_loss(net, held, sched,
+                                           np.random.default_rng(100 + i))
                               for i in range(5)])
             opt = AdamState(net.mlp.params(), lr=1e-3)
             train_noise_net(net, data, sched, opt, 300, rng)
-            after = np.mean([noise_loss(net, held, sched,
-                                        np.random.default_rng(100 + i))
+            after = np.mean([heldout_loss(net, held, sched,
+                                          np.random.default_rng(100 + i))
                              for i in range(5)])
             wins += int(after < before)
         assert wins >= 9

@@ -94,6 +94,22 @@ class TestNotearsFit:
         res = notears_fit(x, cfg)
         assert res.converged and res.h_value <= cfg.tol
 
+    def test_acyclic_support_evaluates_acyclicity_once(self, monkeypatch):
+        import cgdp.numerics
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((200, 3))
+        x[:, 2] += 1.5 * x[:, 0]
+        forbidden = np.tril(np.ones((3, 3), dtype=bool))  # only i -> j > i
+        calls = []
+        real = cgdp.numerics.mat_expm
+        monkeypatch.setattr(cgdp.numerics, "mat_expm",
+                            lambda m: calls.append(m) or real(m))
+        res = notears_fit(x, NotearsConfig(), forbidden=forbidden)
+        assert len(calls) == 1
+        assert res.converged and res.h_value == 0.0
+        found = np.abs(res.w) >= NotearsConfig().tau
+        assert np.array_equal(np.argwhere(found), [[0, 2]])
+
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
             notears_fit(np.zeros((10, 3)), NotearsConfig())

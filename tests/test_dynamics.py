@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from cgdp.dynamics import (CausalDynamics, apply_masks, apply_reward_masks,
-                           do_intervention_joint_grad, fit_dynamics,
-                           load_dynamics, reward_logpdf_grad, save_dynamics,
+from cgdp.dynamics import (CausalDynamics, do_intervention_joint_grad,
+                           fit_dynamics, joint_grad_jacobian, load_dynamics,
+                           reward_logpdf_grad, save_dynamics,
                            transition_logpdf_grad)
+from cgdp.numerics import Mlp
 from cgdp.scm import (CausalMasks, GroundTruthScm, exact_masks,
                       generate_dataset, random_scm)
 
@@ -23,31 +24,45 @@ def simple_linear_dyn(n=2, d=2):
                           b_s=np.zeros(n), b_a=np.ones(d))
 
 
+def mlp_dyn(masks, seed=0):
+    n, d = masks.c_as.shape[1], masks.c_as.shape[0]
+    rng = np.random.default_rng(seed)
+    return CausalDynamics(masks=masks, kind="mlp", sigma_s=np.eye(n),
+                          sigma_r=1.0,
+                          trans_nets=[Mlp([n + d, 3, 1], rng=rng)
+                                      for _ in range(n)],
+                          reward_net=Mlp([n + d, 3, 1], rng=rng))
+
+
 class TestApplyMasks:
     def test_all_ones_identity_gate(self):
-        masks = ones_masks(2, 2)
+        dyn = mlp_dyn(ones_masks(2, 2))
         s, a = np.array([1.0, 2.0]), np.array([3.0, 4.0])
-        gs, ga = apply_masks(masks, s, a)
-        assert np.array_equal(gs, np.column_stack([s, s]))
-        assert np.array_equal(ga, np.column_stack([a, a]))
+        out = dyn.transition_mean_batch(s, a)[0]
+        x = np.concatenate([s, a])
+        assert np.array_equal(out, [net.forward(x)[0]
+                                    for net in dyn.trans_nets])
 
     def test_all_zero_masks(self):
-        masks = CausalMasks(np.zeros((2, 2)), np.zeros((2, 2)),
-                            np.zeros(2), np.zeros(2))
-        gs, ga = apply_masks(masks, np.ones(2), np.ones(2))
-        assert np.all(gs == 0) and np.all(ga == 0)
+        dyn = mlp_dyn(CausalMasks(np.zeros((2, 2)), np.zeros((2, 2)),
+                                  np.zeros(2), np.zeros(2)))
+        rng = np.random.default_rng(1)
+        s, a = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
+        out = dyn.transition_mean_batch(s, a)
+        assert np.all(out == out[0])
+        r = dyn.reward_mean_batch(s, a)
+        assert np.all(r == r[0])
 
     def test_reward_masks(self):
-        masks = CausalMasks(np.ones((2, 2)), np.ones((1, 2)),
-                            np.array([1.0, 0.0]), np.array([0.0]))
-        gs, ga = apply_reward_masks(masks, np.array([3.0, 5.0]),
-                                    np.array([7.0]))
-        assert np.array_equal(gs, np.array([3.0, 0.0]))
-        assert np.array_equal(ga, np.array([0.0]))
+        dyn = mlp_dyn(CausalMasks(np.ones((2, 2)), np.ones((1, 2)),
+                                  np.array([1.0, 0.0]), np.array([0.0])))
+        r = dyn.reward_mean_batch(np.array([3.0, 5.0]), np.array([7.0]))
+        assert r[0] == dyn.reward_net.forward(np.array([3.0, 0.0, 0.0]))[0]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_masks(ones_masks(2, 2), np.ones(3), np.ones(2))
+        for dyn in (simple_linear_dyn(), mlp_dyn(ones_masks(2, 2))):
+            with pytest.raises(ValueError):
+                dyn.transition_mean_batch(np.ones(3), np.ones(2))
 
 
 class TestFitDynamics:
@@ -117,7 +132,7 @@ class TestGradients:
     def test_reward_grad_zero_at_prediction(self):
         dyn = simple_linear_dyn()
         s_next, a = np.ones(2), np.array([0.5, -0.5])
-        r = dyn.reward_mean(s_next, a)
+        r = dyn.reward_mean_batch(s_next, a)[0]
         _, grad = reward_logpdf_grad(dyn, s_next, a, r)
         assert np.allclose(grad, 0.0, atol=1e-14)
 
@@ -133,6 +148,42 @@ class TestGradients:
         _, gr = reward_logpdf_grad(dyn, s_next, a, 1.0)
         both = do_intervention_joint_grad(dyn, s, a, s_next, 1.0, 1.0, 1.0)
         assert np.allclose(both, gt + gr, atol=1e-14)
+
+    def test_batched_rows_match_single_rows(self, small_instance):
+        _, dyn, data = small_instance
+        mlp = fit_dynamics(data, dyn.masks, kind="mlp",
+                           rng=np.random.default_rng(0), mlp_steps=20)
+        rng = np.random.default_rng(8)
+        s = rng.standard_normal((4, dyn.n))
+        a = rng.uniform(-1, 1, (4, dyn.d))
+        s_next = rng.standard_normal((4, dyn.n))
+        r = rng.standard_normal(4)
+        for model in (dyn, mlp):
+            shared = do_intervention_joint_grad(model, s[0], a, s_next[0],
+                                                r[0], 0.7, 1.3)
+            assert np.allclose(shared[1], do_intervention_joint_grad(
+                model, s[0], a[1], s_next[0], r[0], 0.7, 1.3), rtol=1e-12)
+            for sn in (s_next, None):
+                batched = do_intervention_joint_grad(model, s, a, sn, r,
+                                                     0.7, 1.3)
+                for i in range(4):
+                    row = do_intervention_joint_grad(
+                        model, s[i], a[i], None if sn is None else sn[i],
+                        r[i], 0.7, 1.3)
+                    assert np.allclose(batched[i], row, rtol=1e-12,
+                                       atol=1e-14)
+
+    def test_action_jacobian_matches_finite_differences(self, small_instance):
+        _, dyn, _ = small_instance
+        rng = np.random.default_rng(9)
+        s, s_next = rng.standard_normal(dyn.n), rng.standard_normal(dyn.n)
+        a = rng.uniform(-1, 1, dyn.d)
+        for sn in (s_next, None):
+            jac = joint_grad_jacobian(dyn, 0.7, 1.3, predicted_next=sn is None)
+            for i in range(dyn.d):
+                fd = central_fd(lambda v: do_intervention_joint_grad(
+                    dyn, s, v, sn, 0.4, 0.7, 1.3)[i], a)
+                assert rel_err(jac[i], fd) < 1e-6
 
     def test_linear_gradients_match_finite_differences(self, small_instance):
         _, dyn, _ = small_instance
@@ -180,8 +231,8 @@ class TestMaskInvariance:
             a = rng.uniform(-1, 1, 2)
             a2 = a.copy()
             a2[dead_j[0]] += 5.0
-            base = dyn.transition_mean(s, a)
-            pert = dyn.transition_mean(s, a2)
+            base = dyn.transition_mean_batch(s, a)
+            pert = dyn.transition_mean_batch(s, a2)
             assert np.array_equal(base, pert)
 
     def test_mlp_gradients_match_finite_differences(self):

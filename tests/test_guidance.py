@@ -5,7 +5,7 @@ from cgdp.diffusion import ddim_sample, make_schedule, score_from_noise
 from cgdp.guidance import (GuidanceConfig, GuidanceHook, KlAccumulator,
                            LipschitzBundle, estimate_lipschitz,
                            euler_maruyama_guided, guided_noise,
-                           kl_path_integral, stability_max_step)
+                           stability_max_step)
 from cgdp.diffusion import NoiseNet
 
 
@@ -89,6 +89,24 @@ class TestGuidanceHook:
             hits += int(grad @ dyn.b_a > 0)
         assert hits >= 95
 
+    def test_zero_lambda_skips_gradient(self, small_instance, monkeypatch):
+        _, dyn, _ = small_instance
+        sched = make_schedule(10)
+        net = NoiseNet(dyn.n, dyn.d, 10, hidden=(8,),
+                       rng=np.random.default_rng(0))
+        s = np.random.default_rng(1).standard_normal((3, dyn.n))
+        acc = KlAccumulator()
+        hook = GuidanceHook(dyn, GuidanceConfig(lam=0.0, r_star=5.0), sched,
+                            s, kl_acc=acc)
+
+        def no_grad(a):
+            raise AssertionError("gradient evaluated at lambda = 0")
+
+        monkeypatch.setattr(hook, "joint_grad", no_grad)
+        ddim_sample(net, sched, s, np.random.default_rng(2), hook=hook)
+        assert hook.eps_jacobian(3) is None
+        assert acc.total == 0.0 and acc.records == [0.0] * 10
+
     def test_batch_matches_per_row(self, small_instance):
         _, dyn, _ = small_instance
         sched = make_schedule(15)
@@ -106,18 +124,18 @@ class TestGuidanceHook:
 class TestKlAccumulator:
     def test_zero_correction_no_change(self):
         acc = KlAccumulator()
-        kl_path_integral(acc, np.zeros(3), 1.0, 0.1)
+        acc.add(np.zeros(3), 1.0, 0.1)
         assert acc.total == 0.0
 
     def test_constant_correction_unit_integral(self):
         acc = KlAccumulator()
         for _ in range(10):
-            kl_path_integral(acc, np.array([1.0, 0.0]), 1.0, 0.1)
+            acc.add(np.array([1.0, 0.0]), 1.0, 0.1)
         assert abs(acc.total - 1.0) < 1e-12
 
     def test_ratio_normalization(self):
         acc = KlAccumulator()
-        kl_path_integral(acc, np.array([2.0]), 2.0, 1.0)
+        acc.add(np.array([2.0]), 2.0, 1.0)
         assert abs(acc.total - 1.0) < 1e-12
 
     def test_monotone_and_unguided_zero(self, small_instance):
@@ -140,7 +158,7 @@ class TestKlAccumulator:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            kl_path_integral(KlAccumulator(), np.ones(2), 0.0, 0.1)
+            KlAccumulator().add(np.ones(2), 0.0, 0.1)
 
 
 class TestStabilityBound:

@@ -1,6 +1,6 @@
 import numpy as np
 
-from cgdp.numerics import AdamState, Mlp, gaussian_sample, mat_expm
+from cgdp.numerics import AdamState, Mlp, mat_expm
 
 from conftest import central_fd, rel_err
 
@@ -145,32 +145,3 @@ class TestAdam:
             opt.step(p, [2.0 * p[0]])
         assert abs(p[0][0]) < 1e-2
 
-
-class TestGaussianSample:
-    def test_seed_reproducibility(self):
-        a = gaussian_sample(np.zeros(3), np.eye(3), np.random.default_rng(7))
-        b = gaussian_sample(np.zeros(3), np.eye(3), np.random.default_rng(7))
-        assert np.array_equal(a, b)
-
-    def test_mean_law_of_large_numbers(self):
-        rng = np.random.default_rng(8)
-        draws = np.array([gaussian_sample(np.ones(2), np.eye(2), rng)
-                          for _ in range(10 ** 5)])
-        assert np.all(np.abs(draws.mean(axis=0) - 1.0) < 0.02)
-
-    def test_variance_scaling(self):
-        rng = np.random.default_rng(9)
-        chol = np.diag([2.0, 3.0])
-        draws = np.array([gaussian_sample(np.zeros(2), chol, rng)
-                          for _ in range(10 ** 5)])
-        var = draws.var(axis=0)
-        assert abs(var[0] - 4.0) < 0.2 and abs(var[1] - 9.0) < 0.45
-
-    def test_rejects_bad_cholesky(self):
-        import pytest
-        with pytest.raises(ValueError):
-            gaussian_sample(np.zeros(2), np.diag([1.0, -1.0]),
-                            np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            gaussian_sample(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]),
-                            np.random.default_rng(0))

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from cgdp.diffusion import NoiseNet, forward_corrupt, make_schedule
+from cgdp.diffusion import (NoiseNet, ddim_sample, ddim_vjp, forward_corrupt,
+                            make_schedule)
 from cgdp.dynamics import CausalDynamics
 from cgdp.envs import Environment, EnvSpec, make_env_scm
 from cgdp.guidance import GuidanceConfig, GuidanceHook
 from cgdp.numerics import AdamState
-from cgdp.rl import (CriticPair, ReplayBuffer, TrainerConfig,
-                     _guided_chain_backward, _guided_chain_forward,
-                     critic_update, offline_stage, online_stage,
-                     policy_update, td_target)
+from cgdp.rl import (CriticPair, ReplayBuffer, TrainerConfig, critic_update,
+                     offline_stage, online_stage, policy_update)
 from cgdp.scm import CausalMasks, Transition, exact_masks, generate_dataset
 
 from conftest import rel_err
@@ -60,26 +59,28 @@ class TestReplayBuffer:
             ReplayBuffer(0)
 
 
+def td_loss(q1_target, q2_target, r, done):
+    """critic_update's loss when both online critics output 0 and the
+    targets output constants: the mean of 2 y^2 for the TD target y."""
+    critics = CriticPair(2, 2, hidden=(4,), lr=0.0)
+    critics.q1_target.biases[-1][:] = q1_target
+    critics.q2_target.biases[-1][:] = q2_target
+    batch = [Transition(np.zeros(2), np.zeros(2), r, np.zeros(2), done)]
+    return critic_update(critics, batch, lambda s, rng: np.zeros((1, 2)),
+                         np.random.default_rng(0))
+
+
 class TestTdTarget:
     def test_constant_target_value(self):
-        critics = CriticPair(2, 2, hidden=(4,))
-        critics.q1_target.biases[-1][:] = 2.0
-        critics.q2_target.biases[-1][:] = 2.0
-        y = td_target(critics, 1.0, np.zeros(2), np.zeros(2), False)
-        assert abs(y - (1.0 + 0.99 * 2.0)) < 1e-12
+        y = 1.0 + 0.99 * 2.0
+        assert abs(td_loss(2.0, 2.0, 1.0, False) - 2 * y * y) < 1e-12
 
     def test_done_truncates_bootstrap(self):
-        critics = CriticPair(2, 2, hidden=(4,))
-        critics.q1_target.biases[-1][:] = 100.0
-        y = td_target(critics, 0.7, np.zeros(2), np.zeros(2), True)
-        assert y == 0.7
+        assert abs(td_loss(100.0, 100.0, 0.7, True) - 2 * 0.7 * 0.7) < 1e-12
 
     def test_min_over_pair(self):
-        critics = CriticPair(2, 2, hidden=(4,))
-        critics.q1_target.biases[-1][:] = 3.0
-        critics.q2_target.biases[-1][:] = 1.0
-        y = td_target(critics, 0.0, np.zeros(2), np.zeros(2), False)
-        assert abs(y - 0.99 * 1.0) < 1e-12
+        y = 0.99 * 1.0
+        assert abs(td_loss(3.0, 1.0, 0.0, False) - 2 * y * y) < 1e-12
 
 
 class TestCritics:
@@ -115,9 +116,10 @@ class TestGuidedChain:
         sched = make_schedule(3)
         net = NoiseNet(2, 2, 3, hidden=(8,), rng=np.random.default_rng(0))
         s = np.random.default_rng(1).standard_normal((2, 2))
-        z = np.random.default_rng(2).standard_normal((2, 2))
-        a_gen, steps = _guided_chain_forward(net, sched, None, s, z)
-        a = z
+        tape = []
+        a_gen = ddim_sample(net, sched, s, np.random.default_rng(2),
+                            tape=tape)
+        a = np.random.default_rng(2).standard_normal((2, 2))
         for k in range(3, 0, -1):
             eps = net.forward_cache(a, s, k)[0]
             abar_k, abar_prev = sched.abar_at(k), sched.abar_at(k - 1)
@@ -125,7 +127,7 @@ class TestGuidedChain:
             w = np.sqrt(1 - abar_prev) - u * np.sqrt(1 - abar_k)
             a = u * a + w * eps
         assert np.allclose(a_gen, a, rtol=1e-12)
-        assert len(steps) == 3
+        assert len(tape) == 3
 
     def test_backward_matches_finite_differences(self):
         sched = make_schedule(3)
@@ -133,15 +135,16 @@ class TestGuidedChain:
         dyn = linear_dyn()
         cfg = GuidanceConfig(lam=0.7, r_star=1.0)
         s = np.random.default_rng(4).standard_normal((2, 2))
-        z = np.random.default_rng(5).standard_normal((2, 2))
         hook = GuidanceHook(dyn, cfg, sched, s)
 
-        def objective():
-            a_gen, _ = _guided_chain_forward(net, sched, hook, s, z)
+        def objective(tape=None):
+            a_gen = ddim_sample(net, sched, s, np.random.default_rng(5),
+                                hook=hook, tape=tape)
             return float(a_gen.sum())
 
-        _, steps = _guided_chain_forward(net, sched, hook, s, z)
-        grads = _guided_chain_backward(net, hook, steps, np.ones((2, 2)))
+        tape = []
+        objective(tape)
+        grads = ddim_vjp(net, sched, tape, np.ones((2, 2)), hook=hook)
         rng = np.random.default_rng(6)
         params = net.mlp.params()
         h = 1e-6
@@ -291,3 +294,45 @@ class TestStages:
                             masks=exact_masks(env.scm))
         records, _ = online_stage(env, art, cfg, np.random.default_rng(1))
         assert records[0]["kl_integral"] > 0.0
+
+    def test_refresh_skips_windows_below_the_refit_minimum(self, monkeypatch):
+        import cgdp.rl
+        spec = EnvSpec(kind="lin-scm", n=3, d=2, horizon=5, seed=0)
+        env = Environment(spec)
+        data = generate_dataset(env.scm, 50, 5, 1.5,
+                                np.random.default_rng(0))
+        cfg = TrainerConfig(offline_steps=20, hidden=(8,), batch_size=8,
+                            online_episodes=2, mask_refresh=5,
+                            refresh_min_action_std=0.0)
+        art = offline_stage(data, cfg, np.random.default_rng(0),
+                            masks=exact_masks(env.scm))
+
+        def no_discovery(*args, **kwargs):
+            raise AssertionError("NOTEARS ran on a window the refit rejects")
+
+        monkeypatch.setattr(cgdp.rl, "discover_masks", no_discovery)
+        records, _ = online_stage(env, art, cfg, np.random.default_rng(1))
+        assert [rec["mask_refresh_flag"] for rec in records] == [0, 0]
+
+    def test_failed_refit_keeps_masks_and_dynamics_together(self,
+                                                            monkeypatch):
+        import cgdp.rl
+        spec = EnvSpec(kind="lin-scm", n=3, d=2, horizon=5, seed=0)
+        env = Environment(spec)
+        data = generate_dataset(env.scm, 50, 5, 1.5,
+                                np.random.default_rng(0))
+        cfg = TrainerConfig(offline_steps=20, hidden=(8,), batch_size=8,
+                            online_episodes=12, mask_refresh=60,
+                            refresh_min_action_std=0.0)
+        art = offline_stage(data, cfg, np.random.default_rng(0),
+                            masks=exact_masks(env.scm), w0=np.zeros((9, 9)))
+
+        def failing_fit(*args, **kwargs):
+            raise ValueError("refit failed")
+
+        monkeypatch.setattr(cgdp.rl, "fit_dynamics", failing_fit)
+        records, final = online_stage(env, art, cfg,
+                                      np.random.default_rng(1))
+        assert sum(rec["mask_refresh_flag"] for rec in records) == 0
+        assert final.masks is art.masks and final.dyn is art.dyn
+        assert final.discovery_w is art.discovery_w

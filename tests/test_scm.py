@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cgdp.scm import (GroundTruthScm, acyclicity_value, exact_masks,
+from cgdp.scm import (GroundTruthScm, acyclicity, exact_masks,
                       generate_dataset, load_dataset, random_scm,
                       save_dataset, scm_step, stacked_adjacency)
 
@@ -111,7 +111,7 @@ class TestStackedAdjacency:
         for seed in range(5):
             scm = random_scm(4, 3, 2, rng=np.random.default_rng(seed))
             dag = stacked_adjacency(scm)
-            assert abs(acyclicity_value(dag.adjacency)) < 1e-8
+            assert abs(acyclicity(dag.adjacency)) < 1e-8
 
 
 class TestScmValidation:

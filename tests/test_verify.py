@@ -83,7 +83,7 @@ class TestGaussianPriorNet:
         net = GaussianPriorNet(mu, np.eye(2), sched)
         k = 40
         a = np.sqrt(sched.abar_at(k)) * mu
-        assert np.allclose(net(a, None, k), 0.0, atol=1e-14)
+        assert np.allclose(net.forward(a, None, k), 0.0, atol=1e-14)
 
     def test_matches_marginal_score_formula(self):
         sched = make_schedule(100)
@@ -95,7 +95,7 @@ class TestGaussianPriorNet:
         a = np.array([0.3, -0.8])
         cov_k = abar * sigma + (1 - abar) * np.eye(2)
         score = -np.linalg.solve(cov_k, a - np.sqrt(abar) * mu)
-        assert np.allclose(net(a, None, k), -np.sqrt(1 - abar) * score,
+        assert np.allclose(net.forward(a, None, k), -np.sqrt(1 - abar) * score,
                            rtol=1e-12)
 
 
