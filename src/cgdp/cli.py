@@ -8,8 +8,10 @@ with byte-identical files.
 """
 
 import argparse
+import copy
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +23,7 @@ from .discovery import corrupt_masks, discover_masks
 from .dynamics import load_dynamics, save_dynamics
 from .envs import Environment, make_env_scm, optimal_reward
 from .guidance import GuidanceHook
-from .rl import offline_stage, online_stage
+from .rl import offline_stage, online_stage, with_masks
 from .scm import generate_dataset, load_dataset, save_dataset
 from . import verify as verify_mod
 
@@ -120,7 +122,10 @@ def cmd_train(cfg, out_dir, guidance_on):
         save_dynamics(artifacts.dyn, os.path.join(out_dir, "dynamics.txt"))
     with open(os.path.join(out_dir, "effective.cfg"), "w") as fh:
         fh.write(dump_config(cfg))
-    print(f"trained {len(records)} episodes; outputs under {out_dir}")
+    refreshes = Counter(o for rec in records for o in rec["refreshes"])
+    summary = ", ".join(f"{n} {o}" for o, n in refreshes.items()) or "none"
+    print(f"trained {len(records)} episodes; refreshes: {summary}; "
+          f"outputs under {out_dir}")
     return 0
 
 
@@ -163,24 +168,26 @@ def cmd_ablate(cfg, out_dir):
     scm = make_env_scm(spec) if spec.kind == "lin-scm" else None
     result = discover_masks(data, cfg.notears_config(), return_result=True)
     guid = _guidance_config(cfg, scm)
-
-    def run_arm(arm, seed):
-        tcfg = replace(cfg.trainer_config(), guidance=guid)
-        masks = result.masks
-        if arm == "corrupted":
-            masks = corrupt_masks(result.masks, cfg["ablate.flip_prob"],
-                                  np.random.default_rng(10 ** 6 + seed))
-        if arm == "unguided":
-            tcfg = replace(tcfg, guidance=replace(guid, lam=0.0))
-        rng = np.random.default_rng(cfg["seed"] + seed)
-        env = Environment(spec, scm=scm)
-        artifacts = offline_stage(data, tcfg, rng, masks=masks, w0=result.w)
-        records, _ = online_stage(env, artifacts, tcfg, rng)
-        return _final_return(records)
+    tcfg = replace(cfg.trainer_config(), guidance=guid)
+    unguided_cfg = replace(tcfg, guidance=replace(guid, lam=0.0))
 
     arms = ("notears", "corrupted", "unguided")
-    seeds = range(cfg["ablate.seeds"])
-    per_arm = {arm: [run_arm(arm, seed) for seed in seeds] for arm in arms}
+    per_arm = {arm: [] for arm in arms}
+    for seed in range(cfg["ablate.seeds"]):
+        # one base policy per seed: the arms differ in masks and guidance
+        # only, which the noise net's training never reads
+        rng = np.random.default_rng(cfg["seed"] + seed)
+        base = offline_stage(data, tcfg, rng, masks=result.masks, w0=result.w)
+        corrupted = corrupt_masks(result.masks, cfg["ablate.flip_prob"],
+                                  np.random.default_rng(10 ** 6 + seed))
+        for arm, masks, arm_cfg in (("notears", result.masks, tcfg),
+                                    ("corrupted", corrupted, tcfg),
+                                    ("unguided", result.masks, unguided_cfg)):
+            artifacts = with_masks(base, data, arm_cfg, masks,
+                                   np.random.default_rng(cfg["seed"] + seed))
+            records, _ = online_stage(Environment(spec, scm=scm), artifacts,
+                                      arm_cfg, copy.deepcopy(rng))
+            per_arm[arm].append(_final_return(records))
     path = os.path.join(out_dir, "ablation.csv")
     with open(path, "w") as fh:
         fh.write("arm,mean,std\n")

@@ -5,10 +5,13 @@ Diffusion steps are indexed k = 1..K; schedule arrays use index k-1.
 Samplers accept an optional guidance hook ``hook(a_k, k) -> correction``
 returning an epsilon-space additive correction; a hook returning zeros is
 bit-identical to no hook under the same seed, because hooks never touch
-the random stream.  A noise predictor is anything with ``d_action`` and
-``forward(a, s, k)``.
+the random stream.  A noise predictor is anything with ``d_action``,
+``forward(a, s, k, x=None)`` and ``chain_inputs(s)``: the latter returns
+an input buffer that ``forward`` may reuse as ``x`` along one reverse
+chain over the state rows ``s`` (or None, for a predictor without one).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,19 +77,28 @@ class NoiseNet:
         self.k_steps = k_steps
         self.mlp = Mlp([d_action + n_state + 1, *hidden, d_action], rng=rng)
 
-    def _inputs(self, a, s, k):
-        a = np.atleast_2d(a)
+    def chain_inputs(self, s):
+        """An input buffer [a | s | k/K] for the state rows ``s``, with
+        the state block filled; :meth:`forward` fills the rest."""
         s = np.atleast_2d(s)
-        kcol = np.full((a.shape[0], 1), k / self.k_steps)
-        return np.concatenate([a, s, kcol], axis=1)
+        x = np.empty((s.shape[0], self.d_action + self.n_state + 1))
+        x[:, self.d_action:-1] = s
+        return x
 
-    def forward(self, a, s, k):
+    def _inputs(self, a, s, k, x):
+        if x is None:
+            x = self.chain_inputs(s)
+        x[:, :self.d_action] = a
+        x[:, -1] = k / self.k_steps
+        return x
+
+    def forward(self, a, s, k, x=None):
         squeeze = np.asarray(a).ndim == 1
-        out = self.mlp.forward(self._inputs(a, s, k))
+        out = self.mlp.forward(self._inputs(a, s, k, x))
         return out[0] if squeeze else out
 
-    def forward_cache(self, a, s, k):
-        return self.mlp.forward_cache(self._inputs(a, s, k))
+    def forward_cache(self, a, s, k, x=None):
+        return self.mlp.forward_cache(self._inputs(a, s, k, x))
 
     def backward(self, cache, cotangent):
         """Returns (param_grads, grad w.r.t. the action block only)."""
@@ -179,9 +191,12 @@ def ddim_sample(net, schedule, s, rng, hook=None, tape=None):
     squeeze = s.ndim == 1
     s2 = s[None, :] if squeeze else s
     a = rng.standard_normal((s2.shape[0], net.d_action))
+    # one input buffer for the whole chain; a taped step keeps its input
+    # in the cache, so it gets a fresh one
+    x = net.chain_inputs(s2) if tape is None else None
     for k in range(schedule.k_steps, 0, -1):
         if tape is None:
-            eps_hat = net.forward(a, s2, k)
+            eps_hat = net.forward(a, s2, k, x)
         else:
             eps_hat, cache = net.forward_cache(a, s2, k)
             tape.append((k, cache))
@@ -197,19 +212,20 @@ def ddim_vjp(net, schedule, tape, cot, hook=None):
 
     The hook's dependence on a^k enters through ``hook.eps_jacobian(k)``,
     a (d, d) matrix, or is treated as locally constant where that is None.
+    Returns gradients laid out like ``net.mlp.params()``, as views into
+    one flat array.
     """
-    grads = [np.zeros_like(p) for p in net.mlp.params()]
+    grads = np.zeros(net.mlp.flat.size)
     for k, cache in reversed(tape):
         cot_eps = schedule.ddim_w[k - 1] * cot
         step_grads, ga = net.backward(cache, cot_eps)
-        for acc, g in zip(grads, step_grads):
-            acc += g
+        grads += step_grads[0].base   # the flat array the views tile
         cot = schedule.ddim_u[k - 1] * cot + ga
         if hook is not None:
             jac = hook.eps_jacobian(k)
             if jac is not None:
                 cot = cot + cot_eps @ jac
-    return grads
+    return net.mlp.views(grads)
 
 
 def save_noise_net(net, path):
@@ -225,29 +241,60 @@ def save_noise_net(net, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _row_floats(path, index, line, width):
+    """The floats of one checkpoint line, exactly ``width`` finite ones."""
+    try:
+        row = [float(v) for v in line.split()]
+    except ValueError:
+        row = None
+    if row is None or len(row) != width or \
+            not all(math.isfinite(v) for v in row):
+        raise ValueError(f"{path}:{index + 1}: expected {width} finite "
+                         f"values, got {line.strip()[:60]!r}")
+    return row
+
+
 def load_noise_net(path):
+    """Read a :func:`save_noise_net` checkpoint.  A bad header, a missing,
+    short or extra param block and non-finite values raise ValueError
+    naming ``file:line``."""
     with open(path) as fh:
         lines = fh.read().splitlines()
-    head = lines[0].split()
+    head = lines[0].split() if lines else [""]
     if head[0] != "cgdp-noise-net-v1":
-        raise ValueError(f"unrecognized checkpoint header {head[0]!r}")
-    n_state, d_action, k_steps = map(int, head[1:4])
-    widths = [int(w) for w in lines[1].split()]
+        raise ValueError(f"{path}:1: unrecognized checkpoint header "
+                         f"{head[0]!r}")
+    try:
+        n_state, d_action, k_steps = map(int, head[1:])
+        widths = [int(w) for w in lines[1].split()]
+    except (ValueError, IndexError):
+        raise ValueError(f"{path}:1: expected 'cgdp-noise-net-v1 n d K' "
+                         f"and a line of layer widths") from None
+    if len(widths) < 2 or widths[0] != d_action + n_state + 1 or \
+            widths[-1] != d_action or min(widths) < 1 or k_steps < 1:
+        raise ValueError(f"{path}:2: layer widths {widths} do not fit "
+                         f"n = {n_state}, d = {d_action}")
     net = NoiseNet(n_state, d_action, k_steps, hidden=tuple(widths[1:-1]))
-    params = []
+    params = net.mlp.params()
     i = 2
-    while i < len(lines):
-        if not lines[i].startswith("param "):
-            raise ValueError(f"expected a param block at line {i + 1}")
-        rows, cols = map(int, lines[i].split()[1:])
-        block = np.array([[float(v) for v in lines[i + 1 + j].split()]
-                          for j in range(rows)])
-        params.append(block)
+    for index, p in enumerate(params):
+        rows, cols = np.atleast_2d(p).shape
+        if i >= len(lines) or lines[i].split() != ["param", str(rows),
+                                                   str(cols)]:
+            found = repr(lines[i]) if i < len(lines) else "the end of file"
+            raise ValueError(f"{path}:{i + 1}: expected param block "
+                             f"{index + 1} of {len(params)} as 'param "
+                             f"{rows} {cols}', found {found}")
+        if i + rows >= len(lines):
+            raise ValueError(f"{path}:{len(lines) + 1}: file ends inside "
+                             f"param block {index + 1}")
+        p[...] = np.reshape([_row_floats(path, i + 1 + j, lines[i + 1 + j],
+                                         cols) for j in range(rows)],
+                            p.shape)
         i += 1 + rows
-    shaped = []
-    for p, loaded in zip(net.mlp.params(), params):
-        shaped.append(loaded.reshape(p.shape))
-    net.mlp.set_params(shaped)
+    if any(line.strip() for line in lines[i:]):
+        raise ValueError(f"{path}:{i + 1}: more param blocks than the "
+                         f"{len(params)} of the network")
     return net
 
 

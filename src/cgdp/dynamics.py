@@ -71,11 +71,15 @@ class CausalDynamics:
 
     # ---- means (rows of s / s_next (B, n) and a (B, d)) -----------------
 
-    def transition_mean_batch(self, s, a):
-        s = np.atleast_2d(s)
+    def transition_mean_batch(self, s, a, s_term=None):
+        """Predicted next states; ``s_term``, the linear kind's
+        ``s @ a_s``, may be passed in by a caller that already has it."""
         a = np.atleast_2d(a)
         if self.kind == "linear":
-            return s @ self.a_s + a @ self.a_a
+            if s_term is None:
+                s_term = np.atleast_2d(s) @ self.a_s
+            return s_term + a @ self.a_a
+        s = np.atleast_2d(s)
         out = np.empty((s.shape[0], self.n))
         for j, net in enumerate(self.trans_nets):
             x = np.concatenate([s * self.masks.c_ss[:, j],
@@ -204,7 +208,7 @@ def fit_dynamics(transitions, masks, kind="linear", rng=None,
 
 
 def do_intervention_joint_grad(dyn, s, a, s_next, r_target, gamma_t,
-                               beta_guid_t):
+                               beta_guid_t, s_term=None):
     """gamma_t * grad_a log p(s_next | s, do(a))
     + beta_guid_t * grad_a log p(r_target | s_next, do(a)), row by row.
 
@@ -215,7 +219,9 @@ def do_intervention_joint_grad(dyn, s, a, s_next, r_target, gamma_t,
     holds s_next fixed.  Returns one gradient row per row of the batch, or
     a vector when every argument is a single row and ``a`` is 1-D.  The
     do-semantics hold by construction: a enters only through its
-    structural-equation role in the two masked models.
+    structural-equation role in the two masked models.  ``s_term`` is
+    the linear kind's ``s @ a_s``, for a caller that evaluates many
+    actions at the same states.
     """
     if not (math.isfinite(gamma_t) and math.isfinite(beta_guid_t)):
         raise ValueError("guidance coefficients must be finite")
@@ -231,7 +237,7 @@ def do_intervention_joint_grad(dyn, s, a, s_next, r_target, gamma_t,
         grad = np.zeros((batch, a2.shape[1]))
         with_trans = gamma_t != 0.0 and sn is not None
         if sn is None or with_trans:
-            mean_next = dyn.transition_mean_batch(s, a2)
+            mean_next = dyn.transition_mean_batch(s, a2, s_term)
         if with_trans:
             grad += gamma_t * (sn - mean_next) @ dyn._prec_s @ dyn.a_a.T
         if beta_guid_t != 0.0:
@@ -323,13 +329,6 @@ def _dump_array(fh, name, arr):
     fh.write(" ".join(repr(float(v)) for v in arr.ravel()) + "\n")
 
 
-def _read_array(fh):
-    header = fh.readline().split()
-    shape = tuple(int(x) for x in header[1:])
-    vals = np.array([float(x) for x in fh.readline().split()])
-    return header[0], vals.reshape(shape)
-
-
 def save_dynamics(dyn, path):
     if dyn.kind != "linear":
         raise ValueError("checkpointing is defined for the linear kind")
@@ -343,16 +342,43 @@ def save_dynamics(dyn, path):
 
 
 def load_dynamics(path):
+    """Read a :func:`save_dynamics` checkpoint.  A bad header, a missing
+    or short array and non-finite values raise ValueError naming the file,
+    the line and the array."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if header[0] != _CKPT_VERSION:
-            raise ValueError(f"unrecognized checkpoint header {header[0]!r}")
-        sigma_r = float(header[4])
-        r_star = float(header[5])
-        arrays = {}
-        for _ in range(9):
-            name, arr = _read_array(fh)
-            arrays[name] = arr
+        lines = fh.read().splitlines()
+    header = lines[0].split() if lines else [""]
+    if header[0] != _CKPT_VERSION:
+        raise ValueError(f"{path}:1: unrecognized checkpoint header "
+                         f"{header[0]!r}")
+    try:
+        kind, n, d = header[1], int(header[2]), int(header[3])
+        sigma_r, r_star = float(header[4]), float(header[5])
+    except (ValueError, IndexError):
+        kind = None
+    if kind != "linear" or len(header) != 6 or n < 1 or d < 1:
+        raise ValueError(f"{path}:1: expected '{_CKPT_VERSION} linear n d "
+                         f"sigma_r r_star', got {lines[0]!r}")
+    shapes = {"c_ss": (n, n), "c_as": (d, n), "u_sr": (n,), "u_ar": (d,),
+              "a_s": (n, n), "a_a": (d, n), "b_s": (n,), "b_a": (d,),
+              "sigma_s": (n, n)}
+    arrays = {}
+    for index, (name, shape) in enumerate(shapes.items()):
+        line = 1 + 2 * index
+        head = " ".join([name, *map(str, shape)])
+        if line >= len(lines) or lines[line].split() != head.split():
+            raise ValueError(f"{path}:{line + 1}: expected array header "
+                             f"{head!r}")
+        text = lines[line + 1] if line + 1 < len(lines) else ""
+        try:
+            vals = np.array([float(x) for x in text.split()])
+        except ValueError:
+            vals = np.array([np.nan])
+        if vals.size != math.prod(shape) or not np.all(np.isfinite(vals)):
+            raise ValueError(f"{path}:{line + 2}: array {name} needs "
+                             f"{math.prod(shape)} finite values, got "
+                             f"{text[:60]!r}")
+        arrays[name] = vals.reshape(shape)
     masks = CausalMasks(arrays["c_ss"], arrays["c_as"],
                         arrays["u_sr"], arrays["u_ar"])
     return CausalDynamics(masks=masks, kind="linear",

@@ -89,8 +89,12 @@ class KlAccumulator:
         if g_t <= 0 or dt <= 0:
             raise ValueError("g_t and dt must be > 0")
         c = np.asarray(correction, dtype=float)
-        sq = float(np.sum(c * c, axis=-1).mean()) if c.ndim > 1 \
-            else float(c @ c)
+        if c.ndim > 1:
+            # the row mean of the squared norms, as .mean() computes it
+            rows = np.add.reduce(c * c, axis=-1)
+            sq = float(np.add.reduce(rows)) / rows.shape[0]
+        else:
+            sq = float(c @ c)
         contrib = sq / (g_t * g_t) * dt
         self.total += contrib
         self.records.append(contrib)
@@ -133,12 +137,15 @@ class GuidanceHook:
         self.r_value = r_value
         self.kl_acc = kl_acc
         self._grad_jac = None
+        self._s_term = None
 
     def joint_grad(self, a):
         """Interventional gradient rows for candidate actions."""
+        if self._s_term is None and self.dyn.kind == "linear":
+            self._s_term = self.s_t @ self.dyn.a_s   # the same every step
         return do_intervention_joint_grad(
             self.dyn, self.s_t, a, self.s_next, self.r_value,
-            self.cfg.gamma_t, self.cfg.beta_guid_t)
+            self.cfg.gamma_t, self.cfg.beta_guid_t, s_term=self._s_term)
 
     def __call__(self, a, k):
         lam_k = self.cfg.lam_at(k)

@@ -69,49 +69,58 @@ def acyclicity(w, with_grad=False):
 class Mlp:
     """Fully-connected network, tanh hidden layers, identity output.
 
-    Parameters live in ``self.weights`` (lists of (out, in) matrices) and
-    ``self.biases``.  ``forward``/``backward`` accept a single vector or a
-    batch of rows; ``backward`` returns exact gradients of
-    ``sum(output * cotangent)`` w.r.t. every parameter and the input.
+    Parameters live in one flat float64 array ``self.flat``;
+    ``self.weights`` ((out, in) matrices) and ``self.biases`` are views
+    into it, laid out weights then bias per layer as :meth:`params` lists
+    them.  Write parameters in place (``net.weights[0][...] = w``) so the
+    flat buffer sees them.  ``forward``/``backward`` accept a single
+    vector or a batch of rows; ``backward`` returns exact gradients of
+    ``sum(output * cotangent)`` w.r.t. every parameter, as views into one
+    fresh flat array of the same layout, and w.r.t. the input.
     """
 
     def __init__(self, widths, rng=None, init_scale=None):
         if len(widths) < 2:
             raise ValueError("need at least an input and an output width")
         self.widths = list(widths)
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            if rng is None:
-                w = np.zeros((fan_out, fan_in))
-            else:
-                scale = init_scale if init_scale is not None else np.sqrt(1.0 / fan_in)
-                w = rng.standard_normal((fan_out, fan_in)) * scale
-            self.weights.append(w)
-            self.biases.append(np.zeros(fan_out))
+        self.flat = np.zeros(sum(fan_out * (fan_in + 1) for fan_in, fan_out
+                                 in zip(widths[:-1], widths[1:])))
+        views = self.views(self.flat)
+        self.weights, self.biases = views[0::2], views[1::2]
+        if rng is None:
+            return
+        for w in self.weights:
+            fan_out, fan_in = w.shape
+            scale = init_scale if init_scale is not None else np.sqrt(1.0 / fan_in)
+            w[...] = rng.standard_normal((fan_out, fan_in)) * scale
+
+    def views(self, flat):
+        """Arrays laid out like :meth:`params`, as views into ``flat``."""
+        out = []
+        start = 0
+        for fan_in, fan_out in zip(self.widths[:-1], self.widths[1:]):
+            stop = start + fan_out * fan_in
+            out.append(flat[start:stop].reshape(fan_out, fan_in))
+            out.append(flat[stop:stop + fan_out])
+            start = stop + fan_out
+        return out
 
     @property
     def n_layers(self):
         return len(self.weights)
 
     def params(self):
-        """Flat list of parameter arrays (weights then bias per layer)."""
+        """Parameter arrays (weights then bias per layer), views into
+        ``self.flat``."""
         out = []
         for w, b in zip(self.weights, self.biases):
             out.append(w)
             out.append(b)
         return out
 
-    def set_params(self, arrays):
-        it = iter(arrays)
-        for i in range(self.n_layers):
-            self.weights[i] = next(it).reshape(self.weights[i].shape).copy()
-            self.biases[i] = next(it).reshape(self.biases[i].shape).copy()
-
     def copy(self):
         clone = Mlp(self.widths)
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
+        clone.flat[...] = self.flat
         return clone
 
     def forward(self, x):
@@ -137,33 +146,57 @@ class Mlp:
     def backward(self, cache, cotangent):
         """Backprop a cotangent; returns (param_grads, input_grad).
 
-        ``param_grads`` matches the layout of :meth:`params` and sums over
-        the batch; ``input_grad`` has the shape of the original input.
+        ``param_grads`` matches the layout of :meth:`params`, sums over
+        the batch and views one fresh flat array (each view's ``.base``);
+        ``input_grad`` has the shape of the original input.
         """
         acts, squeeze = cache
         g = np.asarray(cotangent, dtype=float)
+        # a single input with a batch-of-one cotangent keeps the batch axis
+        squeeze = squeeze and g.ndim == 1
         if squeeze:
             g = g[None, :]
-        grads_w = [None] * self.n_layers
-        grads_b = [None] * self.n_layers
+        param_grads = self.views(np.empty(self.flat.size))
         for i in range(self.n_layers - 1, -1, -1):
             h_in = acts[i]
             if i < self.n_layers - 1:
                 # activation output of this hidden layer
                 g = g * (1.0 - acts[i + 1] ** 2)
-            grads_w[i] = g.T @ h_in
-            grads_b[i] = g.sum(axis=0)
+            np.matmul(g.T, h_in, out=param_grads[2 * i])
+            np.add.reduce(g, axis=0, out=param_grads[2 * i + 1])
             g = g @ self.weights[i]
-        param_grads = []
-        for gw, gb in zip(grads_w, grads_b):
-            param_grads.append(gw)
-            param_grads.append(gb)
         input_grad = g[0] if squeeze else g
         return param_grads, input_grad
 
 
+def _flat_buffers(arrays):
+    """The 1-D arrays that consecutive runs of ``arrays`` tile whole, one
+    per run, as the views of :meth:`Mlp.params` and of ``Mlp.backward``'s
+    gradients do; None if some array is not such a view."""
+    out = []
+    i, count = 0, len(arrays)
+    while i < count:
+        base = arrays[i].base
+        if base is None or base.ndim != 1:
+            return None
+        size = 0
+        while i < count and arrays[i].base is base:
+            size += arrays[i].size
+            i += 1
+        if size != base.size:
+            return None
+        out.append(base)
+    return out
+
+
 class AdamState:
-    """Adam optimizer state for a fixed list of parameter arrays."""
+    """Adam optimizer state for a fixed list of parameter arrays.
+
+    The moments are kept flat, in the order of the parameter elements.
+    Parameters and gradients that are views tiling flat buffers (an
+    ``Mlp``'s) are updated one buffer at a time; other arrays one array
+    at a time.  The arithmetic per element is the same either way.
+    """
 
     def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         if lr < 0:
@@ -173,8 +206,9 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        size = sum(np.size(p) for p in params)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
     def step(self, params, grads):
         """Apply one Adam update in place.  lr == 0 leaves params untouched."""
@@ -183,9 +217,31 @@ class AdamState:
             return
         self.step_count += 1
         t = self.step_count
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** t)
-            v_hat = self.v[i] / (1 - self.beta2 ** t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1 - b1 ** t
+        c2 = 1 - b2 ** t
+        p_bufs, g_bufs = _flat_buffers(params), _flat_buffers(grads)
+        if p_bufs is None or g_bufs is None or \
+                [p.size for p in p_bufs] != [g.size for g in g_bufs]:
+            p_bufs, g_bufs = params, grads
+        start = 0
+        for p, g in zip(p_bufs, g_bufs):
+            stop = start + p.size
+            m = self.m[start:stop].reshape(p.shape)
+            v = self.v[start:stop].reshape(p.shape)
+            start = stop
+            # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            g2 = (1 - b2) * g
+            g2 *= g
+            v += g2
+            # p -= lr m_hat / (sqrt(v_hat) + eps)
+            m_hat = m / c1
+            m_hat *= self.lr
+            denom = v / c2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            m_hat /= denom
+            p -= m_hat

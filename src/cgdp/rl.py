@@ -23,6 +23,7 @@ __all__ = [
     "policy_update",
     "offline_stage",
     "online_stage",
+    "with_masks",
     "OfflineArtifacts",
 ]
 
@@ -82,9 +83,8 @@ class CriticPair:
         rho = self.rho_target
         for online, target in ((self.q1, self.q1_target),
                                (self.q2, self.q2_target)):
-            for p_t, p_o in zip(target.params(), online.params()):
-                p_t *= 1.0 - rho
-                p_t += rho * p_o
+            target.flat *= 1.0 - rho
+            target.flat += rho * online.flat
 
 
 @dataclass
@@ -196,8 +196,8 @@ def policy_update(net, critics, dyn, batch, cfg, schedule, opt, rng,
                                                     1.0 / batch_n))
         cot_a0 = -cfg.eta * gx[:, dyn.n:]
         actor_grads = ddim_vjp(net, schedule, tape, cot_a0, hook=actor_hook)
-        for acc, g in zip(grads, actor_grads):
-            acc += g
+        flat_grads = grads[0].base   # the flat array the views tile
+        flat_grads += actor_grads[0].base
 
     opt.step(net.mlp.params(), grads)
     return denoise_loss, q_obj
@@ -238,6 +238,23 @@ def offline_stage(dataset, cfg, rng, masks=None, w0=None):
                             schedule=schedule, discovery_w=w0)
 
 
+def with_masks(base, dataset, cfg, masks, fit_rng):
+    """``base``'s offline artifacts for other ``masks``: a copy of its
+    noise net, and dynamics refit on the masks (base's own for its masks).
+
+    ``offline_stage`` trains the noise net without reading masks or
+    guidance, and ``fit_dynamics`` draws as many values whatever the
+    masks.  So with ``fit_rng`` in the state ``base``'s ``offline_stage``
+    call received, and a copy of the generator that call left for the
+    online stage, a run is exactly the one after its own
+    ``offline_stage(dataset, cfg, rng, masks=masks, w0=base.discovery_w)``.
+    """
+    dyn = base.dyn if masks is base.masks else fit_dynamics(
+        dataset, masks, kind=cfg.dyn_kind, rng=fit_rng,
+        mlp_steps=cfg.dyn_mlp_steps)
+    return replace(base, net=base.net.copy(), dyn=dyn, masks=masks)
+
+
 def online_stage(env, artifacts, cfg, rng):
     """Stage two: interact, guide, and update until the episode budget.
 
@@ -246,7 +263,9 @@ def online_stage(env, artifacts, cfg, rng):
     ``mask_refresh`` steps re-estimate masks and refit the dynamics on the
     recent buffer window (warm-started).  A refresh replaces the masks,
     the warm start and the dynamics together, or none of them.  Emits one
-    metrics record per episode.
+    metrics record per episode; its ``refreshes`` lists the outcome of
+    each refresh due in the episode: "applied", "skipped (uninformative
+    actions)", "skipped (window too small)" or "failed (<reason>)".
     """
     net, dyn, schedule = artifacts.net, artifacts.dyn, artifacts.schedule
     masks = artifacts.masks
@@ -258,12 +277,12 @@ def online_stage(env, artifacts, cfg, rng):
     opt = AdamState(net.mlp.params(), lr=cfg.lr)
     buffer = ReplayBuffer(cfg.buffer_capacity)
     r_star = guid.r_star
+    actor_guid = guid   # guid with r_star, rebuilt when r_star rises
     records = []
     step_count = 0
 
     def actor_hook_factory(states, kl_acc=None):
-        return GuidanceHook(dyn, replace(guid, r_star=r_star), schedule,
-                            states, kl_acc=kl_acc)
+        return GuidanceHook(dyn, actor_guid, schedule, states, kl_acc=kl_acc)
 
     def policy_sampler(states, sampler_rng, kl_acc=None):
         hook = actor_hook_factory(states, kl_acc)
@@ -276,14 +295,16 @@ def online_stage(env, artifacts, cfg, rng):
         kl_acc = KlAccumulator()
         denoise_loss = q_loss = 0.0
         n_updates = 0
-        refreshed = False
+        refreshes = []
         while not state.done:
             a = policy_sampler(state.obs, rng, kl_acc)
             s_prev = state.obs
             state, r, done = env.step(a, rng)
             buffer.add(Transition(s_prev.copy(), a, r, state.obs.copy(),
                                   done))
-            r_star = max(r_star, r)
+            if r > r_star:
+                r_star = r
+                actor_guid = replace(guid, r_star=r_star)
             step_count += 1
 
             if len(buffer) >= cfg.batch_size:
@@ -301,22 +322,24 @@ def online_stage(env, artifacts, cfg, rng):
                 # pinned to the box corners) makes its causal edges
                 # unidentifiable from the window; keep the current model
                 acts = np.array([tr.a for tr in window])
-                informative = bool(
-                    acts.std(axis=0).min() >= cfg.refresh_min_action_std)
-                if informative and len(window) >= min_fit_rows(
-                        cfg.dyn_kind, dyn.n, dyn.d):
+                if not acts.std(axis=0).min() >= cfg.refresh_min_action_std:
+                    refreshes.append("skipped (uninformative actions)")
+                elif len(window) < min_fit_rows(cfg.dyn_kind, dyn.n, dyn.d):
+                    refreshes.append("skipped (window too small)")
+                else:
                     try:
                         result = discover_masks(window, cfg.notears,
                                                 w0=w_warm, return_result=True)
                         new_dyn = fit_dynamics(window, result.masks,
                                                kind=cfg.dyn_kind, rng=rng,
                                                mlp_steps=cfg.dyn_mlp_steps)
-                    except ValueError:
-                        pass  # NOTEARS needs 30 rows; keep the current model
+                    except ValueError as exc:
+                        # the current model stays
+                        refreshes.append(f"failed ({exc})")
                     else:
                         new_dyn.r_star = max(new_dyn.r_star, r_star)
                         masks, w_warm, dyn = result.masks, result.w, new_dyn
-                        refreshed = True
+                        refreshes.append("applied")
             ep_return += r
         records.append({
             "episode": episode,
@@ -324,7 +347,8 @@ def online_stage(env, artifacts, cfg, rng):
             "denoise_loss": denoise_loss / max(n_updates, 1),
             "q_loss": q_loss / max(n_updates, 1),
             "kl_integral": kl_acc.total,
-            "mask_refresh_flag": int(refreshed),
+            "mask_refresh_flag": int("applied" in refreshes),
+            "refreshes": refreshes,
         })
     return records, OfflineArtifacts(net=net, dyn=dyn, masks=masks,
                                      schedule=schedule, discovery_w=w_warm)

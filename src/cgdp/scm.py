@@ -6,6 +6,7 @@ input coordinate i on output coordinate j, so the next state is
 matches the mask convention where C[i, j] gates input i into output j.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,17 +253,70 @@ def save_dataset(transitions, path, n=None, d=None):
             fh.write(" ".join(repr(float(x)) for x in fields) + "\n")
 
 
-def load_dataset(path):
+def _dataset_header(path, line):
+    try:
+        n, d, count = map(int, line.split())
+    except ValueError:   # not three integers
+        n = d = count = -1
+    if n < 1 or d < 1 or count < 0:
+        raise ValueError(f"{path}:1: expected a header 'n d count' with "
+                         f"n, d >= 1 and count >= 0, got {line.strip()!r}")
+    return n, d, count
+
+
+def _bad_dataset_row(path, count, width):
+    """The ValueError for the first missing, short or unparsable row."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        n, d, count = int(header[0]), int(header[1]), int(header[2])
-        transitions = []
-        for _ in range(count):
-            vals = [float(x) for x in fh.readline().split()]
-            s = np.array(vals[:n])
-            a = np.array(vals[n:n + d])
-            r = vals[n + d]
-            s_next = np.array(vals[n + d + 1:2 * n + d + 1])
-            done = vals[2 * n + d + 1] != 0.0
-            transitions.append(Transition(s, a, r, s_next, done))
+        lines = fh.read().splitlines()[1:]
+    for i in range(count):
+        where = f"{path}:{i + 2}"
+        if i >= len(lines):
+            return ValueError(f"{where}: file ends after {i} of {count} "
+                              f"transitions")
+        fields = lines[i].split()
+        if len(fields) != width:
+            return ValueError(f"{where}: expected {width} values, got "
+                              f"{len(fields)}")
+        for value in fields:
+            try:
+                float(value)
+            except ValueError:
+                return ValueError(f"{where}: not a number: {value!r}")
+    return ValueError(f"{path}: unreadable transition rows")
+
+
+def load_dataset(path):
+    """Read the format :func:`save_dataset` writes; returns
+    (transitions, n, d).
+
+    A bad header, a missing, short or unparsable row, rows beyond the
+    header's count and non-finite values raise ValueError naming
+    ``file:line``.  Values parse bit-exactly, as ``float`` does.
+    """
+    with open(path, encoding="utf-8") as fh:
+        n, d, count = _dataset_header(path, fh.readline())
+        width = 2 * n + d + 2
+        vals = np.empty((0, width))
+        if count:
+            try:
+                with warnings.catch_warnings():
+                    # an empty body warns; it is reported below
+                    warnings.simplefilter("ignore", UserWarning)
+                    vals = np.loadtxt(fh, ndmin=2, max_rows=count,
+                                      comments=None)
+            except ValueError:
+                vals = None
+        if vals is None or vals.shape != (count, width):
+            raise _bad_dataset_row(path, count, width)
+        if fh.read().strip():
+            raise ValueError(f"{path}:{count + 2}: more rows than the "
+                             f"header's count {count}")
+    bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{bad[0] + 2}: non-finite value")
+    s = vals[:, :n].copy()
+    a = vals[:, n:n + d].copy()
+    s_next = vals[:, n + d + 1:2 * n + d + 1].copy()
+    transitions = [Transition(*row) for row in zip(
+        s, a, vals[:, n + d].tolist(), s_next, (vals[:, -1] != 0.0).tolist())]
     return transitions, n, d

@@ -100,7 +100,10 @@ class GaussianPriorNet:
         return np.linalg.inv(abar * self.sigma
                              + (1.0 - abar) * np.eye(self.d_action))
 
-    def forward(self, a, s, k):
+    def chain_inputs(self, s):
+        return None   # the prior reads neither the state nor a buffer
+
+    def forward(self, a, s, k, x=None):
         a = np.asarray(a, dtype=float)
         abar = self.schedule.abar_at(k)
         prec = self.marginal_precision(k)

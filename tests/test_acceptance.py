@@ -3,6 +3,8 @@ reported as a single pass/fail line.  Budgets are sized for a single
 desktop core; every run is deterministic in its stated seeds.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from cgdp.envs import Environment, EnvSpec, optimal_reward
 from cgdp.guidance import GuidanceConfig, GuidanceHook
 from cgdp.numerics import AdamState, Mlp
 from cgdp.rl import (TrainerConfig, offline_stage, online_stage,
-                     policy_update)
+                     policy_update, with_masks)
 from cgdp.scm import (exact_masks, generate_dataset, load_dataset, random_scm,
                       save_dataset)
 from cgdp.verify import (PosteriorSpec, check_lemma1, check_prop1,
@@ -89,18 +91,48 @@ def bench_setup():
     return spec, env, data, result
 
 
-def run_arm(env, data, result, lam, seed, flip_prob=0.0):
+def run_arm(env, data, result, lam, seed, flip_prob=0.0, bases=None):
+    """Per-episode returns of one (lambda, seed, mask flip) training run.
+
+    ``bases`` maps a seed to its offline artifacts and the generator they
+    left; a seed's base policy is trained once and shared by its runs, as
+    ``cgdp ablate`` does (``rl.with_masks``).
+    """
     spec = env.spec
     r_star = optimal_reward(spec, env.scm)
     cfg = bench_cfg(lam, r_star)
-    rng = np.random.default_rng(seed)
+    bases = {} if bases is None else bases
+    if seed not in bases:
+        rng = np.random.default_rng(seed)
+        bases[seed] = (offline_stage(data, cfg, rng, masks=result.masks,
+                                     w0=result.w), rng)
+    base, rng = bases[seed]
     masks = result.masks
     if flip_prob > 0.0:
         masks = corrupt_masks(result.masks, flip_prob,
                               np.random.default_rng(10 ** 6 + seed))
-    art = offline_stage(data, cfg, rng, masks=masks, w0=result.w)
-    records, _ = online_stage(Environment(spec, scm=env.scm), art, cfg, rng)
+    art = with_masks(base, data, cfg, masks, np.random.default_rng(seed))
+    records, _ = online_stage(Environment(spec, scm=env.scm), art, cfg,
+                              copy.deepcopy(rng))
     return [rec["return"] for rec in records]
+
+
+@pytest.fixture(scope="module")
+def arm_runs(bench_setup):
+    """run_arm memoised per (lambda, seed, flip): tests 8 and 9 share the
+    runs they have in common, and every seed's base policy."""
+    _, env, data, result = bench_setup
+    bases = {}
+    runs = {}
+
+    def run(lam, seed, flip_prob=0.0):
+        key = (lam, seed, flip_prob)
+        if key not in runs:
+            runs[key] = run_arm(env, data, result, lam, seed, flip_prob,
+                                bases)
+        return runs[key]
+
+    return run
 
 
 # --------------------------------------------------------------- criteria
@@ -294,11 +326,10 @@ def test_07_zero_guidance_equivalence(tmp_path, small_instance):
                   f"streams {metrics_ok}")
 
 
-def test_08_guided_training_reaches_reward_faster(bench_setup):
-    spec, env, data, result = bench_setup
+def test_08_guided_training_reaches_reward_faster(arm_runs):
     seeds = range(5)
-    guided = [run_arm(env, data, result, 1.0, seed) for seed in seeds]
-    unguided = [run_arm(env, data, result, 0.0, seed) for seed in seeds]
+    guided = [arm_runs(1.0, seed) for seed in seeds]
+    unguided = [arm_runs(0.0, seed) for seed in seeds]
 
     block_ok = True
     for start in range(0, 200, 50):
@@ -320,13 +351,11 @@ def test_08_guided_training_reaches_reward_faster(bench_setup):
                   f"within half the budget in {fast}/5 seeds")
 
 
-def test_09_mask_quality_ablation(bench_setup):
-    spec, env, data, result = bench_setup
+def test_09_mask_quality_ablation(arm_runs):
     seeds = range(5)
 
     def final_median(lam, flip):
-        finals = [float(np.median(run_arm(env, data, result, lam, seed,
-                                          flip_prob=flip)[-20:]))
+        finals = [float(np.median(arm_runs(lam, seed, flip_prob=flip)[-20:]))
                   for seed in seeds]
         return float(np.median(finals))
 

@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cgdp.cli import main
-from cgdp.config import parse_config
+from cgdp.cli import _final_return, _fmt, _guidance_config, main
+from cgdp.config import load_config, parse_config
+from cgdp.discovery import corrupt_masks, discover_masks
+from cgdp.envs import Environment, make_env_scm
+from cgdp.rl import offline_stage, online_stage
 from cgdp.scm import load_dataset
 
 SMALL_CFG = """
@@ -173,6 +178,75 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestAblationReuse:
+    def test_table_matches_a_fresh_offline_stage_per_arm(self, workdir):
+        out, cfg_path = workdir
+        with open(cfg_path, "a") as fh:
+            # refreshes at steps 30 (window too small) and 60 (applied)
+            fh.write("ablate.seeds = 2\nablate.flip_prob = 0.3\n"
+                     "train.online_episodes = 12\n"
+                     "train.mask_refresh = 30\n"
+                     "train.refresh_min_action_std = 0.0\n")
+        assert run(cfg_path, out, "gen-data") == 0
+        assert run(cfg_path, out, "ablate") == 0
+
+        cfg = load_config(cfg_path)
+        data, _, _ = load_dataset(str(out / "dataset.txt"))
+        spec = cfg.env_spec()
+        scm = make_env_scm(spec)
+        result = discover_masks(data, cfg.notears_config(),
+                                return_result=True)
+        guid = _guidance_config(cfg, scm)
+        lines = ["arm,mean,std"]
+        for arm in ("notears", "corrupted", "unguided"):
+            finals = []
+            for seed in range(2):
+                tcfg = replace(cfg.trainer_config(), guidance=guid)
+                masks = result.masks
+                if arm == "corrupted":
+                    masks = corrupt_masks(result.masks, 0.3,
+                                          np.random.default_rng(10 ** 6 + seed))
+                if arm == "unguided":
+                    tcfg = replace(tcfg, guidance=replace(guid, lam=0.0))
+                rng = np.random.default_rng(cfg["seed"] + seed)
+                art = offline_stage(data, tcfg, rng, masks=masks,
+                                    w0=result.w)
+                records, _ = online_stage(Environment(spec, scm=scm), art,
+                                          tcfg, rng)
+                finals.append(_final_return(records))
+            lines.append(f"{arm},{_fmt(np.mean(finals))},"
+                         f"{_fmt(np.std(finals))}")
+        assert (out / "ablation.csv").read_text() == "\n".join(lines) + "\n"
+
+
+class TestLoudInputs:
+    def test_train_reports_refresh_outcomes(self, workdir, capsys):
+        out, cfg_path = workdir
+        with open(cfg_path, "a") as fh:
+            fh.write("train.mask_refresh = 5\n"
+                     "train.refresh_min_action_std = 0.0\n")
+        assert run(cfg_path, out, "gen-data") == 0
+        capsys.readouterr()
+        assert run(cfg_path, out, "train") == 0
+        assert "trained 2 episodes; refreshes: 2 skipped (window too " \
+            "small);" in capsys.readouterr().out
+
+    def test_truncated_checkpoint_and_dataset_exit_1(self, workdir, capsys):
+        out, cfg_path = workdir
+        assert run(cfg_path, out, "gen-data") == 0
+        assert run(cfg_path, out, "train") == 0
+        ckpt = out / "noise_net.txt"
+        ckpt.write_text(ckpt.read_text()[:300])
+        capsys.readouterr()
+        assert run(cfg_path, out, "eval") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}:") and "Traceback" not in err
+        data = out / "dataset.txt"
+        data.write_text("\n".join(data.read_text().splitlines()[:10]))
+        assert run(cfg_path, out, "discover") == 1
+        assert capsys.readouterr().err.startswith(f"error: {data}:11:")
 
 
 def test_threads_env_var_does_not_change_ablation(workdir, monkeypatch):

@@ -72,7 +72,10 @@ class ZeroNet:
 
     d_action = 2
 
-    def forward(self, a, s, k):
+    def chain_inputs(self, s):
+        return None
+
+    def forward(self, a, s, k, x=None):
         return np.zeros_like(a)
 
 
@@ -136,6 +139,44 @@ class TestSamplers:
                             hook=hook)
         assert np.array_equal(taped, plain)
         assert [k for k, _ in tape] == list(range(10, 0, -1))
+
+    def test_ddim_matches_a_concatenated_input_chain_bitwise(self):
+        from cgdp.verify import GaussianPriorNet
+        sched = make_schedule(10)
+        nets = [NoiseNet(3, 2, 10, hidden=(16, 16),
+                         rng=np.random.default_rng(0)),
+                GaussianPriorNet(np.array([0.3, -0.2]), 0.5 * np.eye(2),
+                                 sched)]
+
+        def hook(a, k):
+            return 0.1 * k * np.tanh(a)
+
+        def reference(net, s, rng, hook):
+            # the chain with a freshly concatenated [a | s | k/K] input
+            a = rng.standard_normal((s.shape[0], 2))
+            for k in range(10, 0, -1):
+                if isinstance(net, NoiseNet):
+                    x = np.concatenate(
+                        [a, s, np.full((s.shape[0], 1), k / 10)], axis=1)
+                    eps = net.mlp.forward(x)
+                else:
+                    eps = net.forward(a, s, k)
+                if hook is not None:
+                    eps = eps + hook(a, k)
+                a = sched.ddim_u[k - 1] * a + sched.ddim_w[k - 1] * eps
+            return a
+
+        for net in nets:
+            for rows in (1, 64):
+                s = np.random.default_rng(rows).standard_normal((rows, 3))
+                for h in (None, hook):
+                    got = ddim_sample(net, sched, s,
+                                      np.random.default_rng(2), hook=h)
+                    want = reference(net, s, np.random.default_rng(2), h)
+                    assert np.array_equal(got, want)
+            one = ddim_sample(net, sched, s[0], np.random.default_rng(3))
+            assert np.array_equal(one, reference(
+                net, s[:1], np.random.default_rng(3), None)[0])
 
     def test_ddpm_matches_known_gaussian(self):
         # analytic noise for actions ~ N(mu, 0.1^2 I) under the forward kernel
@@ -249,3 +290,24 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
         save_noise_net(loaded, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda lines: lines[:5] + [lines[5][:7]] + lines[6:],
+         "expected 6 finite"),
+        (lambda lines: lines[:8], "file ends inside param block 1"),
+        (lambda lines: lines[:-2], "expected param block 4 of 4"),
+        (lambda lines: lines + ["param 1 1", "0.5"], "more param blocks"),
+        (lambda lines: lines[:4] + ["nan" + lines[4][3:]] + lines[5:],
+         "expected 6 finite"),
+        (lambda lines: lines[:3], "file ends inside param block 1"),
+    ])
+    def test_malformed_checkpoint_names_file_and_line(self, tmp_path, cut,
+                                                      message):
+        net = NoiseNet(3, 2, 15, hidden=(8,), rng=np.random.default_rng(8))
+        path = tmp_path / "net.txt"
+        save_noise_net(net, str(path))
+        lines = cut(path.read_text().splitlines())
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message) as exc:
+            load_noise_net(str(path))
+        assert f"{path}:" in str(exc.value)

@@ -265,3 +265,23 @@ class TestCheckpoint:
         assert loaded.r_star == dyn.r_star
         save_dynamics(loaded, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:10] + [" ".join(lines[10].split()[:-2])]
+         + lines[11:], ":11: array a_s needs 9 finite values"),
+        (lambda lines: lines[:12] + ["nan " + lines[12].split(" ", 1)[1]]
+         + lines[13:], ":13: array a_a needs 6 finite values"),
+        (lambda lines: lines[:-1], ":19: array sigma_s needs 9"),
+        (lambda lines: lines[:5], ":6: expected array header 'u_sr 3'"),
+        (lambda lines: ["cgdp-dynamics-v1 linear 3"] + lines[1:], ":1: "),
+    ])
+    def test_malformed_checkpoint_names_file_line_and_array(
+            self, small_instance, tmp_path, edit, message):
+        _, dyn, _ = small_instance
+        path = tmp_path / "dyn.txt"
+        save_dynamics(dyn, str(path))
+        path.write_text("\n".join(edit(path.read_text().splitlines()))
+                        + "\n")
+        with pytest.raises(ValueError, match=message) as exc:
+            load_dynamics(str(path))
+        assert str(exc.value).startswith(f"{path}:")

@@ -7,6 +7,7 @@ from cgdp.guidance import (GuidanceConfig, GuidanceHook, KlAccumulator,
                            euler_maruyama_guided, guided_noise,
                            stability_max_step)
 from cgdp.diffusion import NoiseNet
+from cgdp.dynamics import do_intervention_joint_grad
 
 
 class TestGuidedNoise:
@@ -119,6 +120,39 @@ class TestGuidanceHook:
         for i in range(4):
             single = GuidanceHook(dyn, cfg, sched, s[i])(a[i], 3)
             assert np.allclose(batched[i], single, rtol=1e-12)
+
+
+    def test_hoisted_state_term_matches_the_joint_gradient_bitwise(
+            self, small_instance):
+        _, dyn, _ = small_instance
+        sched = make_schedule(10)
+        rng = np.random.default_rng(7)
+        cfg = GuidanceConfig(lam=1.0, gamma_t=0.7, beta_guid_t=1.3,
+                             r_star=dyn.r_star + 1.0)
+        for rows in (1, 64):
+            s = rng.standard_normal((rows, dyn.n))
+            s_next = rng.standard_normal((rows, dyn.n))
+            for states, nexts in ((s, None), (s, s_next), (s[0], None)):
+                hook = GuidanceHook(dyn, cfg, sched, states, s_next=nexts)
+                shapes = [(rows, dyn.d)] if rows > 1 else [(dyn.d,),
+                                                           (1, dyn.d)]
+                for shape in shapes:
+                    for _ in range(3):   # later calls reuse the state term
+                        a = rng.uniform(-1, 1, shape)
+                        direct = do_intervention_joint_grad(
+                            dyn, states, a, nexts, hook.r_value, 0.7, 1.3)
+                        hooked = hook.joint_grad(a)
+                        assert hooked.shape == direct.shape
+                        assert np.array_equal(hooked, direct)
+
+    def test_kl_row_mean_matches_numpy_mean_bitwise(self):
+        rng = np.random.default_rng(8)
+        for rows in (1, 3, 64, 1000):
+            c = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(-3, 4)
+            acc = KlAccumulator().add(c, 0.3, 0.7)
+            expected = float(np.sum(c * c, axis=-1).mean()) / (0.3 * 0.3) \
+                * 0.7
+            assert acc.total == expected
 
 
 class TestKlAccumulator:

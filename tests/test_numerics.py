@@ -65,16 +65,16 @@ class TestMlp:
 
     def test_identity_linear_layer(self):
         net = Mlp([2, 2])
-        net.weights[0] = np.eye(2)
+        net.weights[0][...] = np.eye(2)
         assert np.array_equal(net.forward(np.array([1.0, 2.0])),
                               np.array([1.0, 2.0]))
 
     def test_hand_computed_tanh_composition(self):
         net = Mlp([2, 2, 1])
-        net.weights[0] = np.array([[1.0, -1.0], [0.5, 0.5]])
-        net.biases[0] = np.array([0.1, -0.2])
-        net.weights[1] = np.array([[2.0, -3.0]])
-        net.biases[1] = np.array([0.25])
+        net.weights[0][...] = [[1.0, -1.0], [0.5, 0.5]]
+        net.biases[0][...] = [0.1, -0.2]
+        net.weights[1][...] = [[2.0, -3.0]]
+        net.biases[1][...] = [0.25]
         x = np.array([0.3, -0.7])
         h = np.tanh(net.weights[0] @ x + net.biases[0])
         expected = net.weights[1] @ h + net.biases[1]
@@ -127,7 +127,80 @@ class TestMlp:
             assert np.allclose(batched[i], net.forward(x[i]), rtol=1e-14)
 
 
+    def test_parameters_and_gradients_view_one_flat_buffer(self):
+        net = Mlp([3, 5, 2], rng=np.random.default_rng(0))
+        assert all(p.base is net.flat for p in net.params())
+        assert np.array_equal(
+            np.concatenate([p.ravel() for p in net.params()]), net.flat)
+        _, cache = net.forward_cache(np.ones((4, 3)))
+        grads, _ = net.backward(cache, np.ones((4, 2)))
+        flat = grads[0].base
+        assert flat.shape == net.flat.shape
+        assert all(g.base is flat for g in grads)
+        clone = net.copy()
+        assert np.array_equal(clone.flat, net.flat)
+        clone.weights[0][0, 0] += 1.0
+        assert clone.flat[0] == net.flat[0] + 1.0
+
+
+def reference_adam(params, grads_seq, lr=3e-4, beta1=0.9, beta2=0.999,
+                   eps=1e-8):
+    """Adam one array at a time, each step's expressions as written."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_seq, start=1):
+        for i, (p, g) in enumerate(zip(params, grads)):
+            m[i] = beta1 * m[i] + (1 - beta1) * g
+            v[i] = beta2 * v[i] + (1 - beta2) * g * g
+            m_hat = m[i] / (1 - beta1 ** t)
+            v_hat = v[i] / (1 - beta2 ** t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 class TestAdam:
+    def test_flat_buffer_steps_match_per_array_adam_bitwise(self):
+        rng = np.random.default_rng(5)
+        nets = [Mlp([7, 16, 16, 3], rng=np.random.default_rng(6)),
+                Mlp([7, 8, 1], rng=np.random.default_rng(7))]
+        ref = [[p.copy() for p in net.params()] for net in nets]
+        params = nets[0].params() + nets[1].params()
+        opt = AdamState(params, lr=1e-2)
+        grads_seq = []
+        for _ in range(50):
+            x = rng.standard_normal((9, 7))
+            grads = []
+            for net in nets:
+                _, cache = net.forward_cache(x)
+                g, _ = net.backward(cache, rng.standard_normal(
+                    (9, net.widths[-1])))
+                grads += g
+            grads_seq.append([g.copy() for g in grads])
+            opt.step(params, grads)
+        reference_adam(ref[0] + ref[1], grads_seq, lr=1e-2)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(params, ref[0] + ref[1]))
+
+    def test_soft_update_matches_per_array_polyak_bitwise(self):
+        from cgdp.rl import CriticPair
+        critics = CriticPair(3, 2, hidden=(8, 8),
+                             rng=np.random.default_rng(0), rho_target=0.3)
+        rng = np.random.default_rng(1)
+        refs = []
+        for online, target in ((critics.q1, critics.q1_target),
+                               (critics.q2, critics.q2_target)):
+            online.flat[...] = rng.standard_normal(online.flat.size)
+            refs.append([p.copy() for p in target.params()])
+        for _ in range(50):
+            critics.soft_update()
+            for ref, online in zip(refs, (critics.q1, critics.q2)):
+                for p_t, p_o in zip(ref, online.params()):
+                    p_t *= 1.0 - 0.3
+                    p_t += 0.3 * p_o
+        for ref, target in zip(refs, (critics.q1_target,
+                                      critics.q2_target)):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(ref, target.params()))
+
     def test_zero_learning_rate_is_noop(self):
         net = Mlp([2, 3, 1], rng=np.random.default_rng(0))
         before = [p.copy() for p in net.params()]

@@ -313,6 +313,8 @@ class TestStages:
         monkeypatch.setattr(cgdp.rl, "discover_masks", no_discovery)
         records, _ = online_stage(env, art, cfg, np.random.default_rng(1))
         assert [rec["mask_refresh_flag"] for rec in records] == [0, 0]
+        assert [rec["refreshes"] for rec in records] == \
+            [["skipped (window too small)"]] * 2
 
     def test_failed_refit_keeps_masks_and_dynamics_together(self,
                                                             monkeypatch):
@@ -334,5 +336,31 @@ class TestStages:
         records, final = online_stage(env, art, cfg,
                                       np.random.default_rng(1))
         assert sum(rec["mask_refresh_flag"] for rec in records) == 0
+        assert [o for rec in records for o in rec["refreshes"]] == \
+            ["failed (refit failed)"]
         assert final.masks is art.masks and final.dyn is art.dyn
         assert final.discovery_w is art.discovery_w
+
+    def test_refresh_outcomes_are_recorded(self):
+        spec = EnvSpec(kind="lin-scm", n=3, d=2, horizon=5, seed=0)
+        env = Environment(spec)
+        data = generate_dataset(env.scm, 50, 5, 1.5,
+                                np.random.default_rng(0))
+        outcomes = {}
+        for min_std in (0.0, 10.0):
+            cfg = TrainerConfig(offline_steps=20, hidden=(8,), batch_size=8,
+                                online_episodes=12, mask_refresh=30,
+                                refresh_min_action_std=min_std)
+            art = offline_stage(data, cfg, np.random.default_rng(0),
+                                masks=exact_masks(env.scm))
+            records, _ = online_stage(env, art, cfg,
+                                      np.random.default_rng(1))
+            outcomes[min_std] = [(rec["episode"], o) for rec in records
+                                 for o in rec["refreshes"]]
+            assert [rec["mask_refresh_flag"] for rec in records] == [
+                int("applied" in rec["refreshes"]) for rec in records]
+        # the refit needs 10 (n + d) = 50 rows: too few at step 30
+        assert outcomes[0.0] == [(5, "skipped (window too small)"),
+                                 (11, "applied")]
+        assert outcomes[10.0] == [(5, "skipped (uninformative actions)"),
+                                  (11, "skipped (uninformative actions)")]

@@ -153,6 +153,39 @@ class TestDatasetRoundTrip:
         loaded, n, d = load_dataset(str(path))
         assert loaded == [] and (n, d) == (3, 2)
 
+    def test_loaded_fields_keep_their_types(self, tmp_path):
+        rng = np.random.default_rng(7)
+        data = generate_dataset(random_scm(3, 2, 2, rng=rng), 2, 3, 1.5, rng)
+        path = tmp_path / "data.txt"
+        save_dataset(data, str(path))
+        for tr in load_dataset(str(path))[0]:
+            assert type(tr.r) is float and type(tr.done) is bool
+            assert tr.s.shape == tr.s_next.shape == (3,)
+            assert tr.a.shape == (2,)
+
+    @pytest.mark.parametrize("edit, line, message", [
+        (lambda rows: rows[:4], 5, "file ends after 3 of 10"),
+        (lambda rows: rows[:4] + [rows[4][:20]] + rows[5:], 5,
+         "expected 10 values, got 1"),
+        (lambda rows: rows[:2] + ["nan " + rows[2].split(" ", 1)[1]]
+         + rows[3:], 3, "non-finite"),
+        (lambda rows: rows[:2] + ["x " + rows[2].split(" ", 1)[1]]
+         + rows[3:], 3, "not a number: 'x'"),
+        (lambda rows: rows + [rows[0]], 12, "more rows than"),
+        (lambda rows: ["3 2"] + rows[1:], 1, "header"),
+    ])
+    def test_malformed_file_names_file_and_line(self, tmp_path, edit, line,
+                                                 message):
+        rng = np.random.default_rng(6)
+        data = generate_dataset(random_scm(3, 2, 2, rng=rng), 2, 5, 1.5, rng)
+        path = tmp_path / "data.txt"
+        save_dataset(data, str(path))
+        rows = edit(path.read_text().splitlines())
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=message) as exc:
+            load_dataset(str(path))
+        assert str(exc.value).startswith(f"{path}:{line}:")
+
 
 def test_scm_step_matches_manual_draw():
     rng1 = np.random.default_rng(11)
