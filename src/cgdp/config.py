@@ -75,6 +75,18 @@ CONFIG_SCHEMA = {
     "verify.dynamics": ("str", ""),
 }
 
+# counts that must be at least this: fewer seeds would make a table or a
+# check of nothing
+_MINIMUM = {"ablate.seeds": 1, "verify.seeds": 1}
+
+
+def _check(key, value):
+    if key not in CONFIG_SCHEMA:
+        raise ValueError(f"unknown config key {key!r}")
+    if key in _MINIMUM and value < _MINIMUM[key]:
+        raise ValueError(f"config key {key!r} must be >= {_MINIMUM[key]}, "
+                         f"got {value}")
+
 
 def _coerce(key, kind, raw):
     try:
@@ -109,16 +121,14 @@ class RunConfig:
                        CONFIG_SCHEMA.items()}
         if values:
             for k, v in values.items():
-                if k not in CONFIG_SCHEMA:
-                    raise ValueError(f"unknown config key {k!r}")
+                _check(k, v)
                 self.values[k] = v
 
     def __getitem__(self, key):
         return self.values[key]
 
     def set(self, key, value):
-        if key not in CONFIG_SCHEMA:
-            raise ValueError(f"unknown config key {key!r}")
+        _check(key, value)
         self.values[key] = value
 
     def env_spec(self):

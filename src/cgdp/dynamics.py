@@ -221,7 +221,10 @@ def do_intervention_joint_grad(dyn, s, a, s_next, r_target, gamma_t,
     do-semantics hold by construction: a enters only through its
     structural-equation role in the two masked models.  ``s_term`` is
     the linear kind's ``s @ a_s``, for a caller that evaluates many
-    actions at the same states.
+    actions at the same states.  ``s`` and ``a`` may also be stacks
+    (P, 1, n) and (P, 1, d) of single rows, with a scalar ``r_target``
+    and no ``s_next``; the result is then a (P, 1, d) stack, and with the
+    linear kind each row is bitwise its one-row result.
     """
     if not (math.isfinite(gamma_t) and math.isfinite(beta_guid_t)):
         raise ValueError("guidance coefficients must be finite")
@@ -231,10 +234,13 @@ def do_intervention_joint_grad(dyn, s, a, s_next, r_target, gamma_t,
     batch = max(a2.shape[0], np.size(r_target),
                 0 if sn is None else sn.shape[0])
     if dyn.kind != "linear":
-        grad = _mlp_joint_grad(dyn, s, a2, sn, r_target, gamma_t,
+        # a stack of single rows runs as one batch
+        grad = _mlp_joint_grad(dyn, np.reshape(s, (-1, dyn.n)),
+                               a2.reshape(-1, dyn.d), sn, r_target, gamma_t,
                                beta_guid_t, batch)
+        grad = grad.reshape((batch,) + a2.shape[1:])
     else:
-        grad = np.zeros((batch, a2.shape[1]))
+        grad = np.zeros((batch,) + a2.shape[1:])
         with_trans = gamma_t != 0.0 and sn is not None
         if sn is None or with_trans:
             mean_next = dyn.transition_mean_batch(s, a2, s_term)

@@ -8,7 +8,8 @@ the schedule, and each discrete sampler step treated as dt with
 g^2 dt = beta_k.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,36 +257,75 @@ def euler_maruyama_guided(dyn, net, schedule, cfg, s, dt, steps, rng):
     beta interpolated over [0, 1] process time and clamped beyond.  The
     score comes from ``net``, or is -a (a standard normal) for None; the
     guidance is evaluated at the predicted next state.
-    Returns (trajectory, diverged); the flag is set once the norm exceeds
-    1e6 or any entry goes non-finite (reported, never raised).
+
+    ``s`` is one state with ``rng`` a seed or Generator, or rows of
+    states (P, n), integrated in lockstep, with a list of one Generator
+    per row in ``rng``.  Each generator draws its row's whole
+    (steps + 1, d) noise block at once: the initial action, then one
+    increment per step, the values that drawing them step by step gives.
+    The rows are a stack of one-row matrices, which NumPy multiplies one
+    at a time with the kernel of a one-row product, so with linear
+    dynamics and no net each row is bitwise the run of its state alone (a
+    net or mlp dynamics take the rows as one batch, equal to rounding).
+    A row diverges once its norm exceeds 1e6 or an entry goes non-finite
+    (reported, never raised); it keeps its value at the break while the
+    other rows go on, and the call ends when every row has diverged or
+    the steps run out.  Returns (trajectory (T+1, d), diverged) for one
+    state and (trajectory (T+1, P, d), diverged (P,)) for rows.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    rng = np.random.default_rng(rng)
     s = np.asarray(s, dtype=float)
+    single = s.ndim == 1
+    if single:
+        s, rng = s[None, :], [rng]
+    elif not isinstance(rng, (list, tuple)) or len(rng) != len(s):
+        raise ValueError("state rows need one generator per row")
+    if len(s) == 0:
+        raise ValueError("need at least one state row")
+    s = s[:, None, :]
+    noise = np.stack([np.random.default_rng(g).standard_normal((steps + 1,
+                                                                dyn.d))
+                      for g in rng], axis=1)[:, :, None, :]
+    traj = np.empty_like(noise)
+    traj[0] = a = noise[0]
+    diverged = np.zeros(len(s), dtype=bool)
+    live, s_live = slice(None), s      # the rows still integrating
+    hook = GuidanceHook(dyn, cfg, schedule, s_live)
     beta_start = float(schedule.betas.min())
     beta_end = float(schedule.betas.max())
-    hook = GuidanceHook(dyn, cfg, schedule, s)
-    a = rng.standard_normal(dyn.d)
-    traj = [a.copy()]
-    diverged = False
+    root_dt = math.sqrt(dt)
     k_steps = schedule.k_steps
+    end = steps
     for nstep in range(steps):
         t = min(nstep * dt, 1.0)
         beta_t = beta_start + (beta_end - beta_start) * t
-        g = np.sqrt(beta_t)
+        g = math.sqrt(beta_t)
         if net is not None:
             k = int(np.clip(round(t * k_steps), 1, k_steps))
-            eps = net.forward(a, s, k)
+            eps = net.forward(a[:, 0], s_live[:, 0], k)[:, None]
             score = score_from_noise(eps, min(schedule.abar_at(k), 1 - 1e-12))
         else:
             score = -a
         guid = hook.joint_grad(a)  # carries the gamma/beta weights
         drift = 0.5 * beta_t * a + beta_t * score + guid
-        a = a + drift * dt + g * np.sqrt(dt) * rng.standard_normal(dyn.d)
-        if not np.all(np.isfinite(a)) or np.linalg.norm(a) > 1e6:
-            diverged = True
-            traj.append(a.copy())
-            break
-        traj.append(a.copy())
-    return np.array(traj), diverged
+        a = a + drift * dt + g * root_dt * noise[nstep + 1, live]
+        # a squared norm well below 1e12 cannot diverge; a non-finite
+        # entry fails the comparison too
+        if not np.einsum("pij,pij->p", a, a).max() <= 0.99e12:
+            bad = np.array([not np.all(np.isfinite(row))
+                            or np.linalg.norm(row) > 1e6 for row in a])
+            if bad.any():
+                rows = np.arange(len(s))[live]
+                traj[nstep + 1:, rows[bad]] = a[bad]
+                diverged[rows[bad]] = True
+                if bad.all():
+                    end = nstep + 1
+                    break
+                live, a, s_live = rows[~bad], a[~bad], s[rows[~bad]]
+                hook = GuidanceHook(dyn, cfg, schedule, s_live)
+        traj[nstep + 1, live] = a
+    traj = traj[:end + 1, :, 0]
+    if single:
+        return traj[:, 0], bool(diverged[0])
+    return traj, diverged

@@ -86,7 +86,11 @@ class GaussianPriorNet:
 
     Under forward corruption the marginal at step k is
     N(sqrt(abar) mu, abar Sigma + (1-abar) I); the exact noise is
-    -sqrt(1-abar) times its score.  Usable anywhere a NoiseNet is.
+    -sqrt(1-abar) times its score, the affine map
+    a @ lin_k - off_k with lin_k = sqrt(1-abar) prec_k and
+    off_k = sqrt(abar) mu @ lin_k.  The marginal precisions ``prec`` and
+    the maps of every k are computed once, when the net is built.  Usable
+    anywhere a NoiseNet is.
     """
 
     def __init__(self, mu, sigma, schedule):
@@ -94,45 +98,48 @@ class GaussianPriorNet:
         self.sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
         self.schedule = schedule
         self.d_action = self.mu.shape[0]
-
-    def marginal_precision(self, k):
-        abar = self.schedule.abar_at(k)
-        return np.linalg.inv(abar * self.sigma
-                             + (1.0 - abar) * np.eye(self.d_action))
+        abar = schedule.abar[:, None, None]
+        self.prec = np.linalg.inv(abar * self.sigma
+                                  + (1.0 - abar) * np.eye(self.d_action))
+        self.lin = np.sqrt(np.maximum(1.0 - abar, 1e-12)) * self.prec
+        scaled_mu = np.sqrt(schedule.abar)[:, None] * self.mu
+        self.off = (scaled_mu[:, None, :] @ self.lin)[:, 0]
 
     def chain_inputs(self, s):
         return None   # the prior reads neither the state nor a buffer
 
     def forward(self, a, s, k, x=None):
-        a = np.asarray(a, dtype=float)
-        abar = self.schedule.abar_at(k)
-        prec = self.marginal_precision(k)
-        score = -(a - np.sqrt(abar) * self.mu) @ prec
-        return np.sqrt(max(1.0 - abar, 1e-12)) * -score
+        return np.asarray(a, dtype=float) @ self.lin[k - 1] - self.off[k - 1]
 
 
-def _exact_guidance_hook(spec, schedule, lam):
+def _exact_guidance_hook(spec, prior, lam):
     """Epsilon-space hook with the marginalized observation likelihood.
 
-    At step k the clean action given a^k is Gaussian with mean linear in
-    a^k, so log p(y | a^k) is available exactly; its action gradient is
-    J' M' inv(sigma_y + M C M') (y - M m(a^k)).  With this form the
-    guided chain terminates at the conditioned posterior.
+    At step k the clean action given a^k is Gaussian with mean
+    m(a^k) = mu + (a^k - sqrt(abar) mu) J' and covariance C, so
+    log p(y | a^k) is available exactly; its action gradient is
+    X' (y - M m(a^k)) with X = inv(sigma_y + M C M') M J.  The
+    correction -lam sqrt(1-abar) times that gradient is affine in a^k:
+    a^k @ L_k + c_k with L_k = lam sqrt(1-abar) J' M' X and
+    c_k = -lam sqrt(1-abar) (y - M m(0)) X.  ``prior`` is the
+    :class:`GaussianPriorNet` of the same prior, whose precision at k
+    gives J.  With this form the guided chain terminates at the
+    conditioned posterior.
     """
-    d = spec.mu_bar.shape[0]
-    eye = np.eye(d)
+    schedule = prior.schedule
 
     def hook(a, k):
         abar = schedule.abar_at(k)
-        p_k = np.linalg.inv(abar * spec.sigma_bar + (1.0 - abar) * eye)
+        p_k = prior.prec[k - 1]
         jac = np.sqrt(abar) * spec.sigma_bar @ p_k
         cov0 = spec.sigma_bar - abar * spec.sigma_bar @ p_k @ spec.sigma_bar
         innov = spec.sigma_y + spec.m @ cov0 @ spec.m.T
-        m0 = spec.mu_bar + (np.atleast_2d(a) - np.sqrt(abar) * spec.mu_bar) @ jac.T
-        resid = spec.y - m0 @ spec.m.T
-        grad = resid @ np.linalg.solve(innov, spec.m @ jac)
-        corr = -lam * np.sqrt(1.0 - abar) * grad
-        return corr if np.asarray(a).ndim > 1 else corr[0]
+        x = np.linalg.solve(innov, spec.m @ jac)
+        scale = lam * np.sqrt(1.0 - abar)
+        lin = scale * jac.T @ spec.m.T @ x
+        m0 = spec.mu_bar - np.sqrt(abar) * spec.mu_bar @ jac.T
+        const = -scale * (spec.y - spec.m @ m0) @ x
+        return np.asarray(a, dtype=float) @ lin + const
 
     return hook
 
@@ -151,7 +158,7 @@ def check_lemma1(spec, schedule, samples, rng, lam=1.0):
     if samples < 10 ** 4:
         raise ValueError("need at least 10^4 samples")
     net = GaussianPriorNet(spec.mu_bar, spec.sigma_bar, schedule)
-    hook = _exact_guidance_hook(spec, schedule, lam) if lam != 0.0 else None
+    hook = _exact_guidance_hook(spec, net, lam) if lam != 0.0 else None
     d = spec.mu_bar.shape[0]
     dummy_s = np.zeros((samples, 1))
     out = ddpm_sample(net, schedule, dummy_s, rng, hook=hook)
@@ -320,6 +327,15 @@ def check_theorem1(scm, dyn, schedule, seeds, lam=1.0, gamma_disc=0.99,
             "passed": bool(frac >= 0.95)}
 
 
+def _euler_seeds(dyn, net, schedule, cfg, seeds, dt, steps):
+    """One lockstep Euler call with a row per seed; each seed's generator
+    draws its row's initial state, then the row's noise."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    states = np.array([g.standard_normal(dyn.n) for g in rngs])
+    return euler_maruyama_guided(dyn, net, schedule, cfg, states, dt, steps,
+                                 rngs)
+
+
 def check_prop1(dyn, net, schedule, seeds, steps=10 ** 4, delta=0.5,
                 gamma_t=1.0, beta_guid_t=1.0, stiff_dyn=None, rng_probe=0):
     """Step-size sweep around the sufficient stability bound.
@@ -328,8 +344,12 @@ def check_prop1(dyn, net, schedule, seeds, steps=10 ** 4, delta=0.5,
     {10, 50} times the bound; asserts no divergence at or below it and
     reports behavior above.  A stiff companion instance at 50x must
     diverge in at least one seed.  delta=0 degenerates the bound and
-    skips the sweep.
+    skips the sweep.  Each step size is one lockstep Euler call with a
+    row per seed.
     """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     if delta <= 0.0:
         return {"rows": [], "passed": True, "skipped": True,
                 "note": "zero margin gives dt_max = 0; sweep skipped"}
@@ -344,16 +364,13 @@ def check_prop1(dyn, net, schedule, seeds, steps=10 ** 4, delta=0.5,
     for factor in (0.1, 0.5, 1.0, 10.0, 50.0):
         dt = factor * dt_max
         n_steps = steps if factor <= 1.0 else min(steps, 2000)
-        n_div = 0
+        traj, diverged = _euler_seeds(dyn, net, schedule, cfg, seeds, dt,
+                                      n_steps)
         worst = 0.0
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            s = rng.standard_normal(dyn.n)
-            traj, diverged = euler_maruyama_guided(
-                dyn, net, schedule, cfg, s, dt, n_steps, rng)
-            n_div += int(diverged)
-            worst = max(worst, float(np.linalg.norm(traj[-1])))
-        rows.append({"factor": factor, "dt": dt, "diverged": n_div,
+        for last in traj[-1]:
+            worst = max(worst, float(np.linalg.norm(last)))
+        rows.append({"factor": factor, "dt": dt,
+                     "diverged": int(diverged.sum()),
                      "terminal_norm": worst})
     safe_ok = all(row["diverged"] == 0 for row in rows
                   if row["factor"] <= 1.0)
@@ -367,16 +384,10 @@ def check_prop1(dyn, net, schedule, seeds, steps=10 ** 4, delta=0.5,
         s_cfg = GuidanceConfig(lam=1.0, gamma_t=gamma_t,
                                beta_guid_t=beta_guid_t,
                                r_star=stiff_dyn.r_star)
-        n_div = 0
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            s = rng.standard_normal(stiff_dyn.n)
-            _, diverged = euler_maruyama_guided(
-                stiff_dyn, None, schedule, s_cfg, s, 50.0 * s_dt_max,
-                min(steps, 2000), rng)
-            n_div += int(diverged)
+        _, diverged = _euler_seeds(stiff_dyn, None, schedule, s_cfg, seeds,
+                                   50.0 * s_dt_max, min(steps, 2000))
         stiff_row = {"factor": 50.0, "dt": 50.0 * s_dt_max,
-                     "diverged": n_div}
+                     "diverged": int(diverged.sum())}
     stiff_ok = stiff_row is None or stiff_row["diverged"] >= 1
     return {
         "dt_max": dt_max,

@@ -163,6 +163,17 @@ class TestErrors:
         cfg_path.write_text("no.such.key = 1\n")
         assert run(str(cfg_path), tmp_path, "gen-data") == 1
 
+    @pytest.mark.parametrize("key,command", [("verify.seeds", "verify"),
+                                             ("ablate.seeds", "ablate")])
+    def test_seed_count_below_one_exits_1(self, workdir, capsys, key,
+                                          command):
+        out, cfg_path = workdir
+        with open(cfg_path, "a") as fh:
+            fh.write(f"{key} = 0\n")
+        assert run(cfg_path, out, command) == 1
+        assert key in capsys.readouterr().err
+        assert not any(out.glob("*.csv"))
+
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

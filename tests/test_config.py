@@ -50,6 +50,27 @@ class TestParse:
             parse_config("guidance.use_r_star = maybe\n")
 
 
+class TestMinimumCounts:
+    @pytest.mark.parametrize("key", ["verify.seeds", "ablate.seeds"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_seed_counts_below_one_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key}.*>= 1"):
+            parse_config(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=key):
+            RunConfig({key: value})
+        with pytest.raises(ValueError, match=key):
+            RunConfig().set(key, value)
+
+    def test_one_seed_accepted(self):
+        cfg = parse_config("verify.seeds = 1\nablate.seeds = 1\n")
+        assert cfg["verify.seeds"] == 1 and cfg["ablate.seeds"] == 1
+
+    def test_default_dump_unchanged(self):
+        text = dump_config(RunConfig())
+        assert "ablate.seeds = 5\n" in text and "verify.seeds = 20\n" in text
+        assert dump_config(parse_config(text)) == text
+
+
 class TestRoundTrip:
     def test_dump_then_parse_reproduces_values(self):
         cfg = parse_config("seed = 3\ntrain.lr = 0.001\n"

@@ -7,7 +7,7 @@ from cgdp.guidance import (GuidanceConfig, GuidanceHook, KlAccumulator,
                            euler_maruyama_guided, guided_noise,
                            stability_max_step)
 from cgdp.diffusion import NoiseNet
-from cgdp.dynamics import do_intervention_joint_grad
+from cgdp.dynamics import do_intervention_joint_grad, fit_dynamics
 
 
 class TestGuidedNoise:
@@ -276,3 +276,158 @@ class TestEulerIntegration:
             np.random.default_rng(0))
         assert diverged
         assert traj.ndim == 2 and len(traj) >= 2
+
+
+def reference_euler(dyn, net, schedule, cfg, s, dt, steps, rng):
+    """The one-state integrator as it was before rows were added: one
+    noise draw per step, a Python list of states, a break at divergence."""
+    rng = np.random.default_rng(rng)
+    s = np.asarray(s, dtype=float)
+    beta_start = float(schedule.betas.min())
+    beta_end = float(schedule.betas.max())
+    hook = GuidanceHook(dyn, cfg, schedule, s)
+    a = rng.standard_normal(dyn.d)
+    traj = [a.copy()]
+    diverged = False
+    k_steps = schedule.k_steps
+    for nstep in range(steps):
+        t = min(nstep * dt, 1.0)
+        beta_t = beta_start + (beta_end - beta_start) * t
+        g = np.sqrt(beta_t)
+        if net is not None:
+            k = int(np.clip(round(t * k_steps), 1, k_steps))
+            eps = net.forward(a, s, k)
+            score = score_from_noise(eps, min(schedule.abar_at(k), 1 - 1e-12))
+        else:
+            score = -a
+        guid = hook.joint_grad(a)
+        drift = 0.5 * beta_t * a + beta_t * score + guid
+        a = a + drift * dt + g * np.sqrt(dt) * rng.standard_normal(dyn.d)
+        if not np.all(np.isfinite(a)) or np.linalg.norm(a) > 1e6:
+            diverged = True
+            traj.append(a.copy())
+            break
+        traj.append(a.copy())
+    return np.array(traj), diverged
+
+
+class TestEulerRows:
+    """Rows of states integrated in lockstep, one generator per row."""
+
+    @staticmethod
+    def instance(small_instance, with_net):
+        _, dyn, _ = small_instance
+        sched = make_schedule(20)
+        net = NoiseNet(dyn.n, dyn.d, 20, hidden=(8,),
+                       rng=np.random.default_rng(3)) if with_net else None
+        return dyn, sched, net, GuidanceConfig(lam=1.0, r_star=dyn.r_star)
+
+    @pytest.mark.parametrize("with_net", [False, True])
+    @pytest.mark.parametrize("dt,steps", [(0.01, 300), (2.0, 400)])
+    def test_one_state_equals_reference_loop(self, small_instance, with_net,
+                                             dt, steps):
+        dyn, sched, net, cfg = self.instance(small_instance, with_net)
+        s = np.random.default_rng(9).standard_normal(dyn.n)
+        g_new, g_ref = np.random.default_rng(4), np.random.default_rng(4)
+        traj, diverged = euler_maruyama_guided(dyn, net, sched, cfg, s, dt,
+                                               steps, g_new)
+        ref, ref_div = reference_euler(dyn, net, sched, cfg, s, dt, steps,
+                                       g_ref)
+        assert np.array_equal(traj, ref) and diverged == ref_div
+        if not diverged:
+            # the block draw leaves the generator where per-step draws do
+            assert g_new.random() == g_ref.random()
+
+    def test_diverging_row_still_draws_its_whole_block(self):
+        from cgdp.verify import stiff_linear_instance
+        dyn = stiff_linear_instance(l_total=400.0)
+        sched = make_schedule(20)
+        cfg = GuidanceConfig(lam=1.0, r_star=dyn.r_star)
+        gen = np.random.default_rng(0)
+        traj, diverged = euler_maruyama_guided(dyn, None, sched, cfg,
+                                               np.zeros(dyn.n), 50.0, 2000,
+                                               gen)
+        assert diverged and len(traj) < 2001
+        after = np.random.default_rng(0)
+        after.standard_normal((2001, dyn.d))
+        assert gen.random() == after.random()
+
+    @staticmethod
+    def rows_against_one_row_runs(dyn, net, sched, cfg, same,
+                                  diverging=(1,)):
+        states = np.random.default_rng(5).standard_normal((4, dyn.n))
+        states[1] *= 1e7      # with linear guidance it diverges early
+        steps = 200
+        traj, diverged = euler_maruyama_guided(
+            dyn, net, sched, cfg, states, 0.05, steps,
+            [np.random.default_rng(10 + i) for i in range(4)])
+        assert traj.shape == (steps + 1, 4, dyn.d)
+        assert diverged.tolist() == [i in diverging for i in range(4)]
+        for i in range(4):
+            one, one_div = euler_maruyama_guided(
+                dyn, net, sched, cfg, states[i], 0.05, steps,
+                np.random.default_rng(10 + i))
+            assert one_div == diverged[i]
+            assert same(traj[:len(one), i], one)
+            # a diverged row keeps its value at the break
+            assert np.all(traj[len(one):, i] == traj[len(one) - 1, i])
+
+    def test_rows_are_bitwise_one_row_runs(self, small_instance):
+        dyn, sched, net, cfg = self.instance(small_instance, False)
+        self.rows_against_one_row_runs(dyn, net, sched, cfg,
+                                       np.array_equal)
+
+    def test_rows_with_a_net_or_mlp_dynamics(self, small_instance):
+        # one batch through the net or the mlp model: equal to rounding;
+        # the mlp model's tanh units keep the large state's row bounded
+        def close(x, y):
+            return np.allclose(x, y, rtol=1e-9, atol=1e-12)
+
+        dyn, sched, net, cfg = self.instance(small_instance, True)
+        self.rows_against_one_row_runs(dyn, net, sched, cfg, close)
+        _, _, data = small_instance
+        mlp = fit_dynamics(data, dyn.masks, kind="mlp",
+                           rng=np.random.default_rng(0), mlp_steps=20)
+        self.rows_against_one_row_runs(mlp, None, sched, cfg, close,
+                                       diverging=())
+
+    def test_call_ends_when_every_row_diverged(self):
+        from cgdp.verify import stiff_linear_instance
+        dyn = stiff_linear_instance(l_total=400.0)
+        sched = make_schedule(20)
+        cfg = GuidanceConfig(lam=1.0, r_star=dyn.r_star)
+        states = np.zeros((3, dyn.n))
+        traj, diverged = euler_maruyama_guided(
+            dyn, None, sched, cfg, states, 50.0, 2000,
+            [np.random.default_rng(i) for i in range(3)])
+        assert diverged.all()
+        lengths = []
+        for i in range(3):
+            one, _ = euler_maruyama_guided(dyn, None, sched, cfg, states[i],
+                                           50.0, 2000,
+                                           np.random.default_rng(i))
+            lengths.append(len(one))
+            assert np.array_equal(traj[:len(one), i], one)
+        assert len(traj) == max(lengths) < 2001
+
+    def test_return_shapes(self, small_instance):
+        dyn, sched, _, cfg = self.instance(small_instance, False)
+        traj, diverged = euler_maruyama_guided(
+            dyn, None, sched, cfg, np.zeros(dyn.n), 0.01, 5, 0)
+        assert traj.shape == (6, dyn.d) and type(diverged) is bool
+        traj, diverged = euler_maruyama_guided(
+            dyn, None, sched, cfg, np.zeros((1, dyn.n)), 0.01, 5,
+            [np.random.default_rng(0)])
+        assert traj.shape == (6, 1, dyn.d)
+        assert diverged.shape == (1,) and diverged.dtype == bool
+
+    def test_rows_need_one_generator_each(self, small_instance):
+        dyn, sched, _, cfg = self.instance(small_instance, False)
+        states = np.zeros((2, dyn.n))
+        for rng in (np.random.default_rng(0), [np.random.default_rng(0)]):
+            with pytest.raises(ValueError, match="one generator per row"):
+                euler_maruyama_guided(dyn, None, sched, cfg, states, 0.01,
+                                      5, rng)
+        with pytest.raises(ValueError, match="at least one state row"):
+            euler_maruyama_guided(dyn, None, sched, cfg,
+                                  np.zeros((0, dyn.n)), 0.01, 5, [])

@@ -73,3 +73,38 @@ def test_traced_train_reads_every_note(tmp_path):
     assert metrics["refresh_attempted"] == 2
     assert metrics["refresh_applied"] + metrics["refresh_failed"] + \
         metrics["refresh_skipped"] == 2
+
+
+VERIFY_CFG = """
+verify.seeds = 1
+verify.samples = 10000
+verify.k_steps = 500
+"""
+
+
+def test_traced_verify_reads_every_note(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(VERIFY_CFG)
+    tracer = spans.Tracer()
+    installed = tracer.install(spans.STAGE_POINTS + spans.LAYER_POINTS)
+    try:
+        assert main(["verify", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 0
+    finally:
+        spans.Tracer.uninstall(installed)
+    recorded = tracer.take()
+    assert all(ok for *_, ok, _ in recorded)
+    notes = {}
+    for _, _, _, name, _, _, _, note in recorded:
+        notes.setdefault(name, []).append(note)
+    # one lockstep call per step size, one for the stiff companion
+    assert len(notes["euler_maruyama"]) == 6
+    assert all(steps > 0 for steps in notes["euler_maruyama"])
+    ((spec, report),) = notes["check_lemma1"]
+    assert report["passed"] and spec.mu_bar.shape == (2,)
+    metrics = spans.layer_metrics(recorded)
+    assert metrics["euler_steps"] == sum(notes["euler_maruyama"]) > 0
+    assert metrics["joint_grad_calls"] >= metrics["euler_steps"]
+    for name in ("check_lemma1", "check_prop1", "check_prop2",
+                 "check_theorem1"):
+        assert metrics[f"{name}_s"] > 0.0

@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cgdp.diffusion import make_schedule
-from cgdp.verify import (GaussianPriorNet, PosteriorSpec, check_lemma1,
-                         check_prop1, check_prop2, check_theorem1,
+from cgdp.guidance import (GuidanceConfig, estimate_lipschitz,
+                           euler_maruyama_guided, stability_max_step)
+from cgdp.verify import (GaussianPriorNet, PosteriorSpec,
+                         _exact_guidance_hook, check_lemma1, check_prop1,
+                         check_prop2, check_theorem1,
                          default_linear_instance, gaussian_posterior,
                          stiff_linear_instance)
 
@@ -99,6 +104,78 @@ class TestGaussianPriorNet:
                            rtol=1e-12)
 
 
+def unfolded_prior_noise(mu, sigma, schedule, a, k):
+    """The prior's exact noise from its marginal precision at k."""
+    abar = schedule.abar_at(k)
+    prec = np.linalg.inv(abar * sigma + (1.0 - abar) * np.eye(len(mu)))
+    score = -(a - np.sqrt(abar) * mu) @ prec
+    return np.sqrt(max(1.0 - abar, 1e-12)) * -score
+
+
+def unfolded_guidance(spec, schedule, lam, a, k):
+    """The exact-guidance correction through the clean-action mean and
+    the innovation, without folding it into one affine map."""
+    d = spec.mu_bar.shape[0]
+    abar = schedule.abar_at(k)
+    p_k = np.linalg.inv(abar * spec.sigma_bar + (1.0 - abar) * np.eye(d))
+    jac = np.sqrt(abar) * spec.sigma_bar @ p_k
+    cov0 = spec.sigma_bar - abar * spec.sigma_bar @ p_k @ spec.sigma_bar
+    innov = spec.sigma_y + spec.m @ cov0 @ spec.m.T
+    m0 = spec.mu_bar + (np.atleast_2d(a) - np.sqrt(abar) * spec.mu_bar) \
+        @ jac.T
+    resid = spec.y - m0 @ spec.m.T
+    grad = resid @ np.linalg.solve(innov, spec.m @ jac)
+    corr = -lam * np.sqrt(1.0 - abar) * grad
+    return corr if np.asarray(a).ndim > 1 else corr[0]
+
+
+class TestFoldedMaps:
+    SIGMA = np.array([[1.0, 0.3, 0.1], [0.3, 0.8, -0.2], [0.1, -0.2, 0.6]])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_prior_matches_unfolded_formula(self, d):
+        sched = make_schedule(200)
+        rng = np.random.default_rng(d)
+        mu, sigma = rng.standard_normal(d), self.SIGMA[:d, :d]
+        net = GaussianPriorNet(mu, sigma, sched)
+        for k in (1, 2, 57, 199, 200):
+            for a in (rng.standard_normal(d), rng.standard_normal((50, d))):
+                got = net.forward(a, None, k)
+                assert got.shape == a.shape
+                assert np.allclose(got,
+                                   unfolded_prior_noise(mu, sigma, sched, a,
+                                                        k),
+                                   rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_prior_exactly_zero_at_scaled_mean(self, d):
+        sched = make_schedule(100)
+        mu = np.random.default_rng(d).standard_normal(d)
+        net = GaussianPriorNet(mu, self.SIGMA[:d, :d], sched)
+        for k in range(1, 101):
+            a = np.sqrt(sched.abar_at(k)) * mu
+            assert np.all(net.forward(a, None, k) == 0.0)
+            assert np.all(net.forward(a[None], None, k) == 0.0)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_hook_matches_unfolded_formula(self, lam):
+        rng = np.random.default_rng(7)
+        spec = PosteriorSpec(mu_bar=[0.2, -0.3], sigma_bar=self.SIGMA[:2, :2],
+                             m=rng.standard_normal((4, 2)),
+                             sigma_y=0.5 * np.eye(4),
+                             y=rng.standard_normal(4))
+        sched = make_schedule(500)
+        hook = _exact_guidance_hook(
+            spec, GaussianPriorNet(spec.mu_bar, spec.sigma_bar, sched), lam)
+        for k in (1, 2, 250, 499, 500):
+            for a in (rng.standard_normal(2), rng.standard_normal((50, 2))):
+                got = hook(a, k)
+                assert got.shape == a.shape
+                assert np.allclose(got,
+                                   unfolded_guidance(spec, sched, lam, a, k),
+                                   rtol=1e-12, atol=1e-14)
+
+
 class TestCheckLemma1:
     def test_guided_terminal_moments(self):
         spec = PosteriorSpec(mu_bar=[0.5, -0.5],
@@ -186,6 +263,82 @@ class TestCheckProp1:
             if row["factor"] <= 1.0:
                 assert row["diverged"] == 0
         assert rep["stiff"]["diverged"] >= 1
+
+
+def per_seed_prop1(dyn, net, schedule, seeds, steps=10 ** 4, delta=0.5,
+                   gamma_t=1.0, beta_guid_t=1.0, stiff_dyn=None,
+                   rng_probe=0):
+    """check_prop1 with one one-state Euler run per seed and factor, as
+    it was computed before the seeds ran in lockstep."""
+    bundle = estimate_lipschitz(dyn, net, schedule, probes=100,
+                                rng=rng_probe, delta=delta)
+    if net is None:
+        bundle = replace(bundle, l_s=1.0)
+    dt_max, capped = stability_max_step(bundle, gamma_t, beta_guid_t)
+    cfg = GuidanceConfig(lam=1.0, gamma_t=gamma_t, beta_guid_t=beta_guid_t,
+                         r_star=dyn.r_star)
+    rows = []
+    for factor in (0.1, 0.5, 1.0, 10.0, 50.0):
+        dt = factor * dt_max
+        n_steps = steps if factor <= 1.0 else min(steps, 2000)
+        n_div = 0
+        worst = 0.0
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            s = rng.standard_normal(dyn.n)
+            traj, diverged = euler_maruyama_guided(
+                dyn, net, schedule, cfg, s, dt, n_steps, rng)
+            n_div += int(diverged)
+            worst = max(worst, float(np.linalg.norm(traj[-1])))
+        rows.append({"factor": factor, "dt": dt, "diverged": n_div,
+                     "terminal_norm": worst})
+    safe_ok = all(row["diverged"] == 0 for row in rows
+                  if row["factor"] <= 1.0)
+    stiff_row = None
+    if stiff_dyn is not None:
+        s_bundle = replace(estimate_lipschitz(stiff_dyn, None, schedule,
+                                              probes=100, rng=rng_probe,
+                                              delta=delta), l_s=1.0)
+        s_dt_max, _ = stability_max_step(s_bundle, gamma_t, beta_guid_t)
+        s_cfg = GuidanceConfig(lam=1.0, gamma_t=gamma_t,
+                               beta_guid_t=beta_guid_t,
+                               r_star=stiff_dyn.r_star)
+        n_div = 0
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            s = rng.standard_normal(stiff_dyn.n)
+            _, diverged = euler_maruyama_guided(
+                stiff_dyn, None, schedule, s_cfg, s, 50.0 * s_dt_max,
+                min(steps, 2000), rng)
+            n_div += int(diverged)
+        stiff_row = {"factor": 50.0, "dt": 50.0 * s_dt_max,
+                     "diverged": n_div}
+    stiff_ok = stiff_row is None or stiff_row["diverged"] >= 1
+    return {"dt_max": dt_max, "capped": capped, "rows": rows,
+            "stiff": stiff_row, "passed": bool(safe_ok and stiff_ok),
+            "skipped": False}
+
+
+class TestProp1Lockstep:
+    @pytest.mark.parametrize("instance", ["small", "stiff"])
+    def test_report_equals_per_seed_loop(self, small_instance, instance):
+        dyn = small_instance[1] if instance == "small" else \
+            stiff_linear_instance(l_total=4.0)
+        sched = make_schedule(20)
+        kwargs = dict(steps=1500, stiff_dyn=stiff_linear_instance())
+        seeds = [0, 1, 2, 3]
+        rep = check_prop1(dyn, None, sched, seeds, **kwargs)
+        assert rep == per_seed_prop1(dyn, None, sched, seeds, **kwargs)
+        # the sweep has factors where no seed diverges and factors where
+        # the seeds diverge at different steps
+        assert rep["rows"][0]["diverged"] == 0
+        assert rep["rows"][-1]["diverged"] >= 1
+        assert rep["stiff"]["diverged"] >= 1
+
+    def test_rejects_empty_seed_list(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            check_prop1(stiff_linear_instance(l_total=4.0), None,
+                        make_schedule(20), [])
 
 
 class TestCheckTheorem1:
