@@ -28,7 +28,7 @@ from .numerics import AdamState, Mlp, mat_expm
 from .rl import (CriticPair, OfflineArtifacts, ReplayBuffer,
                  TrainerConfig, critic_update, offline_stage,
                  online_stage, policy_update)
-from .scm import (CausalMasks, Dag, GroundTruthScm, Transition,
+from .scm import (CausalMasks, Dag, GroundTruthScm, Transitions,
                   exact_masks, generate_dataset, load_dataset, random_scm,
                   save_dataset, scm_step, stacked_adjacency)
 from .verify import (PosteriorSpec, check_lemma1, check_prop1,

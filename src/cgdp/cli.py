@@ -48,7 +48,7 @@ def _load_data(cfg, out_dir):
     path = _resolve(out_dir, cfg["data.path"])
     if not os.path.exists(path):
         raise FileNotFoundError(f"dataset not found: {path}")
-    return load_dataset(path)[0]
+    return load_dataset(path)
 
 
 def _write_metrics(records, path):
@@ -68,7 +68,7 @@ def cmd_gen_data(cfg, out_dir):
     data = generate_dataset(scm, cfg["data.episodes"], cfg["data.horizon"],
                             cfg["data.behavior_noise"], rng)
     path = _resolve(out_dir, cfg["data.path"])
-    save_dataset(data, path, n=spec.n, d=spec.d)
+    save_dataset(data, path)
     print(f"wrote {len(data)} transitions to {path}")
     return 0
 

@@ -134,15 +134,12 @@ def train_noise_net(net, dataset, schedule, opt, steps, rng, batch_size=64):
     """Minibatch noise-prediction training; returns the per-step losses."""
     if not dataset:
         raise ValueError("empty dataset")
-    states = np.array([tr.s for tr in dataset])
-    actions = np.array([tr.a for tr in dataset])
     losses = []
     for _ in range(steps):
         idx = rng.integers(len(dataset), size=batch_size)
         k = int(rng.integers(1, schedule.k_steps + 1))
-        a0 = actions[idx]
-        ak, eps = forward_corrupt(schedule, a0, k, rng)
-        pred, cache = net.forward_cache(ak, states[idx], k)
+        ak, eps = forward_corrupt(schedule, dataset.a[idx], k, rng)
+        pred, cache = net.forward_cache(ak, dataset.s[idx], k)
         err = pred - eps
         loss = float((err ** 2).sum(axis=1).mean())
         grads, _ = net.backward(cache, (2.0 / batch_size) * err)

@@ -198,18 +198,6 @@ def exhaustive_dag_oracle(data):
     return Dag(best_w)
 
 
-def _stack_transitions(transitions):
-    n = transitions[0].s.shape[0]
-    d = transitions[0].a.shape[0]
-    rows = np.empty((len(transitions), 2 * n + d + 1))
-    for i, tr in enumerate(transitions):
-        rows[i, :n] = tr.s
-        rows[i, n:n + d] = tr.a
-        rows[i, n + d:2 * n + d] = tr.s_next
-        rows[i, 2 * n + d] = tr.r
-    return rows, n, d
-
-
 def discover_masks(transitions, cfg, w0=None, return_result=False):
     """NOTEARS over the stacked [s_t | a_t | s_{t+1} | r_t] matrix.
 
@@ -218,8 +206,10 @@ def discover_masks(transitions, cfg, w0=None, return_result=False):
     adjacency is sliced into the four mask blocks and thresholded at tau.
     """
     if not transitions:
-        raise ValueError("discover_masks needs a non-empty transition list")
-    data, n, d = _stack_transitions(transitions)
+        raise ValueError("discover_masks needs non-empty transitions")
+    t = transitions
+    n, d = t.s.shape[1], t.a.shape[1]
+    data = np.column_stack([t.s, t.a, t.s_next, t.r])
     dim = 2 * n + d + 1
     forbidden = np.zeros((dim, dim), dtype=bool)
     forbidden[:, :n + d] = True          # nothing points into s_t or a_t

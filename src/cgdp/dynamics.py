@@ -28,6 +28,10 @@ __all__ = [
 ]
 
 _VAR_FLOOR = 1e-9
+# the mlp kind's per-output networks and their Adam minibatch training
+_MLP_HIDDEN = (64,)
+_MLP_LR = 1e-3
+_MLP_BATCH = 128
 
 
 @dataclass
@@ -124,8 +128,7 @@ def _masked_ols(features, targets, gate, ridge=1e-6):
 
 
 def fit_dynamics(transitions, masks, kind="linear", rng=None,
-                 mlp_hidden=(64,), mlp_steps=2000, mlp_lr=1e-3,
-                 mlp_batch=128):
+                 mlp_steps=2000):
     """Fit the masked transition and reward models from transitions.
 
     linear: per-coordinate masked least squares with residual covariance
@@ -134,16 +137,13 @@ def fit_dynamics(transitions, masks, kind="linear", rng=None,
     """
     if not transitions:
         raise ValueError("fit_dynamics needs transitions")
-    n = transitions[0].s.shape[0]
-    d = transitions[0].a.shape[0]
+    s, a, r, s_next = (transitions.s, transitions.a, transitions.r,
+                       transitions.s_next)
+    n, d = s.shape[1], a.shape[1]
     if len(transitions) < min_fit_rows(kind, n, d):
         raise ValueError(
             f"{kind} fit needs >= {min_fit_rows(kind, n, d)} transitions, "
             f"got {len(transitions)}")
-    s = np.array([tr.s for tr in transitions])
-    a = np.array([tr.a for tr in transitions])
-    s_next = np.array([tr.s_next for tr in transitions])
-    r = np.array([tr.r for tr in transitions])
     r_star = float(r.max())
 
     if kind == "linear":
@@ -176,25 +176,26 @@ def fit_dynamics(transitions, masks, kind="linear", rng=None,
     if kind != "mlp":
         raise ValueError(f"unknown dynamics kind {kind!r}")
     rng = np.random.default_rng(rng)
-    widths = [n + d, *mlp_hidden, 1]
+    widths = [n + d, *_MLP_HIDDEN, 1]
     trans_nets = [Mlp(widths, rng=rng) for _ in range(n)]
     reward_net = Mlp(widths, rng=rng)
     gated_s = s[:, :, None] * masks.c_ss[None, :, :]
     gated_a = a[:, :, None] * masks.c_as[None, :, :]
-    opt_t = [AdamState(net.params(), lr=mlp_lr) for net in trans_nets]
-    opt_r = AdamState(reward_net.params(), lr=mlp_lr)
+    opt_t = [AdamState(net.params(), lr=_MLP_LR) for net in trans_nets]
+    opt_r = AdamState(reward_net.params(), lr=_MLP_LR)
     x_r = np.concatenate([s_next * masks.u_sr, a * masks.u_ar], axis=1)
     for _ in range(mlp_steps):
-        idx = rng.integers(len(transitions), size=mlp_batch)
+        idx = rng.integers(len(transitions), size=_MLP_BATCH)
         for j, net in enumerate(trans_nets):
             x = np.concatenate([gated_s[idx, :, j], gated_a[idx, :, j]], axis=1)
             pred, cache = net.forward_cache(x)
             err = pred[:, 0] - s_next[idx, j]
-            grads, _ = net.backward(cache, (2.0 / mlp_batch) * err[:, None])
+            grads, _ = net.backward(cache, (2.0 / _MLP_BATCH) * err[:, None])
             opt_t[j].step(net.params(), grads)
         pred, cache = reward_net.forward_cache(x_r[idx])
         err = pred[:, 0] - r[idx]
-        grads, _ = reward_net.backward(cache, (2.0 / mlp_batch) * err[:, None])
+        grads, _ = reward_net.backward(cache,
+                                       (2.0 / _MLP_BATCH) * err[:, None])
         opt_r.step(reward_net.params(), grads)
     dyn = CausalDynamics(masks=masks.copy(), kind="mlp",
                          sigma_s=np.eye(n), sigma_r=1.0,

@@ -13,7 +13,7 @@ from .discovery import NotearsConfig, discover_masks
 from .dynamics import fit_dynamics, min_fit_rows
 from .guidance import GuidanceConfig, GuidanceHook, KlAccumulator, guided_noise
 from .numerics import AdamState, Mlp
-from .scm import Transition
+from .scm import Transitions
 
 __all__ = [
     "ReplayBuffer",
@@ -29,36 +29,34 @@ __all__ = [
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring with uniform sampling."""
+    """Fixed-capacity FIFO ring of transition columns with uniform
+    sampling; the i-th add goes to row i modulo the capacity."""
 
-    def __init__(self, capacity):
+    def __init__(self, capacity, n, d):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._items = []
-        self._cursor = 0
+        self._rows = Transitions.zeros(capacity, n, d)
+        self._adds = 0
 
     def __len__(self):
-        return len(self._items)
+        return min(self._adds, self.capacity)
 
-    def add(self, transition):
-        if len(self._items) < self.capacity:
-            self._items.append(transition)
-        else:
-            self._items[self._cursor] = transition
-        self._cursor = (self._cursor + 1) % self.capacity
+    def add(self, s, a, r, s_next, done):
+        i, rows = self._adds % self.capacity, self._rows
+        rows.s[i], rows.a[i], rows.r[i] = s, a, r
+        rows.s_next[i], rows.done[i] = s_next, done
+        self._adds += 1
 
     def sample(self, batch_size, rng):
-        idx = rng.integers(len(self._items), size=batch_size)
-        return [self._items[i] for i in idx]
+        return self._rows.take(rng.integers(len(self), size=batch_size))
 
     def window(self, size):
-        """The most recent ``size`` transitions, oldest first."""
-        if len(self._items) < self.capacity:
-            return self._items[-size:]
-        order = [(self._cursor + i) % self.capacity
-                 for i in range(self.capacity)]
-        return [self._items[i] for i in order[-size:]]
+        """The most recent ``size`` transitions (all if fewer), oldest
+        first."""
+        m = min(size, len(self))
+        return self._rows.take((self._adds - m + np.arange(m))
+                               % self.capacity)
 
 
 class CriticPair:
@@ -114,15 +112,9 @@ class TrainerConfig:
             raise ValueError("eta must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-
-
-def _batch_arrays(batch):
-    s = np.array([tr.s for tr in batch])
-    a = np.array([tr.a for tr in batch])
-    r = np.array([tr.r for tr in batch])
-    s_next = np.array([tr.s_next for tr in batch])
-    done = np.array([tr.done for tr in batch], dtype=float)
-    return s, a, r, s_next, done
+        for key in ("refresh_window", "buffer_capacity"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"train.{key} must be >= 1")
 
 
 def critic_update(critics, batch, policy_sampler, rng):
@@ -134,14 +126,14 @@ def critic_update(critics, batch, policy_sampler, rng):
     """
     if not batch:
         raise ValueError("empty batch")
-    s, a, r, s_next, done = _batch_arrays(batch)
-    a_next = policy_sampler(s_next, rng)
-    x_next = np.concatenate([s_next, a_next], axis=1)
+    a_next = policy_sampler(batch.s_next, rng)
+    x_next = np.concatenate([batch.s_next, a_next], axis=1)
     q1n = critics.q1_target.forward(x_next)[:, 0]
     q2n = critics.q2_target.forward(x_next)[:, 0]
-    y = r + critics.gamma_disc * (1.0 - done) * np.minimum(q1n, q2n)
+    y = batch.r + critics.gamma_disc * (1.0 - batch.done) * \
+        np.minimum(q1n, q2n)
 
-    x = np.concatenate([s, a], axis=1)
+    x = np.concatenate([batch.s, batch.a], axis=1)
     batch_n = len(batch)
     pred1, cache1 = critics.q1.forward_cache(x)
     pred2, cache2 = critics.q2.forward_cache(x)
@@ -167,15 +159,15 @@ def policy_update(net, critics, dyn, batch, cfg, schedule, opt, rng,
     """
     if not batch:
         raise ValueError("empty batch")
-    s, a0, r, s_next, _ = _batch_arrays(batch)
+    s, a0 = batch.s, batch.a
     batch_n = len(batch)
     guid = cfg.guidance
 
     k = int(rng.integers(1, schedule.k_steps + 1))
     ak, eps = forward_corrupt(schedule, a0, k, rng)
     abar_k = schedule.abar_at(k)
-    replay_hook = GuidanceHook(dyn, guid, schedule, s, s_next=s_next,
-                               r_value=r)
+    replay_hook = GuidanceHook(dyn, guid, schedule, s, s_next=batch.s_next,
+                               r_value=batch.r)
     target = guided_noise(eps, replay_hook.joint_grad(ak),
                           guid.lam_at(k), abar_k)
     pred, cache = net.forward_cache(ak, s, k)
@@ -221,8 +213,7 @@ def offline_stage(dataset, cfg, rng, masks=None, w0=None):
     """
     if not dataset:
         raise ValueError("offline stage needs a non-empty dataset")
-    n = dataset[0].s.shape[0]
-    d = dataset[0].a.shape[0]
+    n, d = dataset.s.shape[1], dataset.a.shape[1]
     if masks is None:
         result = discover_masks(dataset, cfg.notears, return_result=True)
         masks = result.masks
@@ -275,7 +266,10 @@ def online_stage(env, artifacts, cfg, rng):
                          rho_target=cfg.rho_target,
                          gamma_disc=cfg.gamma_disc, lr=cfg.lr)
     opt = AdamState(net.mlp.params(), lr=cfg.lr)
-    buffer = ReplayBuffer(cfg.buffer_capacity)
+    # a FIFO that never wraps acts the same whatever its capacity, so
+    # the ring holds no more rows than the run can write
+    rows = max(1, cfg.online_episodes * env.spec.horizon)
+    buffer = ReplayBuffer(min(cfg.buffer_capacity, rows), dyn.n, dyn.d)
     r_star = guid.r_star
     actor_guid = guid   # guid with r_star, rebuilt when r_star rises
     records = []
@@ -300,8 +294,7 @@ def online_stage(env, artifacts, cfg, rng):
             a = policy_sampler(state.obs, rng, kl_acc)
             s_prev = state.obs
             state, r, done = env.step(a, rng)
-            buffer.add(Transition(s_prev.copy(), a, r, state.obs.copy(),
-                                  done))
+            buffer.add(s_prev, a, r, state.obs, done)
             if r > r_star:
                 r_star = r
                 actor_guid = replace(guid, r_star=r_star)
@@ -321,8 +314,8 @@ def online_stage(env, artifacts, cfg, rng):
                 # a near-constant action coordinate (a converged policy
                 # pinned to the box corners) makes its causal edges
                 # unidentifiable from the window; keep the current model
-                acts = np.array([tr.a for tr in window])
-                if not acts.std(axis=0).min() >= cfg.refresh_min_action_std:
+                if not window.a.std(axis=0).min() >= \
+                        cfg.refresh_min_action_std:
                     refreshes.append("skipped (uninformative actions)")
                 elif len(window) < min_fit_rows(cfg.dyn_kind, dyn.n, dyn.d):
                     refreshes.append("skipped (window too small)")

@@ -16,7 +16,7 @@ from .numerics import acyclicity
 __all__ = [
     "CausalMasks",
     "GroundTruthScm",
-    "Transition",
+    "Transitions",
     "Dag",
     "random_scm",
     "scm_step",
@@ -49,13 +49,28 @@ class CausalMasks:
                            self.u_sr.copy(), self.u_ar.copy())
 
 
-@dataclass
-class Transition:
-    s: np.ndarray
-    a: np.ndarray
-    r: float
-    s_next: np.ndarray
-    done: bool
+@dataclass(eq=False)
+class Transitions:
+    """Rows of (s, a, r, s_next, done) stored as columns."""
+
+    s: np.ndarray       # (N, n)
+    a: np.ndarray       # (N, d)
+    r: np.ndarray       # (N,)
+    s_next: np.ndarray  # (N, n)
+    done: np.ndarray    # (N,) 1.0 on an episode's last row, else 0.0
+
+    @classmethod
+    def zeros(cls, count, n, d):
+        return cls(np.zeros((count, n)), np.zeros((count, d)),
+                   np.zeros(count), np.zeros((count, n)), np.zeros(count))
+
+    def __len__(self):
+        return self.r.shape[0]
+
+    def take(self, idx):
+        """The rows at ``idx``, as new columns."""
+        return Transitions(self.s[idx], self.a[idx], self.r[idx],
+                           self.s_next[idx], self.done[idx])
 
 
 @dataclass
@@ -198,17 +213,17 @@ def generate_dataset(scm, episodes, horizon, behavior_noise, rng):
         raise ValueError("behavior_noise must be >= 0")
     rng = np.random.default_rng(rng)
     gain = rng.normal(0.0, 0.3, size=(scm.n, scm.d))
-    transitions = []
-    for _ in range(episodes):
-        s = rng.standard_normal(scm.n)
-        for t in range(horizon):
-            a = s @ gain + behavior_noise * rng.standard_normal(scm.d)
-            a = np.clip(a, -1.0, 1.0)
-            s_next, r = scm_step(scm, s, a, rng)
-            done = t == horizon - 1
-            transitions.append(Transition(s.copy(), a, r, s_next.copy(), done))
-            s = s_next
-    return transitions
+    out = Transitions.zeros(episodes * horizon, scm.n, scm.d)
+    out.done[horizon - 1::horizon] = 1.0
+    for i in range(len(out)):
+        if i % horizon == 0:
+            s = rng.standard_normal(scm.n)
+        a = s @ gain + behavior_noise * rng.standard_normal(scm.d)
+        a = np.clip(a, -1.0, 1.0)
+        s_next, r = scm_step(scm, s, a, rng)
+        out.s[i], out.a[i], out.r[i], out.s_next[i] = s, a, r, s_next
+        s = s_next
+    return out
 
 
 def exact_masks(scm):
@@ -237,20 +252,15 @@ def stacked_adjacency(scm):
     return Dag(w)
 
 
-def save_dataset(transitions, path, n=None, d=None):
+def save_dataset(transitions, path):
     """Write the text dataset format: header `n d count`, one line per
     transition with repr-exact decimals (bit-exact round-trip)."""
-    if transitions:
-        n = transitions[0].s.shape[0]
-        d = transitions[0].a.shape[0]
-    if n is None or d is None:
-        raise ValueError("empty dataset needs explicit n and d")
+    t = transitions
+    rows = np.column_stack([t.s, t.a, t.r, t.s_next, t.done])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{n} {d} {len(transitions)}\n")
-        for tr in transitions:
-            fields = (list(tr.s) + list(tr.a) + [tr.r] + list(tr.s_next)
-                      + [1.0 if tr.done else 0.0])
-            fh.write(" ".join(repr(float(x)) for x in fields) + "\n")
+        fh.write(f"{t.s.shape[1]} {t.a.shape[1]} {len(t)}\n")
+        for row in rows.tolist():
+            fh.write(" ".join(map(repr, row)) + "\n")
 
 
 def _dataset_header(path, line):
@@ -286,8 +296,8 @@ def _bad_dataset_row(path, count, width):
 
 
 def load_dataset(path):
-    """Read the format :func:`save_dataset` writes; returns
-    (transitions, n, d).
+    """Read the format :func:`save_dataset` writes, as
+    :class:`Transitions`.
 
     A bad header, a missing, short or unparsable row, rows beyond the
     header's count and non-finite values raise ValueError naming
@@ -314,9 +324,7 @@ def load_dataset(path):
     bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}:{bad[0] + 2}: non-finite value")
-    s = vals[:, :n].copy()
-    a = vals[:, n:n + d].copy()
-    s_next = vals[:, n + d + 1:2 * n + d + 1].copy()
-    transitions = [Transition(*row) for row in zip(
-        s, a, vals[:, n + d].tolist(), s_next, (vals[:, -1] != 0.0).tolist())]
-    return transitions, n, d
+    return Transitions(vals[:, :n].copy(), vals[:, n:n + d].copy(),
+                       vals[:, n + d].copy(),
+                       vals[:, n + d + 1:2 * n + d + 1].copy(),
+                       (vals[:, -1] != 0.0).astype(float))

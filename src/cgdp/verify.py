@@ -271,12 +271,15 @@ def check_theorem1(scm, dyn, schedule, seeds, lam=1.0, gamma_disc=0.99,
     compares against (1/(1-gamma)) sqrt(E sup_a A^2) sqrt(KL/2), with the
     path KL accumulated along guided rollouts and sup_a A^2 from a grid
     search over the action box at states visited by the base policy.
+    The guided rollouts replay the base rollouts' random numbers, so at
+    lam = 0 they are the base rollouts and the gap is exactly 0.
     """
     d = dyn.d
     net = GaussianPriorNet(np.zeros(d), np.eye(d), schedule)
     rows = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
+        guided_rng = np.random.default_rng(seed)
         cfg = GuidanceConfig(lam=lam, gamma_t=gamma_t,
                              beta_guid_t=beta_guid_t, r_star=dyn.r_star)
 
@@ -297,8 +300,8 @@ def check_theorem1(scm, dyn, schedule, seeds, lam=1.0, gamma_disc=0.99,
                         for i in range(min(n_adv_states, len(states)))]
         j_guided, _ = _rollout_returns(
             scm, lambda st, r: guided_policy(st, r, acc=kl_acc),
-            rng.standard_normal((n_rollouts, scm.n)), horizon, gamma_disc,
-            rng)
+            guided_rng.standard_normal((n_rollouts, scm.n)), horizon,
+            gamma_disc, guided_rng)
         kl = kl_acc.total  # batch-averaged per-trajectory path KL
 
         axes = [np.arange(-1.0, 1.0 + grid_res / 2, grid_res)] * d

@@ -284,11 +284,12 @@ def test_07_zero_guidance_equivalence(tmp_path, small_instance):
         samplers_ok = samplers_ok and np.array_equal(base, guided)
 
     from cgdp.rl import CriticPair
-    from cgdp.scm import Transition
+    from cgdp.scm import Transitions
     rng = np.random.default_rng(3)
-    batch = [Transition(rng.standard_normal(dyn.n),
-                        rng.uniform(-1, 1, dyn.d), float(rng.standard_normal()),
-                        rng.standard_normal(dyn.n), False) for _ in range(8)]
+    rows = [(rng.standard_normal(dyn.n), rng.uniform(-1, 1, dyn.d),
+             float(rng.standard_normal()), rng.standard_normal(dyn.n), 0.0)
+            for _ in range(8)]
+    batch = Transitions(*(np.array(col) for col in zip(*rows)))
     tcfg = TrainerConfig(eta=3.0, guidance=cfg0, k_steps=10)
     nets = []
     for factory in (None, lambda states: None):
@@ -375,7 +376,7 @@ def test_10_determinism_and_round_trips(tmp_path):
     data = generate_dataset(scm, 20, 5, 1.5, rng)
     p1, p2 = tmp_path / "d1.txt", tmp_path / "d2.txt"
     save_dataset(data, str(p1))
-    loaded, _, _ = load_dataset(str(p1))
+    loaded = load_dataset(str(p1))
     save_dataset(loaded, str(p2))
     dataset_ok = p1.read_bytes() == p2.read_bytes()
 

@@ -45,8 +45,8 @@ class TestPipeline:
     def test_end_to_end_and_byte_identical_rerun(self, workdir):
         out, cfg_path = workdir
         assert run(cfg_path, out, "gen-data") == 0
-        data, n, d = load_dataset(str(out / "dataset.txt"))
-        assert (n, d, len(data)) == (3, 2, 200)
+        data = load_dataset(str(out / "dataset.txt"))
+        assert (data.s.shape[1], data.a.shape[1], len(data)) == (3, 2, 200)
 
         assert run(cfg_path, out, "discover") == 0
         assert (out / "discovery.txt").exists()
@@ -97,8 +97,9 @@ class TestPipeline:
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(SMALL_CFG + "data.episodes = 0\n")
         assert run(str(cfg_path), tmp_path, "gen-data") == 0
-        data, n, d = load_dataset(str(tmp_path / "dataset.txt"))
-        assert data == [] and (n, d) == (3, 2)
+        data = load_dataset(str(tmp_path / "dataset.txt"))
+        assert len(data) == 0
+        assert (data.s.shape[1], data.a.shape[1]) == (3, 2)
 
 
 class TestAblate:
@@ -204,7 +205,7 @@ class TestAblationReuse:
         assert run(cfg_path, out, "ablate") == 0
 
         cfg = load_config(cfg_path)
-        data, _, _ = load_dataset(str(out / "dataset.txt"))
+        data = load_dataset(str(out / "dataset.txt"))
         spec = cfg.env_spec()
         scm = make_env_scm(spec)
         result = discover_masks(data, cfg.notears_config(),
@@ -243,6 +244,20 @@ class TestLoudInputs:
         assert run(cfg_path, out, "train") == 0
         assert "trained 2 episodes; refreshes: 2 skipped (window too " \
             "small);" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["train.refresh_window",
+                                     "train.buffer_capacity"])
+    def test_train_rejects_a_count_below_one(self, workdir, capsys, key):
+        out, cfg_path = workdir
+        assert run(cfg_path, out, "gen-data") == 0
+        with open(cfg_path, "a") as fh:
+            fh.write(f"{key} = 0\n")
+        capsys.readouterr()
+        assert run(cfg_path, out, "train") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+        assert not (out / "metrics.txt").exists()
 
     def test_truncated_checkpoint_and_dataset_exit_1(self, workdir, capsys):
         out, cfg_path = workdir

@@ -6,17 +6,18 @@ from cgdp.diffusion import (NoiseNet, ddim_sample, ddpm_sample,
                             noise_from_score, save_noise_net,
                             score_from_noise, train_noise_net)
 from cgdp.numerics import AdamState
-from cgdp.scm import Transition
+from cgdp.scm import Transitions
 
 
 def toy_dataset(rng, count=64, n=2, d=2, mu=None):
     mu = np.zeros(d) if mu is None else mu
-    out = []
+    rows = []
     for _ in range(count):
         s = rng.standard_normal(n)
         a = mu + 0.1 * rng.standard_normal(d)
-        out.append(Transition(s, a, 0.0, s, False))
-    return out
+        rows.append((s, a))
+    s, a = (np.array(col) for col in zip(*rows))
+    return Transitions(s, a, np.zeros(count), s.copy(), np.zeros(count))
 
 
 class TestSchedule:
@@ -218,8 +219,7 @@ class TestScoreConversion:
 
 def heldout_loss(net, dataset, schedule, rng, batch_size=256):
     """Monte Carlo estimate of the noise-prediction loss on a dataset."""
-    states = np.array([tr.s for tr in dataset])
-    actions = np.array([tr.a for tr in dataset])
+    states, actions = dataset.s, dataset.a
     idx = rng.integers(len(dataset), size=batch_size)
     k = int(rng.integers(1, schedule.k_steps + 1))
     ak, eps = forward_corrupt(schedule, actions[idx], k, rng)
@@ -230,8 +230,8 @@ def heldout_loss(net, dataset, schedule, rng, batch_size=256):
 class TestTraining:
     def test_memorizes_single_pair(self):
         rng = np.random.default_rng(6)
-        data = [Transition(np.zeros(2), np.array([0.5, -0.5]), 0.0,
-                           np.zeros(2), False)]
+        data = Transitions(np.zeros((1, 2)), np.array([[0.5, -0.5]]),
+                           np.zeros(1), np.zeros((1, 2)), np.zeros(1))
         sched = make_schedule(10)
         net = NoiseNet(2, 2, 10, hidden=(32, 32), rng=rng)
         opt = AdamState(net.mlp.params(), lr=1e-3)
@@ -272,7 +272,8 @@ class TestTraining:
     def test_empty_dataset_rejected(self):
         net = NoiseNet(2, 2, 10, hidden=(8,))
         with pytest.raises(ValueError):
-            train_noise_net(net, [], make_schedule(10),
+            train_noise_net(net, Transitions.zeros(0, 2, 2),
+                            make_schedule(10),
                             AdamState(net.mlp.params()), 10,
                             np.random.default_rng(0))
 

@@ -4,7 +4,7 @@ import pytest
 from cgdp.discovery import (NotearsConfig, acyclicity, corrupt_masks,
                             discover_masks, exhaustive_dag_oracle,
                             notears_fit)
-from cgdp.scm import exact_masks, generate_dataset, random_scm
+from cgdp.scm import Transitions, exact_masks, generate_dataset, random_scm
 
 from conftest import rel_err
 
@@ -169,14 +169,13 @@ class TestDiscoverMasks:
         rng = np.random.default_rng(11)
         scm = random_scm(3, 2, 2, rng=rng)
         data = generate_dataset(scm, 200, 5, 0.0, rng)
-        for tr in data:
-            tr.a[:] = 0.7
+        data.a[:] = 0.7
         masks = discover_masks(data, NotearsConfig())
         assert np.all(masks.c_as == 0) and np.all(masks.u_ar == 0)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            discover_masks([], NotearsConfig())
+            discover_masks(Transitions.zeros(0, 3, 2), NotearsConfig())
 
 
 class TestCorruptMasks:

@@ -9,15 +9,35 @@ from cgdp.guidance import GuidanceConfig, GuidanceHook
 from cgdp.numerics import AdamState
 from cgdp.rl import (CriticPair, ReplayBuffer, TrainerConfig, critic_update,
                      offline_stage, online_stage, policy_update)
-from cgdp.scm import CausalMasks, Transition, exact_masks, generate_dataset
+from cgdp.scm import CausalMasks, Transitions, exact_masks, generate_dataset
 
 from conftest import rel_err
 
 
 def make_transition(rng, n=2, d=2, done=False):
-    return Transition(rng.standard_normal(n), rng.uniform(-1, 1, d),
-                      float(rng.standard_normal()), rng.standard_normal(n),
-                      done)
+    """One (s, a, r, s_next, done) row."""
+    return (rng.standard_normal(n), rng.uniform(-1, 1, d),
+            float(rng.standard_normal()), rng.standard_normal(n), float(done))
+
+
+def columns(rows):
+    """``Transitions`` holding the (s, a, r, s_next, done) rows."""
+    return Transitions(*(np.array(col, dtype=float) for col in zip(*rows)))
+
+
+def same_rows(t1, t2):
+    return len(t1) == len(t2) and all(
+        np.array_equal(getattr(t1, col), getattr(t2, col))
+        for col in ("s", "a", "r", "s_next", "done"))
+
+
+def filled_buffer(capacity, count):
+    buf = ReplayBuffer(capacity, 2, 2)
+    rows = [make_transition(np.random.default_rng(i), done=i % 3 == 2)
+            for i in range(count)]
+    for row in rows:
+        buf.add(*row)
+    return buf, rows
 
 
 def linear_dyn(n=2, d=2):
@@ -31,32 +51,46 @@ def linear_dyn(n=2, d=2):
 
 class TestReplayBuffer:
     def test_fifo_keeps_most_recent(self):
-        buf = ReplayBuffer(3)
-        items = [make_transition(np.random.default_rng(i)) for i in range(5)]
-        for tr in items:
-            buf.add(tr)
+        buf, items = filled_buffer(3, 5)
         assert len(buf) == 3
-        assert buf.window(3) == items[-3:]
+        assert same_rows(buf.window(3), columns(items[-3:]))
 
     def test_window_before_full(self):
-        buf = ReplayBuffer(10)
-        items = [make_transition(np.random.default_rng(i)) for i in range(4)]
-        for tr in items:
-            buf.add(tr)
-        assert buf.window(2) == items[-2:]
-        assert buf.window(10) == items
+        buf, items = filled_buffer(10, 4)
+        assert same_rows(buf.window(2), columns(items[-2:]))
+        assert same_rows(buf.window(10), columns(items))
+
+    def test_window_across_the_wrap_seam(self):
+        # 11 adds into 4 rows: the ring holds adds 8, 9, 10, 7
+        buf, items = filled_buffer(4, 11)
+        assert len(buf) == 4
+        for size in (1, 2, 3, 4):
+            assert same_rows(buf.window(size), columns(items[-size:]))
+        assert same_rows(buf.window(9), columns(items[-4:]))
+
+    def test_window_larger_than_the_fill(self):
+        buf, items = filled_buffer(8, 3)
+        assert same_rows(buf.window(5), columns(items))
+        assert len(ReplayBuffer(8, 2, 2).window(5)) == 0
+
+    @pytest.mark.parametrize("count", [5, 8, 11])
+    def test_sample_gathers_the_drawn_rows(self, count):
+        # row i of the ring holds the latest add whose index is i mod 8
+        buf, items = filled_buffer(8, count)
+        ring = {i % 8: row for i, row in enumerate(items)}
+        batch = buf.sample(16, np.random.default_rng(3))
+        idx = np.random.default_rng(3).integers(len(buf), size=16)
+        assert same_rows(batch, columns([ring[i] for i in idx]))
 
     def test_sample_determinism(self):
-        buf = ReplayBuffer(8)
-        for i in range(8):
-            buf.add(make_transition(np.random.default_rng(i)))
+        buf, _ = filled_buffer(8, 8)
         s1 = buf.sample(4, np.random.default_rng(0))
         s2 = buf.sample(4, np.random.default_rng(0))
-        assert all(a is b for a, b in zip(s1, s2))
+        assert same_rows(s1, s2)
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(0)
+            ReplayBuffer(0, 2, 2)
 
 
 def td_loss(q1_target, q2_target, r, done):
@@ -65,7 +99,7 @@ def td_loss(q1_target, q2_target, r, done):
     critics = CriticPair(2, 2, hidden=(4,), lr=0.0)
     critics.q1_target.biases[-1][:] = q1_target
     critics.q2_target.biases[-1][:] = q2_target
-    batch = [Transition(np.zeros(2), np.zeros(2), r, np.zeros(2), done)]
+    batch = columns([(np.zeros(2), np.zeros(2), r, np.zeros(2), done)])
     return critic_update(critics, batch, lambda s, rng: np.zeros((1, 2)),
                          np.random.default_rng(0))
 
@@ -87,7 +121,7 @@ class TestCritics:
     def test_regression_loss_decreases(self):
         rng = np.random.default_rng(0)
         critics = CriticPair(2, 2, hidden=(16, 16), rng=rng, lr=1e-3)
-        batch = [make_transition(rng, done=True) for _ in range(16)]
+        batch = columns([make_transition(rng, done=True) for _ in range(16)])
 
         def zero_sampler(states, sampler_rng):
             return np.zeros((states.shape[0], 2))
@@ -108,7 +142,8 @@ class TestCritics:
     def test_empty_batch_rejected(self):
         critics = CriticPair(2, 2, hidden=(4,))
         with pytest.raises(ValueError):
-            critic_update(critics, [], lambda s, r: s, np.random.default_rng(0))
+            critic_update(critics, Transitions.zeros(0, 2, 2), lambda s, r: s,
+                          np.random.default_rng(0))
 
 
 class TestGuidedChain:
@@ -168,7 +203,7 @@ class TestPolicyUpdate:
         sched = make_schedule(5)
         dyn = linear_dyn()
         rng = np.random.default_rng(7)
-        batch = [make_transition(rng) for _ in range(8)]
+        batch = columns([make_transition(rng) for _ in range(8)])
         cfg = TrainerConfig(eta=0.0, guidance=GuidanceConfig(lam=0.0),
                             k_steps=5, lr=1e-3)
         net = NoiseNet(2, 2, 5, hidden=(8,), rng=np.random.default_rng(8))
@@ -181,8 +216,7 @@ class TestPolicyUpdate:
                       np.random.default_rng(9))
 
         rng2 = np.random.default_rng(9)
-        s = np.array([tr.s for tr in batch])
-        a0 = np.array([tr.a for tr in batch])
+        s, a0 = batch.s, batch.a
         k = int(rng2.integers(1, 6))
         ak, eps = forward_corrupt(sched, a0, k, rng2)
         pred, cache = net2.forward_cache(ak, s, k)
@@ -196,7 +230,7 @@ class TestPolicyUpdate:
         sched = make_schedule(5)
         dyn = linear_dyn()
         rng = np.random.default_rng(10)
-        batch = [make_transition(rng) for _ in range(8)]
+        batch = columns([make_transition(rng) for _ in range(8)])
         nets = []
         for eta in (0.0, 3.0):
             cfg = TrainerConfig(eta=eta, guidance=GuidanceConfig(lam=0.5),
@@ -218,7 +252,7 @@ class TestPolicyUpdate:
         net = NoiseNet(2, 2, 5, hidden=(4,))
         with pytest.raises(ValueError):
             policy_update(net, CriticPair(2, 2, hidden=(4,)), linear_dyn(),
-                          [], cfg, make_schedule(5),
+                          Transitions.zeros(0, 2, 2), cfg, make_schedule(5),
                           AdamState(net.mlp.params()),
                           np.random.default_rng(0))
 
@@ -229,6 +263,13 @@ class TestTrainerConfig:
             TrainerConfig(eta=-1.0)
         with pytest.raises(ValueError):
             TrainerConfig(batch_size=0)
+
+    @pytest.mark.parametrize("key", ["refresh_window", "buffer_capacity"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_rejects_counts_below_one_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=f"train.{key} must be >= 1"):
+            TrainerConfig(**{key: value})
+        TrainerConfig(**{key: 1})
 
 
 class TestStages:
@@ -247,7 +288,8 @@ class TestStages:
 
     def test_offline_stage_rejects_empty(self):
         with pytest.raises(ValueError):
-            offline_stage([], TrainerConfig(), np.random.default_rng(0))
+            offline_stage(Transitions.zeros(0, 3, 2), TrainerConfig(),
+                          np.random.default_rng(0))
 
     def test_online_stage_zero_episodes(self):
         spec = EnvSpec(kind="lin-scm", n=3, d=2, horizon=5, seed=0)
@@ -364,3 +406,26 @@ class TestStages:
                                  (11, "applied")]
         assert outcomes[10.0] == [(5, "skipped (uninformative actions)"),
                                   (11, "skipped (uninformative actions)")]
+
+    def test_records_do_not_depend_on_an_unreached_capacity(self):
+        # 12 episodes x horizon 5 write 60 rows; a refresh at step 30
+        # (window too small) and one at 60 (applied) read the window
+        spec = EnvSpec(kind="lin-scm", n=3, d=2, horizon=5, seed=0)
+        env = Environment(spec)
+        data = generate_dataset(env.scm, 50, 5, 1.5,
+                                np.random.default_rng(0))
+        runs = []
+        for capacity in (60, 10 ** 6):
+            cfg = TrainerConfig(offline_steps=20, hidden=(8,), batch_size=8,
+                                online_episodes=12, mask_refresh=30,
+                                refresh_min_action_std=0.0,
+                                buffer_capacity=capacity)
+            art = offline_stage(data, cfg, np.random.default_rng(0),
+                                masks=exact_masks(env.scm))
+            records, final = online_stage(env, art, cfg,
+                                          np.random.default_rng(1))
+            runs.append((records, final.net.mlp.flat.copy()))
+        assert runs[0][0] == runs[1][0]
+        assert [o for rec in runs[0][0] for o in rec["refreshes"]] == \
+            ["skipped (window too small)", "applied"]
+        assert np.array_equal(runs[0][1], runs[1][1])

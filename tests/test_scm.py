@@ -1,9 +1,25 @@
 import numpy as np
 import pytest
 
-from cgdp.scm import (GroundTruthScm, acyclicity, exact_masks,
+from cgdp.scm import (GroundTruthScm, Transitions, acyclicity, exact_masks,
                       generate_dataset, load_dataset, random_scm,
                       save_dataset, scm_step, stacked_adjacency)
+
+
+def per_row_dataset(scm, episodes, horizon, behavior_noise, rng):
+    """The row-at-a-time generator loop the columnar one replaced: a list
+    of (s, a, r, s_next, done) tuples."""
+    gain = rng.normal(0.0, 0.3, size=(scm.n, scm.d))
+    rows = []
+    for _ in range(episodes):
+        s = rng.standard_normal(scm.n)
+        for t in range(horizon):
+            a = s @ gain + behavior_noise * rng.standard_normal(scm.d)
+            a = np.clip(a, -1.0, 1.0)
+            s_next, r = scm_step(scm, s, a, rng)
+            rows.append((s.copy(), a, r, s_next.copy(), t == horizon - 1))
+            s = s_next
+    return rows
 
 
 def noiseless_scm(n=2, d=1):
@@ -17,19 +33,34 @@ class TestGenerateDataset:
     def test_noiseless_linear_recursion_is_exact(self):
         scm = noiseless_scm()
         data = generate_dataset(scm, 2, 4, 0.0, np.random.default_rng(0))
-        for tr in data:
-            s_next = tr.s @ scm.f_s + tr.a @ scm.f_a
-            r = s_next @ scm.b_s + tr.a @ scm.b_a
-            assert np.allclose(tr.s_next, s_next, atol=1e-14)
-            assert abs(tr.r - r) < 1e-12
+        for s, a, r, s_next in zip(data.s, data.a, data.r, data.s_next):
+            expect_next = s @ scm.f_s + a @ scm.f_a
+            expect_r = expect_next @ scm.b_s + a @ scm.b_a
+            assert np.allclose(s_next, expect_next, atol=1e-14)
+            assert abs(r - expect_r) < 1e-12
 
     def test_seed_determinism(self):
         scm = random_scm(3, 2, 2, rng=np.random.default_rng(1))
         d1 = generate_dataset(scm, 5, 5, 1.0, np.random.default_rng(5))
         d2 = generate_dataset(scm, 5, 5, 1.0, np.random.default_rng(5))
-        for a, b in zip(d1, d2):
-            assert np.array_equal(a.s, b.s) and np.array_equal(a.a, b.a)
-            assert a.r == b.r and np.array_equal(a.s_next, b.s_next)
+        for col in ("s", "a", "r", "s_next", "done"):
+            assert np.array_equal(getattr(d1, col), getattr(d2, col))
+
+    @pytest.mark.parametrize("episodes, horizon", [(0, 3), (1, 1), (7, 5)])
+    def test_columns_match_the_per_row_loop(self, episodes, horizon):
+        scm = random_scm(4, 3, 2, rng=np.random.default_rng(4))
+        rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
+        data = generate_dataset(scm, episodes, horizon, 1.5, rng1)
+        rows = per_row_dataset(scm, episodes, horizon, 1.5, rng2)
+        assert len(data) == len(rows) == episodes * horizon
+        cols = list(zip(*rows)) or [()] * 5
+        for col, ref, shape in zip(("s", "a", "r", "s_next", "done"), cols,
+                                   ((4,), (3,), (), (4,), ())):
+            got = getattr(data, col)
+            want = np.array(ref, dtype=float).reshape((len(rows),) + shape)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.array_equal(got, want), col
+        assert rng1.bit_generator.state == rng2.bit_generator.state
 
     def test_zero_fa_column_has_no_partial_effect(self):
         rng = np.random.default_rng(2)
@@ -37,9 +68,7 @@ class TestGenerateDataset:
         dead = [j for j in range(scm.d) if not np.any(scm.f_a[j])]
         assert dead, "instance needs a non-causal action coordinate"
         data = generate_dataset(scm, 2000, 5, 1.5, rng)
-        s = np.array([tr.s for tr in data])
-        a = np.array([tr.a for tr in data])
-        s_next = np.array([tr.s_next for tr in data])
+        s, a, s_next = data.s, data.a, data.s_next
         feats = np.concatenate([s, a], axis=1)
         coefs, _, _, _ = np.linalg.lstsq(feats, s_next, rcond=None)
         for j in dead:
@@ -49,9 +78,7 @@ class TestGenerateDataset:
         rng = np.random.default_rng(3)
         scm = random_scm(3, 2, 2, rng=rng)
         data = generate_dataset(scm, 2000, 5, 1.5, rng)
-        s = np.array([tr.s for tr in data])
-        a = np.array([tr.a for tr in data])
-        s_next = np.array([tr.s_next for tr in data])
+        s, a, s_next = data.s, data.a, data.s_next
         resid = s_next - (s @ scm.f_s + a @ scm.f_a)
         emp = resid.T @ resid / len(data)
         rel = np.linalg.norm(emp - scm.sigma_s) / np.linalg.norm(scm.sigma_s)
@@ -134,34 +161,35 @@ class TestDatasetRoundTrip:
         data = generate_dataset(scm, 10, 5, 1.5, rng)
         path = tmp_path / "data.txt"
         save_dataset(data, str(path))
-        loaded, n, d = load_dataset(str(path))
-        assert (n, d, len(loaded)) == (3, 2, len(data))
-        for a, b in zip(data, loaded):
-            assert np.array_equal(a.s, b.s)
-            assert np.array_equal(a.a, b.a)
-            assert a.r == b.r
-            assert np.array_equal(a.s_next, b.s_next)
-            assert a.done == b.done
+        loaded = load_dataset(str(path))
+        assert len(loaded) == len(data)
+        for col in ("s", "a", "r", "s_next", "done"):
+            assert np.array_equal(getattr(loaded, col), getattr(data, col))
         save_dataset(loaded, str(tmp_path / "again.txt"))
         assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
-    def test_empty_dataset_needs_dims(self, tmp_path):
+    def test_empty_dataset_round_trips_its_dims(self, tmp_path):
         path = tmp_path / "empty.txt"
-        with pytest.raises(ValueError):
-            save_dataset([], str(path))
-        save_dataset([], str(path), n=3, d=2)
-        loaded, n, d = load_dataset(str(path))
-        assert loaded == [] and (n, d) == (3, 2)
+        save_dataset(Transitions.zeros(0, 3, 2), str(path))
+        assert path.read_text() == "3 2 0\n"
+        loaded = load_dataset(str(path))
+        assert len(loaded) == 0
+        assert loaded.s.shape == loaded.s_next.shape == (0, 3)
+        assert loaded.a.shape == (0, 2)
+        assert loaded.r.shape == loaded.done.shape == (0,)
 
     def test_loaded_fields_keep_their_types(self, tmp_path):
         rng = np.random.default_rng(7)
         data = generate_dataset(random_scm(3, 2, 2, rng=rng), 2, 3, 1.5, rng)
         path = tmp_path / "data.txt"
         save_dataset(data, str(path))
-        for tr in load_dataset(str(path))[0]:
-            assert type(tr.r) is float and type(tr.done) is bool
-            assert tr.s.shape == tr.s_next.shape == (3,)
-            assert tr.a.shape == (2,)
+        loaded = load_dataset(str(path))
+        for col, shape in (("s", (6, 3)), ("a", (6, 2)), ("r", (6,)),
+                           ("s_next", (6, 3)), ("done", (6,))):
+            arr = getattr(loaded, col)
+            assert arr.dtype == np.float64 and arr.shape == shape
+            assert arr.flags.c_contiguous
+        assert loaded.done.tolist() == [0.0, 0.0, 1.0] * 2
 
     @pytest.mark.parametrize("edit, line, message", [
         (lambda rows: rows[:4], 5, "file ends after 3 of 10"),

@@ -358,6 +358,23 @@ class TestCheckTheorem1:
             assert row["kl"] >= 0.0
             assert row["bound"] >= 0.0
 
+    def test_zero_guidance_has_zero_gap(self):
+        # the guided rollouts replay the base rollouts' random numbers, so
+        # at lam = 0 they are the base rollouts and the zero bound holds
+        scm, dyn = default_linear_instance()
+        kwargs = dict(horizon=10, n_rollouts=100, n_adv_states=2,
+                      m_rollouts=4, grid_res=0.5)
+        rep = check_theorem1(scm, dyn, make_schedule(30), [0, 1, 2],
+                             lam=0.0, **kwargs)
+        for row in rep["rows"]:
+            assert row["kl"] == row["bound"] == row["gap"] == 0.0
+            assert row["j_guided"] == row["j_base"] and row["holds"]
+        assert rep["passed"]
+        guided = check_theorem1(scm, dyn, make_schedule(30), [0, 1, 2],
+                                lam=1.0, **kwargs)
+        assert [row["j_base"] for row in guided["rows"]] == \
+            [row["j_base"] for row in rep["rows"]]
+
     def test_empty_seed_list(self):
         scm, dyn = default_linear_instance()
         rep = check_theorem1(scm, dyn, make_schedule(30), [])
