@@ -118,8 +118,12 @@ def cmd_train(cfg, out_dir, guidance_on):
     records, artifacts = online_stage(env, artifacts, tcfg, rng)
     _write_metrics(records, os.path.join(out_dir, "metrics.txt"))
     save_noise_net(artifacts.net, os.path.join(out_dir, "noise_net.txt"))
+    dyn_path = os.path.join(out_dir, "dynamics.txt")
     if artifacts.dyn.kind == "linear":
-        save_dynamics(artifacts.dyn, os.path.join(out_dir, "dynamics.txt"))
+        save_dynamics(artifacts.dyn, dyn_path)
+    elif os.path.exists(dyn_path):
+        # an earlier run's model must not pair with this noise net
+        os.remove(dyn_path)
     with open(os.path.join(out_dir, "effective.cfg"), "w") as fh:
         fh.write(dump_config(cfg))
     refreshes = Counter(o for rec in records for o in rec["refreshes"])
@@ -131,7 +135,12 @@ def cmd_train(cfg, out_dir, guidance_on):
 
 def cmd_eval(cfg, out_dir, guidance_on):
     net = load_noise_net(os.path.join(out_dir, "noise_net.txt"))
-    dyn = load_dynamics(os.path.join(out_dir, "dynamics.txt"))
+    dyn_path = os.path.join(out_dir, "dynamics.txt")
+    if not os.path.exists(dyn_path):
+        raise FileNotFoundError(
+            f"dynamics checkpoint not found: {dyn_path} (only cgdp train "
+            f"with train.dyn_kind = linear writes it)")
+    dyn = load_dynamics(dyn_path)
     env = Environment(cfg.env_spec())
     schedule = make_schedule(cfg["train.k_steps"], cfg["train.beta_start"],
                              cfg["train.beta_end"])

@@ -1,10 +1,15 @@
 """Flat ``key = value`` run configuration with namespaced keys.
 
 Every tunable of the pipeline appears under a dotted namespace
-(``guidance.lambda``, ``train.lr``, ...).  Unknown keys are rejected at
-parse time; dumping always emits every effective value, defaults
-included, so load(dump(cfg)) reproduces cfg exactly.
+(``guidance.lambda``, ``train.lr``, ...).  The ``env.*``, ``train.*``,
+``notears.*`` and ``guidance.*`` keys are the fields of ``EnvSpec``,
+``TrainerConfig``, ``NotearsConfig`` and ``GuidanceConfig``, in field
+order, with the fields' defaults; the rest are listed below.  Unknown
+keys are rejected at parse time; dumping always emits every effective
+value, defaults included, so load(dump(cfg)) reproduces cfg exactly.
 """
+
+from dataclasses import fields, is_dataclass
 
 from .discovery import NotearsConfig
 from .envs import EnvSpec
@@ -14,57 +19,67 @@ from .rl import TrainerConfig
 __all__ = ["RunConfig", "parse_config", "load_config", "dump_config",
            "CONFIG_SCHEMA"]
 
-# the env.*, train.*, notears.* and guidance.* defaults are the
-# dataclasses' own
-_E = EnvSpec()
-_T = TrainerConfig()
+_TAGS = {bool: "bool", int: "int", float: "float", str: "str"}
+
+
+def _widths(text, key):
+    """Layer widths from a comma-separated list of integers >= 1; the
+    empty string is no layer."""
+    try:
+        widths = tuple(int(w) for w in text.split(",")) if text else ()
+    except ValueError:
+        widths = None
+    if widths is None or min(widths, default=1) < 1:
+        raise ValueError(f"config key {key!r} must be comma-separated "
+                         f"integers >= 1, got {text!r}")
+    return widths
+
+
+# the fields whose keys are not ``<namespace>.<field>`` holding the
+# field's own value: field -> ((key suffix, type tag), ...), the keys'
+# values from the field's, and the field's value from the keys' (a
+# "widths" key holds the comma string of its tuple)
+_IRREGULAR = {
+    "lam": ((("lambda", "float"),), lambda lam: (lam,), lambda lam: lam),
+    "hidden": ((("hidden", "widths"),),
+               lambda widths: (",".join(map(str, widths)),),
+               lambda widths: widths),
+    "goal": ((("goal_x", "float"), ("goal_y", "float")), tuple,
+             lambda x, y: (x, y)),
+}
+_FIELDS = {}   # config class -> [(field, its keys, join)]
+
+
+def _derive(namespace, cls):
+    """The schema entries of ``cls``'s plain fields, in field order (a
+    nested config is built apart); records in ``_FIELDS`` how each field
+    is read back from its keys."""
+    defaults, schema = cls(), {}
+    _FIELDS[cls] = []
+    for f in fields(cls):
+        value = getattr(defaults, f.name)
+        if is_dataclass(value):
+            continue
+        keys, split, join = _IRREGULAR.get(f.name) or (
+            ((f.name, _TAGS[type(value)]),), lambda v: (v,), lambda v: v)
+        names = [f"{namespace}.{suffix}" for suffix, _ in keys]
+        for name, (_, tag), v in zip(names, keys, split(value)):
+            schema[name] = (tag, v)
+        _FIELDS[cls].append((f.name, names, join))
+    return schema
+
 
 # key -> (type tag, default); order fixes the dump layout
 CONFIG_SCHEMA = {
     "seed": ("int", 0),
-    "env.kind": ("str", _E.kind),
-    "env.n": ("int", _E.n),
-    "env.d": ("int", _E.d),
-    "env.horizon": ("int", _E.horizon),
-    "env.n_causal_actions": ("int", _E.n_causal_actions),
-    "env.noise_scale": ("float", _E.noise_scale),
-    "env.reward_noise": ("float", _E.reward_noise),
-    "env.goal_x": ("float", _E.goal[0]),
-    "env.goal_y": ("float", _E.goal[1]),
-    "env.seed": ("int", _E.seed),
+    **_derive("env", EnvSpec),
     "data.path": ("str", "dataset.txt"),
     "data.episodes": ("int", 400),
     "data.horizon": ("int", 5),
     "data.behavior_noise": ("float", 1.5),
-    "train.lr": ("float", _T.lr),
-    "train.eta": ("float", _T.eta),
-    "train.batch_size": ("int", _T.batch_size),
-    "train.offline_steps": ("int", _T.offline_steps),
-    "train.online_episodes": ("int", _T.online_episodes),
-    "train.mask_refresh": ("int", _T.mask_refresh),
-    "train.refresh_window": ("int", _T.refresh_window),
-    "train.refresh_min_action_std": ("float", _T.refresh_min_action_std),
-    "train.buffer_capacity": ("int", _T.buffer_capacity),
-    "train.k_steps": ("int", _T.k_steps),
-    "train.beta_start": ("float", _T.beta_start),
-    "train.beta_end": ("float", _T.beta_end),
-    "train.hidden": ("str", ",".join(str(w) for w in _T.hidden)),
-    "train.gamma_disc": ("float", _T.gamma_disc),
-    "train.rho_target": ("float", _T.rho_target),
-    "train.dyn_kind": ("str", _T.dyn_kind),
-    "train.dyn_mlp_steps": ("int", _T.dyn_mlp_steps),
-    "notears.l1": ("float", _T.notears.l1),
-    "notears.rho": ("float", _T.notears.rho),
-    "notears.rho_growth": ("float", _T.notears.rho_growth),
-    "notears.tol": ("float", _T.notears.tol),
-    "notears.max_outer": ("int", _T.notears.max_outer),
-    "notears.max_inner": ("int", _T.notears.max_inner),
-    "notears.tau": ("float", _T.notears.tau),
-    "guidance.lambda": ("float", _T.guidance.lam),
-    "guidance.gamma_t": ("float", _T.guidance.gamma_t),
-    "guidance.beta_guid_t": ("float", _T.guidance.beta_guid_t),
-    "guidance.r_star": ("float", _T.guidance.r_star),
-    "guidance.use_r_star": ("bool", _T.guidance.use_r_star),
+    **_derive("train", TrainerConfig),
+    **_derive("notears", NotearsConfig),
+    **_derive("guidance", GuidanceConfig),
     "eval.episodes": ("int", 20),
     "ablate.flip_prob": ("float", 0.25),
     "ablate.seeds": ("int", 5),
@@ -75,9 +90,9 @@ CONFIG_SCHEMA = {
     "verify.dynamics": ("str", ""),
 }
 
-# counts that must be at least this: fewer seeds would make a table or a
-# check of nothing
-_MINIMUM = {"ablate.seeds": 1, "verify.seeds": 1}
+# counts that must be at least this: fewer would make a table, a check or
+# an evaluation of nothing
+_MINIMUM = {"ablate.seeds": 1, "verify.seeds": 1, "eval.episodes": 1}
 
 
 def _check(key, value):
@@ -86,6 +101,8 @@ def _check(key, value):
     if key in _MINIMUM and value < _MINIMUM[key]:
         raise ValueError(f"config key {key!r} must be >= {_MINIMUM[key]}, "
                          f"got {value}")
+    if CONFIG_SCHEMA[key][0] == "widths":
+        _widths(value, key)
 
 
 def _coerce(key, kind, raw):
@@ -131,54 +148,27 @@ class RunConfig:
         _check(key, value)
         self.values[key] = value
 
+    def _typed(self, key):
+        value = self.values[key]
+        return _widths(value, key) if CONFIG_SCHEMA[key][0] == "widths" \
+            else value
+
+    def _build(self, cls, **nested):
+        return cls(**nested, **{name: join(*map(self._typed, keys))
+                                for name, keys, join in _FIELDS[cls]})
+
     def env_spec(self):
-        v = self.values
-        return EnvSpec(kind=v["env.kind"], n=v["env.n"], d=v["env.d"],
-                       horizon=v["env.horizon"],
-                       n_causal_actions=v["env.n_causal_actions"],
-                       noise_scale=v["env.noise_scale"],
-                       reward_noise=v["env.reward_noise"],
-                       goal=(v["env.goal_x"], v["env.goal_y"]),
-                       seed=v["env.seed"])
+        return self._build(EnvSpec)
 
     def notears_config(self):
-        v = self.values
-        return NotearsConfig(l1=v["notears.l1"], rho=v["notears.rho"],
-                             rho_growth=v["notears.rho_growth"],
-                             tol=v["notears.tol"],
-                             max_outer=v["notears.max_outer"],
-                             max_inner=v["notears.max_inner"],
-                             tau=v["notears.tau"])
+        return self._build(NotearsConfig)
 
     def guidance_config(self):
-        v = self.values
-        return GuidanceConfig(lam=v["guidance.lambda"],
-                              gamma_t=v["guidance.gamma_t"],
-                              beta_guid_t=v["guidance.beta_guid_t"],
-                              r_star=v["guidance.r_star"],
-                              use_r_star=v["guidance.use_r_star"])
+        return self._build(GuidanceConfig)
 
     def trainer_config(self):
-        v = self.values
-        hidden = tuple(int(w) for w in v["train.hidden"].split(",") if w)
-        return TrainerConfig(
-            lr=v["train.lr"], eta=v["train.eta"],
-            batch_size=v["train.batch_size"],
-            offline_steps=v["train.offline_steps"],
-            online_episodes=v["train.online_episodes"],
-            mask_refresh=v["train.mask_refresh"],
-            refresh_window=v["train.refresh_window"],
-            refresh_min_action_std=v["train.refresh_min_action_std"],
-            buffer_capacity=v["train.buffer_capacity"],
-            k_steps=v["train.k_steps"],
-            beta_start=v["train.beta_start"],
-            beta_end=v["train.beta_end"], hidden=hidden,
-            gamma_disc=v["train.gamma_disc"],
-            rho_target=v["train.rho_target"],
-            dyn_kind=v["train.dyn_kind"],
-            dyn_mlp_steps=v["train.dyn_mlp_steps"],
-            notears=self.notears_config(),
-            guidance=self.guidance_config())
+        return self._build(TrainerConfig, notears=self.notears_config(),
+                           guidance=self.guidance_config())
 
 
 def parse_config(text):

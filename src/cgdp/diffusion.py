@@ -70,8 +70,7 @@ def make_schedule(k_steps, beta_start=1e-4, beta_end=2e-2):
 class NoiseNet:
     """Noise predictor: an Mlp over (noisy action, state, k/K)."""
 
-    def __init__(self, n_state, d_action, k_steps, hidden=(128, 128, 128),
-                 rng=None):
+    def __init__(self, n_state, d_action, k_steps, hidden, rng=None):
         self.n_state = n_state
         self.d_action = d_action
         self.k_steps = k_steps

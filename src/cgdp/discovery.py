@@ -23,24 +23,26 @@ __all__ = [
 ]
 
 
+# the augmented-Lagrangian schedule; under discover_masks' forbidden
+# pattern every admissible W is acyclic and the first round converges
+_RHO = 1.0
+_RHO_GROWTH = 10.0
+_ALPHA = 0.0
+_TOL = 1e-8
+_MAX_OUTER = 30
+
+
 @dataclass
 class NotearsConfig:
     l1: float = 0.1
-    rho: float = 1.0
-    rho_growth: float = 10.0
-    alpha: float = 0.0
-    tol: float = 1e-8
-    max_outer: int = 30
     max_inner: int = 300
     tau: float = 0.3
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be > 0")
         if not 0 < self.tau < 1:
             raise ValueError("tau must lie in (0,1)")
-        if self.rho <= 0 or self.rho_growth <= 1 or self.l1 < 0:
-            raise ValueError("invalid penalty configuration")
+        if self.l1 < 0:
+            raise ValueError("l1 must be >= 0")
 
 
 @dataclass
@@ -99,13 +101,13 @@ def notears_fit(data, cfg, forbidden=None, w0=None):
 
     w = np.zeros((dim, dim)) if w0 is None else np.array(w0, dtype=float)
     w[fixed_zero] = 0.0
-    rho, alpha = cfg.rho, cfg.alpha
+    rho, alpha = _RHO, _ALPHA
     h_val = 0.0 if acyclic_support else acyclicity(w)
     best_w, best_h = w.copy(), h_val
     converged = False
     rho_max = 1e16
 
-    for _ in range(cfg.max_outer):
+    for _ in range(_MAX_OUTER):
         # inner proximal-gradient solve at fixed (rho, alpha)
         step = 1.0
         val, grad, h_val = smooth_and_grad(w, rho, alpha)
@@ -127,12 +129,12 @@ def notears_fit(data, cfg, forbidden=None, w0=None):
                 break
         if h_val < best_h:
             best_w, best_h = w.copy(), h_val
-        if h_val <= cfg.tol:
+        if h_val <= _TOL:
             converged = True
             break
         alpha += rho * h_val
         if rho < rho_max:
-            rho *= cfg.rho_growth
+            rho *= _RHO_GROWTH
 
     if not converged:
         w, h_val = best_w, best_h

@@ -106,9 +106,9 @@ def min_fit_rows(kind, n, d):
     return 10 * (n + d) if kind == "linear" else 1
 
 
-def _masked_ols(features, targets, gate, ridge=1e-6):
+def _masked_ols(features, targets, gate):
     """OLS restricted to gated features; returns dense coefficients with
-    exact zeros where the gate is zero.  Falls back to a small ridge when
+    exact zeros where the gate is zero.  Falls back to a 1e-6 ridge when
     the design is rank-deficient."""
     active = np.flatnonzero(gate != 0)
     coefs = np.zeros(features.shape[1])
@@ -122,7 +122,7 @@ def _masked_ols(features, targets, gate, ridge=1e-6):
         if not np.all(np.isfinite(sol)):
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
-        sol = np.linalg.solve(gram + ridge * np.eye(active.size), rhs)
+        sol = np.linalg.solve(gram + 1e-6 * np.eye(active.size), rhs)
     coefs[active] = sol * gate[active]
     return coefs
 

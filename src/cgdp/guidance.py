@@ -30,25 +30,22 @@ __all__ = [
 
 @dataclass
 class GuidanceConfig:
-    lam: float | np.ndarray = 1.0   # per-step guidance scale (scalar or per-k array)
+    lam: float = 1.0                # guidance scale, the same at every step
     gamma_t: float = 1.0            # state-guidance coefficient
     beta_guid_t: float = 1.0        # reward-guidance coefficient
     r_star: float = 0.0             # optimal-reward target
     use_r_star: bool = True         # condition on r_star instead of observed r
 
     def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        if np.any(lam < 0) or not np.all(np.isfinite(lam)):
-            raise ValueError("lambda must be finite and >= 0")
+        if np.ndim(self.lam) or not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lambda must be one finite value >= 0")
         for c in (self.gamma_t, self.beta_guid_t, self.r_star):
             if not np.isfinite(c):
                 raise ValueError("guidance coefficients must be finite")
 
     def lam_at(self, k):
-        lam = np.asarray(self.lam, dtype=float)
-        if lam.ndim == 0:
-            return float(lam)
-        return float(lam[k - 1])
+        """The guidance scale at diffusion step ``k``."""
+        return float(self.lam)
 
 
 @dataclass
@@ -58,8 +55,7 @@ class LipschitzBundle:
     l_phi: float
     l_omega: float
     delta: float = 0.5
-    g2_max: float = 2e-2            # max of g(t)^2 = beta(t)
-    g2_fn: object = None            # optional callable t -> g(t)^2
+    g2_max: float = 2e-2            # max of g(t)^2 = beta(t), at t = 1
 
     def __post_init__(self):
         for c in (self.l_f, self.l_s, self.l_phi, self.l_omega):
@@ -67,11 +63,6 @@ class LipschitzBundle:
                 raise ValueError("Lipschitz constants must be >= 0")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0,1)")
-
-    def g2_at(self, t):
-        if self.g2_fn is not None:
-            return float(self.g2_fn(t))
-        return self.g2_max
 
 
 class KlAccumulator:
@@ -174,16 +165,17 @@ class GuidanceHook:
             self._grad_jac
 
 
-def stability_max_step(bundle, gamma_t, beta_guid_t, t=1.0, cap=1e6):
+def stability_max_step(bundle, gamma_t, beta_guid_t):
     """Sufficient explicit-Euler step bound
-    delta / (L_f + g(t)^2 L_s + |gamma_t| L_phi + |beta_guid_t| L_omega).
+    delta / (L_f + g(1)^2 L_s + |gamma_t| L_phi + |beta_guid_t| L_omega),
+    with g(1)^2 = ``bundle.g2_max``, the largest g(t)^2.
 
-    A zero denominator returns (cap, True); otherwise (dt_max, False).
+    A zero denominator returns (1e6, True); otherwise (dt_max, False).
     """
-    denom = (bundle.l_f + bundle.g2_at(t) * bundle.l_s
+    denom = (bundle.l_f + bundle.g2_max * bundle.l_s
              + abs(gamma_t) * bundle.l_phi + abs(beta_guid_t) * bundle.l_omega)
     if denom <= 0:
-        return cap, True
+        return 1e6, True
     return bundle.delta / denom, False
 
 
@@ -239,13 +231,8 @@ def estimate_lipschitz(dyn, net, schedule, probes=200, rng=None, delta=0.5):
                                    abar_k)
             l_s = max(l_s, np.linalg.norm(sc1 - sc2) / np.linalg.norm(a1 - a2))
 
-    beta_start = float(schedule.betas.min())
-
-    def g2_fn(t):
-        return beta_start + (beta_max - beta_start) * min(max(t, 0.0), 1.0)
-
     return LipschitzBundle(l_f=l_f, l_s=l_s, l_phi=l_phi, l_omega=l_omega,
-                           delta=delta, g2_max=beta_max, g2_fn=g2_fn)
+                           delta=delta, g2_max=beta_max)
 
 
 def euler_maruyama_guided(dyn, net, schedule, cfg, s, dt, steps, rng):

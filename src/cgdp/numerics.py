@@ -79,7 +79,7 @@ class Mlp:
     fresh flat array of the same layout, and w.r.t. the input.
     """
 
-    def __init__(self, widths, rng=None, init_scale=None):
+    def __init__(self, widths, rng=None):
         if len(widths) < 2:
             raise ValueError("need at least an input and an output width")
         self.widths = list(widths)
@@ -91,8 +91,8 @@ class Mlp:
             return
         for w in self.weights:
             fan_out, fan_in = w.shape
-            scale = init_scale if init_scale is not None else np.sqrt(1.0 / fan_in)
-            w[...] = rng.standard_normal((fan_out, fan_in)) * scale
+            w[...] = rng.standard_normal((fan_out, fan_in)) * \
+                np.sqrt(1.0 / fan_in)
 
     def views(self, flat):
         """Arrays laid out like :meth:`params`, as views into ``flat``."""

@@ -62,8 +62,8 @@ class ReplayBuffer:
 class CriticPair:
     """Double Q-networks with polyak-averaged target copies."""
 
-    def __init__(self, n_state, d_action, hidden=(128, 128, 128), rng=None,
-                 rho_target=0.005, gamma_disc=0.99, lr=3e-4):
+    def __init__(self, n_state, d_action, hidden, rng=None, rho_target=0.005,
+                 gamma_disc=0.99, lr=3e-4):
         if not 0 < rho_target <= 1:
             raise ValueError("rho_target must lie in (0,1]")
         if not 0 <= gamma_disc < 1:

@@ -187,17 +187,17 @@ def random_scm(n, d, n_causal_actions=2, rng=None, noise_scale=1.0,
 
 
 def scm_step(scm, s, a, rng):
-    """One transition draw: returns (s_next, r).
+    """One transition draw for a state ``s`` (n,) or rows (B, n) and
+    actions of the same layout: (s_next, r), r a float or a (B,) array.
 
-    Single source of truth for the generative recursion; the LinSCM
-    environment and the offline dataset generator both call this, so the
-    two produce identical draws from identical generator states.
+    Single source of truth for the generative recursion: the LinSCM
+    environment, the dataset generator and verify's rollouts call this.
     """
-    noise_s = scm._chol_s @ rng.standard_normal(scm.n)
+    noise_s = rng.standard_normal(np.shape(s)) @ scm._chol_s.T
     s_next = s @ scm.f_s + a @ scm.f_a + noise_s
-    noise_r = np.sqrt(scm.sigma_r) * rng.standard_normal()
-    r = float(s_next @ scm.b_s + a @ scm.b_a + noise_r)
-    return s_next, r
+    noise_r = np.sqrt(scm.sigma_r) * rng.standard_normal(np.shape(s)[:-1])
+    r = s_next @ scm.b_s + a @ scm.b_a + noise_r
+    return s_next, (float(r) if np.ndim(r) == 0 else r)
 
 
 def generate_dataset(scm, episodes, horizon, behavior_noise, rng):
@@ -300,8 +300,9 @@ def load_dataset(path):
     :class:`Transitions`.
 
     A bad header, a missing, short or unparsable row, rows beyond the
-    header's count and non-finite values raise ValueError naming
-    ``file:line``.  Values parse bit-exactly, as ``float`` does.
+    header's count, non-finite values and a ``done`` flag other than 0
+    or 1 raise ValueError naming ``file:line``.  Values parse
+    bit-exactly, as ``float`` does.
     """
     with open(path, encoding="utf-8") as fh:
         n, d, count = _dataset_header(path, fh.readline())
@@ -324,6 +325,10 @@ def load_dataset(path):
     bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}:{bad[0] + 2}: non-finite value")
+    bad = np.flatnonzero((vals[:, -1] != 0.0) & (vals[:, -1] != 1.0))
+    if bad.size:
+        raise ValueError(f"{path}:{bad[0] + 2}: done flag must be 0 or 1, "
+                         f"got {float(vals[bad[0], -1])!r}")
     return Transitions(vals[:, :n].copy(), vals[:, n:n + d].copy(),
                        vals[:, n + d].copy(),
                        vals[:, n + d + 1:2 * n + d + 1].copy(),

@@ -17,7 +17,7 @@ from .dynamics import (CausalDynamics, do_intervention_joint_grad,
 from .guidance import (GuidanceConfig, GuidanceHook, KlAccumulator,
                        estimate_lipschitz, euler_maruyama_guided,
                        stability_max_step)
-from .scm import CausalMasks, generate_dataset, random_scm
+from .scm import CausalMasks, generate_dataset, random_scm, scm_step
 from .discovery import NotearsConfig, discover_masks
 
 __all__ = [
@@ -231,10 +231,7 @@ def _rollout_returns(scm, policy, s0, horizon, gamma_disc, rng,
         if collect_states:
             states.append(s.copy())
         a = np.clip(policy(s, rng), -1.0, 1.0)
-        noise = rng.standard_normal(s.shape) @ scm._chol_s.T
-        s = s @ scm.f_s + a @ scm.f_a + noise
-        r = s @ scm.b_s + a @ scm.b_a \
-            + np.sqrt(scm.sigma_r) * rng.standard_normal(s.shape[0])
+        s, r = scm_step(scm, s, a, rng)
         returns += disc * r
         disc *= gamma_disc
     return returns, states

@@ -165,7 +165,8 @@ class TestErrors:
         assert run(str(cfg_path), tmp_path, "gen-data") == 1
 
     @pytest.mark.parametrize("key,command", [("verify.seeds", "verify"),
-                                             ("ablate.seeds", "ablate")])
+                                             ("ablate.seeds", "ablate"),
+                                             ("eval.episodes", "eval")])
     def test_seed_count_below_one_exits_1(self, workdir, capsys, key,
                                           command):
         out, cfg_path = workdir
@@ -258,6 +259,36 @@ class TestLoudInputs:
         assert err.startswith("error: ") and key in err
         assert "Traceback" not in err
         assert not (out / "metrics.txt").exists()
+
+    @pytest.mark.parametrize("raw", ["0,64", "64,x", "-3"])
+    def test_train_rejects_bad_hidden_widths(self, workdir, capsys, raw):
+        out, cfg_path = workdir
+        assert run(cfg_path, out, "gen-data") == 0
+        with open(cfg_path, "a") as fh:
+            fh.write(f"train.hidden = {raw}\n")
+        capsys.readouterr()
+        assert run(cfg_path, out, "train") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'train.hidden'" in err
+        assert not (out / "metrics.txt").exists()
+
+    def test_mlp_train_leaves_no_stale_linear_dynamics(self, workdir,
+                                                       capsys):
+        out, cfg_path = workdir
+        assert run(cfg_path, out, "gen-data") == 0
+        assert run(cfg_path, out, "train") == 0
+        assert (out / "dynamics.txt").exists()
+        with open(cfg_path, "a") as fh:
+            fh.write("train.dyn_kind = mlp\ntrain.dyn_mlp_steps = 20\n"
+                     "train.online_episodes = 1\n")
+        assert run(cfg_path, out, "train") == 0
+        assert not (out / "dynamics.txt").exists()
+        capsys.readouterr()
+        assert run(cfg_path, out, "eval") == 1
+        err = capsys.readouterr().err
+        assert str(out / "dynamics.txt") in err
+        assert "train.dyn_kind = linear" in err
+        assert not (out / "eval.txt").exists()
 
     def test_truncated_checkpoint_and_dataset_exit_1(self, workdir, capsys):
         out, cfg_path = workdir

@@ -1,7 +1,10 @@
-import pytest
+from dataclasses import fields, is_dataclass
 
-from cgdp.config import (CONFIG_SCHEMA, RunConfig, dump_config, load_config,
-                         parse_config)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cgdp.config import (_MINIMUM, CONFIG_SCHEMA, RunConfig, dump_config,
+                         load_config, parse_config)
 from cgdp.discovery import NotearsConfig
 from cgdp.envs import EnvSpec
 from cgdp.guidance import GuidanceConfig
@@ -51,7 +54,8 @@ class TestParse:
 
 
 class TestMinimumCounts:
-    @pytest.mark.parametrize("key", ["verify.seeds", "ablate.seeds"])
+    @pytest.mark.parametrize("key", ["verify.seeds", "ablate.seeds",
+                                     "eval.episodes"])
     @pytest.mark.parametrize("value", [0, -3])
     def test_seed_counts_below_one_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"{key}.*>= 1"):
@@ -69,6 +73,167 @@ class TestMinimumCounts:
         text = dump_config(RunConfig())
         assert "ablate.seeds = 5\n" in text and "verify.seeds = 20\n" in text
         assert dump_config(parse_config(text)) == text
+
+
+class TestHiddenWidths:
+    @pytest.mark.parametrize("raw", ["0,64", "64,x", "-3", "64,", "6 4"])
+    def test_bad_widths_rejected_naming_the_key(self, raw):
+        with pytest.raises(ValueError, match="'train.hidden'.*>= 1"):
+            parse_config(f"train.hidden = {raw}\n")
+        with pytest.raises(ValueError, match="train.hidden"):
+            RunConfig({"train.hidden": raw})
+        with pytest.raises(ValueError, match="train.hidden"):
+            RunConfig().set("train.hidden", raw)
+
+    @pytest.mark.parametrize("raw, widths", [("", ()), ("8", (8,)),
+                                             ("32, 16,4", (32, 16, 4))])
+    def test_good_widths_build(self, raw, widths):
+        cfg = parse_config(f"train.hidden = {raw}\n")
+        assert cfg.trainer_config().hidden == widths
+
+
+@pytest.mark.parametrize("key", ["notears.rho", "notears.rho_growth",
+                                 "notears.tol", "notears.max_outer"])
+def test_removed_notears_keys_are_unknown(key):
+    with pytest.raises(ValueError, match=f"line 2: unknown config key "
+                                         f"'{key}'"):
+        parse_config(f"seed = 1\n{key} = 2\n")
+
+
+# the default dump: any change to a dataclass field's name, order or
+# default shows here
+DEFAULT_DUMP = """\
+seed = 0
+env.kind = lin-scm
+env.n = 6
+env.d = 4
+env.horizon = 20
+env.n_causal_actions = 2
+env.noise_scale = 1.0
+env.reward_noise = 0.5
+env.goal_x = 1.0
+env.goal_y = 1.0
+env.seed = 0
+data.path = dataset.txt
+data.episodes = 400
+data.horizon = 5
+data.behavior_noise = 1.5
+train.lr = 0.0003
+train.eta = 3.0
+train.batch_size = 64
+train.offline_steps = 2000
+train.online_episodes = 200
+train.mask_refresh = 1000
+train.refresh_window = 2000
+train.refresh_min_action_std = 0.4
+train.buffer_capacity = 100000
+train.k_steps = 10
+train.beta_start = 0.0001
+train.beta_end = 0.02
+train.hidden = 64,64
+train.gamma_disc = 0.99
+train.rho_target = 0.005
+train.dyn_kind = linear
+train.dyn_mlp_steps = 2000
+notears.l1 = 0.1
+notears.max_inner = 300
+notears.tau = 0.3
+guidance.lambda = 1.0
+guidance.gamma_t = 1.0
+guidance.beta_guid_t = 1.0
+guidance.r_star = 0.0
+guidance.use_r_star = true
+eval.episodes = 20
+ablate.flip_prob = 0.25
+ablate.seeds = 5
+verify.samples = 20000
+verify.k_steps = 1000
+verify.seeds = 20
+verify.lambda = 1.0
+verify.dynamics = \n"""
+
+# the keys whose field differs in name or form
+IRREGULAR = {("guidance", "lam"): ["guidance.lambda"],
+             ("train", "hidden"): ["train.hidden"],
+             ("env", "goal"): ["env.goal_x", "env.goal_y"]}
+SECTIONS = {"env": EnvSpec, "train": TrainerConfig,
+            "notears": NotearsConfig, "guidance": GuidanceConfig}
+
+
+class TestDerivedSchema:
+    def test_default_dump(self):
+        assert dump_config(RunConfig()) == DEFAULT_DUMP
+
+    def test_every_field_has_its_own_keys(self):
+        claimed = []
+        for namespace, cls in SECTIONS.items():
+            defaults = cls()
+            for f in fields(cls):
+                value = getattr(defaults, f.name)
+                if is_dataclass(value):
+                    continue
+                keys = IRREGULAR.get((namespace, f.name))
+                if keys is None:
+                    keys = [f"{namespace}.{f.name}"]
+                    tag = {bool: "bool", int: "int", float: "float",
+                           str: "str"}[type(value)]
+                    assert CONFIG_SCHEMA[keys[0]] == (tag, value)
+                claimed += keys
+        in_sections = [k for k in CONFIG_SCHEMA
+                       if k.split(".")[0] in SECTIONS]
+        assert sorted(claimed) == sorted(in_sections)
+        assert len(set(claimed)) == len(claimed)
+
+    def test_each_key_reaches_its_field(self):
+        cfg = parse_config("env.goal_x = 2.5\nenv.goal_y = -1.0\n"
+                           "train.hidden = 3,5\nguidance.lambda = 0.5\n")
+        assert cfg.env_spec().goal == (2.5, -1.0)
+        assert cfg.trainer_config().hidden == (3, 5)
+        assert cfg.guidance_config().lam == 0.5
+        builders = {"env": "env_spec", "train": "trainer_config",
+                    "notears": "notears_config",
+                    "guidance": "guidance_config"}
+        irregular = {key for keys in IRREGULAR.values() for key in keys}
+        for key, (tag, default) in CONFIG_SCHEMA.items():
+            namespace, _, name = key.partition(".")
+            if namespace not in SECTIONS or key in irregular:
+                continue
+            # a valid value other than the default
+            other = {"str": lambda v: {"lin-scm": "point-maze",
+                                       "linear": "mlp"}[v],
+                     "bool": lambda v: not v, "int": lambda v: v + 1,
+                     "float": lambda v: v / 2 + 0.25}[tag](default)
+            built = getattr(RunConfig({key: other}), builders[namespace])()
+            assert getattr(built, name) == other, key
+
+
+def _value(key, tag):
+    if tag == "int":
+        return st.integers(min_value=_MINIMUM.get(key), max_value=10 ** 12)
+    if tag == "float":
+        return st.floats(allow_nan=False)
+    if tag == "bool":
+        return st.booleans()
+    if tag == "widths":
+        return st.lists(st.integers(1, 4096), max_size=4).map(
+            lambda ws: ",".join(map(str, ws)))
+    # what a value can carry: no '#', no line break, no surrounding
+    # whitespace
+    return st.text(st.characters(
+        blacklist_categories=("Cs", "Zl", "Zp"),
+        blacklist_characters="#\n\r\x0b\x0c\x1c\x1d\x1e\x85")).filter(
+        lambda text: text == text.strip())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({key: _value(key, tag)
+                              for key, (tag, _) in CONFIG_SCHEMA.items()}))
+def test_dump_parse_round_trip(values):
+    cfg = RunConfig(values)
+    text = dump_config(cfg)
+    again = parse_config(text)
+    assert again.values == cfg.values
+    assert dump_config(again) == text
 
 
 class TestRoundTrip:

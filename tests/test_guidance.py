@@ -31,6 +31,12 @@ class TestGuidedNoise:
             assert np.allclose(lhs, rhs, rtol=1e-12)
 
 
+@pytest.mark.parametrize("lam", [-0.5, np.nan, np.inf, np.ones(10)])
+def test_guidance_scale_is_one_finite_value(lam):
+    with pytest.raises(ValueError, match="lambda must be one finite value"):
+        GuidanceConfig(lam=lam)
+
+
 class TestGuidanceHook:
     def test_zero_coefficients_bit_identical_sampling(self, small_instance):
         _, dyn, _ = small_instance
@@ -243,6 +249,16 @@ class TestEstimateLipschitz:
         assert abs(bundle.l_phi - 4.0) < 1e-12
         assert abs(bundle.l_omega - 5.0 / 2.0) < 1e-12
         assert abs(bundle.l_f - 0.5 * float(sched.betas.max())) < 1e-15
+
+    @pytest.mark.parametrize("k_steps", [10, 1000])
+    def test_bound_reads_the_largest_beta(self, small_instance, k_steps):
+        _, dyn, _ = small_instance
+        sched = make_schedule(k_steps)
+        bundle = estimate_lipschitz(dyn, None, sched, probes=100, rng=0)
+        betas = sched.betas
+        # g(1)^2 of beta linearly interpolated over process time
+        assert bundle.g2_max == betas[0] + (betas[-1] - betas[0]) * 1.0 \
+            == betas.max()
 
     def test_requires_probe_budget(self, small_instance):
         _, dyn, _ = small_instance

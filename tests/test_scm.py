@@ -201,6 +201,10 @@ class TestDatasetRoundTrip:
          + rows[3:], 3, "not a number: 'x'"),
         (lambda rows: rows + [rows[0]], 12, "more rows than"),
         (lambda rows: ["3 2"] + rows[1:], 1, "header"),
+        (lambda rows: rows[:3] + [rows[3].rsplit(" ", 1)[0] + " 0.5"]
+         + rows[4:], 4, "done flag must be 0 or 1, got 0.5"),
+        (lambda rows: rows[:5] + [rows[5].rsplit(" ", 1)[0] + " -3.0"]
+         + rows[6:], 6, "done flag must be 0 or 1, got -3.0"),
     ])
     def test_malformed_file_names_file_and_line(self, tmp_path, edit, line,
                                                  message):
@@ -228,3 +232,31 @@ def test_scm_step_matches_manual_draw():
         + np.sqrt(scm.sigma_r) * rng2.standard_normal()
     assert np.array_equal(s_next, expect_next)
     assert r == expect_r
+
+
+def rollout_step(scm, s, a, rng):
+    """The rows recursion verify's rollouts ran before they called
+    scm_step, kept as its reference."""
+    noise = rng.standard_normal(s.shape) @ scm._chol_s.T
+    s = s @ scm.f_s + a @ scm.f_a + noise
+    r = s @ scm.b_s + a @ scm.b_a \
+        + np.sqrt(scm.sigma_r) * rng.standard_normal(s.shape[0])
+    return s, r
+
+
+@pytest.mark.parametrize("correlated", [False, True])
+def test_scm_step_rows_match_the_rollout_recursion(correlated):
+    scm = random_scm(4, 3, 2, rng=np.random.default_rng(1))
+    if correlated:
+        scm = GroundTruthScm(scm.f_s, scm.f_a, scm.b_s, scm.b_a,
+                             np.eye(4) + 0.3, scm.sigma_r)
+    rng1, rng2 = np.random.default_rng(12), np.random.default_rng(12)
+    s = np.random.default_rng(3).standard_normal((5, 4))
+    a = np.random.default_rng(4).uniform(-1, 1, (5, 3))
+    for _ in range(3):
+        (s1, r1), (s2, r2) = scm_step(scm, s, a, rng1), \
+            rollout_step(scm, s, a, rng2)
+        assert np.array_equal(s1, s2) and np.array_equal(r1, r2)
+        assert r1.shape == (5,)
+        s = s1
+    assert rng1.bit_generator.state == rng2.bit_generator.state
