@@ -9,8 +9,8 @@ supporting theory.
 from .config import RunConfig, dump_config, load_config, parse_config
 from .diffusion import (DiffusionSchedule, NoiseNet, ddim_sample, ddim_vjp,
                         ddpm_sample, forward_corrupt, load_noise_net,
-                        make_schedule, noise_from_score, save_noise_net,
-                        score_from_noise, train_noise_net)
+                        make_schedule, save_noise_net, score_from_noise,
+                        train_noise_net)
 from .discovery import (DiscoveryResult, NotearsConfig, acyclicity,
                         corrupt_masks, discover_masks,
                         exhaustive_dag_oracle, notears_fit)
@@ -30,7 +30,7 @@ from .rl import (CriticPair, OfflineArtifacts, ReplayBuffer,
                  online_stage, policy_update)
 from .scm import (CausalMasks, Dag, GroundTruthScm, Transitions,
                   exact_masks, generate_dataset, load_dataset, random_scm,
-                  save_dataset, scm_step, stacked_adjacency)
+                  save_dataset, scm_step)
 from .verify import (PosteriorSpec, check_lemma1, check_prop1,
                      check_prop2, check_theorem1, gaussian_posterior)
 

@@ -60,10 +60,7 @@ def _write_metrics(records, path):
 
 
 def cmd_gen_data(cfg, out_dir):
-    spec = cfg.env_spec()
-    if spec.kind != "lin-scm":
-        raise ValueError("gen-data supports the lin-scm environment only")
-    scm = make_env_scm(spec)
+    scm = make_env_scm(cfg.env_spec())
     rng = np.random.default_rng(cfg["seed"])
     data = generate_dataset(scm, cfg["data.episodes"], cfg["data.horizon"],
                             cfg["data.behavior_noise"], rng)
@@ -97,13 +94,11 @@ def _guidance_config(cfg, scm, guidance_on=True):
     """The guidance settings train, eval and ablate all run with.
 
     The target r* is ``guidance.r_star`` raised to the environment's
-    optimal one-step reward on lin-scm, read off the ground-truth SCM
-    (``scm``).  ``guidance_on = False`` sets lambda to 0.
+    optimal one-step reward, read off the ground-truth SCM (``scm``).
+    ``guidance_on = False`` sets lambda to 0.
     """
-    spec = cfg.env_spec()
-    r_star = cfg["guidance.r_star"]
-    if spec.kind == "lin-scm":
-        r_star = max(r_star, optimal_reward(spec, scm))
+    r_star = max(cfg["guidance.r_star"],
+                 optimal_reward(cfg.env_spec(), scm))
     guid = replace(cfg.guidance_config(), r_star=r_star)
     return guid if guidance_on else replace(guid, lam=0.0)
 
@@ -118,12 +113,7 @@ def cmd_train(cfg, out_dir, guidance_on):
     records, artifacts = online_stage(env, artifacts, tcfg, rng)
     _write_metrics(records, os.path.join(out_dir, "metrics.txt"))
     save_noise_net(artifacts.net, os.path.join(out_dir, "noise_net.txt"))
-    dyn_path = os.path.join(out_dir, "dynamics.txt")
-    if artifacts.dyn.kind == "linear":
-        save_dynamics(artifacts.dyn, dyn_path)
-    elif os.path.exists(dyn_path):
-        # an earlier run's model must not pair with this noise net
-        os.remove(dyn_path)
+    save_dynamics(artifacts.dyn, os.path.join(out_dir, "dynamics.txt"))
     with open(os.path.join(out_dir, "effective.cfg"), "w") as fh:
         fh.write(dump_config(cfg))
     refreshes = Counter(o for rec in records for o in rec["refreshes"])
@@ -138,8 +128,8 @@ def cmd_eval(cfg, out_dir, guidance_on):
     dyn_path = os.path.join(out_dir, "dynamics.txt")
     if not os.path.exists(dyn_path):
         raise FileNotFoundError(
-            f"dynamics checkpoint not found: {dyn_path} (only cgdp train "
-            f"with train.dyn_kind = linear writes it)")
+            f"dynamics checkpoint not found: {dyn_path} (cgdp train "
+            f"writes it)")
     dyn = load_dynamics(dyn_path)
     env = Environment(cfg.env_spec())
     schedule = make_schedule(cfg["train.k_steps"], cfg["train.beta_start"],
@@ -174,7 +164,7 @@ def _final_return(records, tail_frac=0.1):
 def cmd_ablate(cfg, out_dir):
     data = _load_data(cfg, out_dir)
     spec = cfg.env_spec()
-    scm = make_env_scm(spec) if spec.kind == "lin-scm" else None
+    scm = make_env_scm(spec)
     result = discover_masks(data, cfg.notears_config(), return_result=True)
     guid = _guidance_config(cfg, scm)
     tcfg = replace(cfg.trainer_config(), guidance=guid)
@@ -192,8 +182,7 @@ def cmd_ablate(cfg, out_dir):
         for arm, masks, arm_cfg in (("notears", result.masks, tcfg),
                                     ("corrupted", corrupted, tcfg),
                                     ("unguided", result.masks, unguided_cfg)):
-            artifacts = with_masks(base, data, arm_cfg, masks,
-                                   np.random.default_rng(cfg["seed"] + seed))
+            artifacts = with_masks(base, data, masks)
             records, _ = online_stage(Environment(spec, scm=scm), artifacts,
                                       arm_cfg, copy.deepcopy(rng))
             per_arm[arm].append(_final_return(records))

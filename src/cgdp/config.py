@@ -35,37 +35,30 @@ def _widths(text, key):
     return widths
 
 
-# the fields whose keys are not ``<namespace>.<field>`` holding the
-# field's own value: field -> ((key suffix, type tag), ...), the keys'
-# values from the field's, and the field's value from the keys' (a
-# "widths" key holds the comma string of its tuple)
-_IRREGULAR = {
-    "lam": ((("lambda", "float"),), lambda lam: (lam,), lambda lam: lam),
-    "hidden": ((("hidden", "widths"),),
-               lambda widths: (",".join(map(str, widths)),),
-               lambda widths: widths),
-    "goal": ((("goal_x", "float"), ("goal_y", "float")), tuple,
-             lambda x, y: (x, y)),
-}
-_FIELDS = {}   # config class -> [(field, its keys, join)]
+# the fields whose key is not ``<namespace>.<field>`` with the field's
+# type: field -> (key suffix, type tag); a "widths" key holds the comma
+# string of its field's tuple
+_IRREGULAR = {"lam": ("lambda", "float"), "hidden": ("hidden", "widths")}
+_FIELDS = {}   # config class -> [(field, its key)]
 
 
 def _derive(namespace, cls):
     """The schema entries of ``cls``'s plain fields, in field order (a
-    nested config is built apart); records in ``_FIELDS`` how each field
-    is read back from its keys."""
+    nested config is built apart); records in ``_FIELDS`` which key
+    each field is read back from."""
     defaults, schema = cls(), {}
     _FIELDS[cls] = []
     for f in fields(cls):
         value = getattr(defaults, f.name)
         if is_dataclass(value):
             continue
-        keys, split, join = _IRREGULAR.get(f.name) or (
-            ((f.name, _TAGS[type(value)]),), lambda v: (v,), lambda v: v)
-        names = [f"{namespace}.{suffix}" for suffix, _ in keys]
-        for name, (_, tag), v in zip(names, keys, split(value)):
-            schema[name] = (tag, v)
-        _FIELDS[cls].append((f.name, names, join))
+        suffix, tag = _IRREGULAR.get(f.name) or (f.name,
+                                                 _TAGS[type(value)])
+        if tag == "widths":
+            value = ",".join(map(str, value))
+        key = f"{namespace}.{suffix}"
+        schema[key] = (tag, value)
+        _FIELDS[cls].append((f.name, key))
     return schema
 
 
@@ -154,8 +147,8 @@ class RunConfig:
             else value
 
     def _build(self, cls, **nested):
-        return cls(**nested, **{name: join(*map(self._typed, keys))
-                                for name, keys, join in _FIELDS[cls]})
+        return cls(**nested, **{name: self._typed(key)
+                                for name, key in _FIELDS[cls]})
 
     def env_spec(self):
         return self._build(EnvSpec)

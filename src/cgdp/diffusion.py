@@ -28,7 +28,6 @@ __all__ = [
     "ddim_sample",
     "ddim_vjp",
     "score_from_noise",
-    "noise_from_score",
     "save_noise_net",
     "load_noise_net",
 ]
@@ -299,10 +298,3 @@ def score_from_noise(eps, abar_k):
     if not 0 < abar_k < 1:
         raise ValueError("abar_k must lie in (0,1)")
     return -np.asarray(eps, dtype=float) / np.sqrt(1.0 - abar_k)
-
-
-def noise_from_score(score, abar_k):
-    """Inverse of :func:`score_from_noise`."""
-    if not 0 < abar_k < 1:
-        raise ValueError("abar_k must lie in (0,1)")
-    return -np.asarray(score, dtype=float) * np.sqrt(1.0 - abar_k)

@@ -43,6 +43,9 @@ class NotearsConfig:
             raise ValueError("tau must lie in (0,1)")
         if self.l1 < 0:
             raise ValueError("l1 must be >= 0")
+        if self.max_inner < 1:
+            raise ValueError(f"notears.max_inner must be >= 1, got "
+                             f"{self.max_inner}")
 
 
 @dataclass

@@ -8,11 +8,10 @@ reward model is scalar and gated by the vectors u_sr, u_ar.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Mlp, AdamState
 from .scm import CausalMasks
 
 __all__ = [
@@ -28,30 +27,23 @@ __all__ = [
 ]
 
 _VAR_FLOOR = 1e-9
-# the mlp kind's per-output networks and their Adam minibatch training
-_MLP_HIDDEN = (64,)
-_MLP_LR = 1e-3
-_MLP_BATCH = 128
 
 
 @dataclass
 class CausalDynamics:
-    """Fitted causal dynamical model (linear operators or per-output MLPs).
+    """Fitted causal dynamical model: linear-Gaussian operators.
 
-    For the linear kind the stored operators are already mask-gated, so
-    masked-out coefficients are exactly zero.
+    The stored operators are already mask-gated, so masked-out
+    coefficients are exactly zero.
     """
 
     masks: CausalMasks
-    kind: str                      # "linear" | "mlp"
     sigma_s: np.ndarray            # (n, n) transition covariance, PD
     sigma_r: float                 # reward variance, > 0
-    a_s: np.ndarray = None         # (n, n) linear kind
-    a_a: np.ndarray = None         # (d, n)
-    b_s: np.ndarray = None         # (n,)
-    b_a: np.ndarray = None         # (d,)
-    trans_nets: list = None        # mlp kind: one single-output Mlp per state coord
-    reward_net: Mlp = None
+    a_s: np.ndarray                # (n, n) s -> s_next
+    a_a: np.ndarray                # (d, n) a -> s_next
+    b_s: np.ndarray                # (n,)   s_next -> r
+    b_a: np.ndarray                # (d,)   a -> r
     r_star: float = 0.0            # optimal-reward conditioning target
     _prec_s: np.ndarray = field(default=None, repr=False)
 
@@ -76,34 +68,19 @@ class CausalDynamics:
     # ---- means (rows of s / s_next (B, n) and a (B, d)) -----------------
 
     def transition_mean_batch(self, s, a, s_term=None):
-        """Predicted next states; ``s_term``, the linear kind's
-        ``s @ a_s``, may be passed in by a caller that already has it."""
-        a = np.atleast_2d(a)
-        if self.kind == "linear":
-            if s_term is None:
-                s_term = np.atleast_2d(s) @ self.a_s
-            return s_term + a @ self.a_a
-        s = np.atleast_2d(s)
-        out = np.empty((s.shape[0], self.n))
-        for j, net in enumerate(self.trans_nets):
-            x = np.concatenate([s * self.masks.c_ss[:, j],
-                                a * self.masks.c_as[:, j]], axis=1)
-            out[:, j] = net.forward(x)[:, 0]
-        return out
+        """Predicted next states; ``s_term``, ``s @ a_s``, may be passed
+        in by a caller that already has it."""
+        if s_term is None:
+            s_term = np.atleast_2d(s) @ self.a_s
+        return s_term + np.atleast_2d(a) @ self.a_a
 
     def reward_mean_batch(self, s_next, a):
-        s_next = np.atleast_2d(s_next)
-        a = np.atleast_2d(a)
-        if self.kind == "linear":
-            return s_next @ self.b_s + a @ self.b_a
-        x = np.concatenate([s_next * self.masks.u_sr,
-                            a * self.masks.u_ar], axis=1)
-        return self.reward_net.forward(x)[:, 0]
+        return np.atleast_2d(s_next) @ self.b_s + np.atleast_2d(a) @ self.b_a
 
 
-def min_fit_rows(kind, n, d):
-    """Fewest transitions :func:`fit_dynamics` accepts for a model kind."""
-    return 10 * (n + d) if kind == "linear" else 1
+def min_fit_rows(n, d):
+    """Fewest transitions :func:`fit_dynamics` accepts."""
+    return 10 * (n + d)
 
 
 def _masked_ols(features, targets, gate):
@@ -127,85 +104,45 @@ def _masked_ols(features, targets, gate):
     return coefs
 
 
-def fit_dynamics(transitions, masks, kind="linear", rng=None,
-                 mlp_steps=2000):
-    """Fit the masked transition and reward models from transitions.
-
-    linear: per-coordinate masked least squares with residual covariance
-    estimates.  mlp: Adam on the mean-squared error with a diagonal
-    covariance taken from the final residuals.
-    """
+def fit_dynamics(transitions, masks):
+    """Fit the masked transition and reward models from transitions:
+    per-coordinate masked least squares with residual covariance
+    estimates.  Draws no random numbers."""
     if not transitions:
         raise ValueError("fit_dynamics needs transitions")
     s, a, r, s_next = (transitions.s, transitions.a, transitions.r,
                        transitions.s_next)
     n, d = s.shape[1], a.shape[1]
-    if len(transitions) < min_fit_rows(kind, n, d):
+    if len(transitions) < min_fit_rows(n, d):
         raise ValueError(
-            f"{kind} fit needs >= {min_fit_rows(kind, n, d)} transitions, "
+            f"linear fit needs >= {min_fit_rows(n, d)} transitions, "
             f"got {len(transitions)}")
     r_star = float(r.max())
 
-    if kind == "linear":
-        a_s = np.zeros((n, n))
-        a_a = np.zeros((d, n))
-        feats = np.concatenate([s, a], axis=1)
-        for j in range(n):
-            gate = np.concatenate([masks.c_ss[:, j], masks.c_as[:, j]])
-            coefs = _masked_ols(feats, s_next[:, j], gate)
-            a_s[:, j] = coefs[:n]
-            a_a[:, j] = coefs[n:]
-        resid = s_next - (s @ a_s + a @ a_a)
-        if n <= 8:
-            sigma_s = resid.T @ resid / len(transitions)
-        else:
-            sigma_s = np.diag((resid ** 2).mean(axis=0))
-        sigma_s = sigma_s + _VAR_FLOOR * np.eye(n)
+    a_s = np.zeros((n, n))
+    a_a = np.zeros((d, n))
+    feats = np.concatenate([s, a], axis=1)
+    for j in range(n):
+        gate = np.concatenate([masks.c_ss[:, j], masks.c_as[:, j]])
+        coefs = _masked_ols(feats, s_next[:, j], gate)
+        a_s[:, j] = coefs[:n]
+        a_a[:, j] = coefs[n:]
+    resid = s_next - (s @ a_s + a @ a_a)
+    if n <= 8:
+        sigma_s = resid.T @ resid / len(transitions)
+    else:
+        sigma_s = np.diag((resid ** 2).mean(axis=0))
+    sigma_s = sigma_s + _VAR_FLOOR * np.eye(n)
 
-        feats_r = np.concatenate([s_next, a], axis=1)
-        gate_r = np.concatenate([masks.u_sr, masks.u_ar])
-        coefs_r = _masked_ols(feats_r, r, gate_r)
-        b_s, b_a = coefs_r[:n], coefs_r[n:]
-        resid_r = r - (s_next @ b_s + a @ b_a)
-        sigma_r = float((resid_r ** 2).mean()) + _VAR_FLOOR
-        return CausalDynamics(masks=masks.copy(), kind="linear",
-                              sigma_s=sigma_s, sigma_r=sigma_r,
-                              a_s=a_s, a_a=a_a, b_s=b_s, b_a=b_a,
-                              r_star=r_star)
-
-    if kind != "mlp":
-        raise ValueError(f"unknown dynamics kind {kind!r}")
-    rng = np.random.default_rng(rng)
-    widths = [n + d, *_MLP_HIDDEN, 1]
-    trans_nets = [Mlp(widths, rng=rng) for _ in range(n)]
-    reward_net = Mlp(widths, rng=rng)
-    gated_s = s[:, :, None] * masks.c_ss[None, :, :]
-    gated_a = a[:, :, None] * masks.c_as[None, :, :]
-    opt_t = [AdamState(net.params(), lr=_MLP_LR) for net in trans_nets]
-    opt_r = AdamState(reward_net.params(), lr=_MLP_LR)
-    x_r = np.concatenate([s_next * masks.u_sr, a * masks.u_ar], axis=1)
-    for _ in range(mlp_steps):
-        idx = rng.integers(len(transitions), size=_MLP_BATCH)
-        for j, net in enumerate(trans_nets):
-            x = np.concatenate([gated_s[idx, :, j], gated_a[idx, :, j]], axis=1)
-            pred, cache = net.forward_cache(x)
-            err = pred[:, 0] - s_next[idx, j]
-            grads, _ = net.backward(cache, (2.0 / _MLP_BATCH) * err[:, None])
-            opt_t[j].step(net.params(), grads)
-        pred, cache = reward_net.forward_cache(x_r[idx])
-        err = pred[:, 0] - r[idx]
-        grads, _ = reward_net.backward(cache,
-                                       (2.0 / _MLP_BATCH) * err[:, None])
-        opt_r.step(reward_net.params(), grads)
-    dyn = CausalDynamics(masks=masks.copy(), kind="mlp",
-                         sigma_s=np.eye(n), sigma_r=1.0,
-                         trans_nets=trans_nets, reward_net=reward_net,
-                         r_star=r_star)
-    resid = s_next - dyn.transition_mean_batch(s, a)
-    resid_r = r - dyn.reward_mean_batch(s_next, a)
-    return replace(dyn,
-                   sigma_s=np.diag((resid ** 2).mean(axis=0) + _VAR_FLOOR),
-                   sigma_r=float((resid_r ** 2).mean()) + _VAR_FLOOR)
+    feats_r = np.concatenate([s_next, a], axis=1)
+    gate_r = np.concatenate([masks.u_sr, masks.u_ar])
+    coefs_r = _masked_ols(feats_r, r, gate_r)
+    b_s, b_a = coefs_r[:n], coefs_r[n:]
+    resid_r = r - (s_next @ b_s + a @ b_a)
+    sigma_r = float((resid_r ** 2).mean()) + _VAR_FLOOR
+    return CausalDynamics(masks=masks.copy(), sigma_s=sigma_s,
+                          sigma_r=sigma_r, a_s=a_s, a_a=a_a, b_s=b_s,
+                          b_a=b_a, r_star=r_star)
 
 
 def do_intervention_joint_grad(dyn, s, a, s_next, r_target, gamma_t,
@@ -221,11 +158,10 @@ def do_intervention_joint_grad(dyn, s, a, s_next, r_target, gamma_t,
     a vector when every argument is a single row and ``a`` is 1-D.  The
     do-semantics hold by construction: a enters only through its
     structural-equation role in the two masked models.  ``s_term`` is
-    the linear kind's ``s @ a_s``, for a caller that evaluates many
-    actions at the same states.  ``s`` and ``a`` may also be stacks
-    (P, 1, n) and (P, 1, d) of single rows, with a scalar ``r_target``
-    and no ``s_next``; the result is then a (P, 1, d) stack, and with the
-    linear kind each row is bitwise its one-row result.
+    ``s @ a_s``, for a caller that evaluates many actions at the same
+    states.  ``s`` and ``a`` may also be stacks (P, 1, n) and (P, 1, d)
+    of single rows, with a scalar ``r_target`` and no ``s_next``; the
+    result is then a (P, 1, d) stack, each row bitwise its one-row result.
     """
     if not (math.isfinite(gamma_t) and math.isfinite(beta_guid_t)):
         raise ValueError("guidance coefficients must be finite")
@@ -234,67 +170,26 @@ def do_intervention_joint_grad(dyn, s, a, s_next, r_target, gamma_t,
         np.atleast_2d(np.asarray(s_next, dtype=float))
     batch = max(a2.shape[0], np.size(r_target),
                 0 if sn is None else sn.shape[0])
-    if dyn.kind != "linear":
-        # a stack of single rows runs as one batch
-        grad = _mlp_joint_grad(dyn, np.reshape(s, (-1, dyn.n)),
-                               a2.reshape(-1, dyn.d), sn, r_target, gamma_t,
-                               beta_guid_t, batch)
-        grad = grad.reshape((batch,) + a2.shape[1:])
-    else:
-        grad = np.zeros((batch,) + a2.shape[1:])
-        with_trans = gamma_t != 0.0 and sn is not None
-        if sn is None or with_trans:
-            mean_next = dyn.transition_mean_batch(s, a2, s_term)
-        if with_trans:
-            grad += gamma_t * (sn - mean_next) @ dyn._prec_s @ dyn.a_a.T
-        if beta_guid_t != 0.0:
-            sn = mean_next if sn is None else sn
-            resid = r_target - (sn @ dyn.b_s + a2 @ dyn.b_a)
-            grad += beta_guid_t * resid[:, None] * dyn.b_a[None, :] \
-                / dyn.sigma_r
+    grad = np.zeros((batch,) + a2.shape[1:])
+    with_trans = gamma_t != 0.0 and sn is not None
+    if sn is None or with_trans:
+        mean_next = dyn.transition_mean_batch(s, a2, s_term)
+    if with_trans:
+        grad += gamma_t * (sn - mean_next) @ dyn._prec_s @ dyn.a_a.T
+    if beta_guid_t != 0.0:
+        sn = mean_next if sn is None else sn
+        resid = r_target - (sn @ dyn.b_s + a2 @ dyn.b_a)
+        grad += beta_guid_t * resid[:, None] * dyn.b_a[None, :] / dyn.sigma_r
     return grad[0] if batch == 1 and np.ndim(a) == 1 else grad
 
 
-def _mlp_joint_grad(dyn, s, a, s_next, r_target, gamma_t, beta_guid_t,
-                    batch):
-    """The mlp kind of :func:`do_intervention_joint_grad`: exact backprop
-    of the residual-weighted outputs, one output net at a time."""
-    masks = dyn.masks
-    a = np.broadcast_to(a, (batch, dyn.d))
-    grad = np.zeros((batch, dyn.d))
-    with_trans = gamma_t != 0.0 and s_next is not None
-    if s_next is None or with_trans:
-        s = np.broadcast_to(np.atleast_2d(np.asarray(s, dtype=float)),
-                            (batch, dyn.n))
-        mean_next = dyn.transition_mean_batch(s, a)
-    s_next = mean_next if s_next is None else \
-        np.broadcast_to(s_next, (batch, dyn.n))
-    if with_trans:
-        weights = (s_next - mean_next) @ dyn._prec_s
-        for j, net in enumerate(dyn.trans_nets):
-            _, cache = net.forward_cache(np.concatenate(
-                [s * masks.c_ss[:, j], a * masks.c_as[:, j]], axis=1))
-            _, gx = net.backward(cache, weights[:, j:j + 1])
-            grad += gamma_t * gx[:, dyn.n:] * masks.c_as[:, j]
-    if beta_guid_t != 0.0:
-        y, cache = dyn.reward_net.forward_cache(
-            np.concatenate([s_next * masks.u_sr, a * masks.u_ar], axis=1))
-        resid = (r_target - y[:, 0]) / dyn.sigma_r
-        _, gx = dyn.reward_net.backward(cache, resid[:, None])
-        grad += beta_guid_t * gx[:, dyn.n:] * masks.u_ar
-    return grad
-
-
 def joint_grad_jacobian(dyn, gamma_t, beta_guid_t, predicted_next):
-    """d(joint gradient)/da, a constant (d, d) matrix for the linear kind;
-    None for the mlp kind.
+    """d(joint gradient)/da, a constant (d, d) matrix.
 
     ``predicted_next`` selects the ``s_next = None`` form: the transition
     residual is then identically zero, and the reward residual sees a
     both directly and through the predicted next state.
     """
-    if dyn.kind != "linear":
-        return None
     jac = np.zeros((dyn.d, dyn.d))
     if gamma_t != 0.0 and not predicted_next:
         jac += -gamma_t * dyn.a_a @ dyn._prec_s @ dyn.a_a.T
@@ -337,8 +232,6 @@ def _dump_array(fh, name, arr):
 
 
 def save_dynamics(dyn, path):
-    if dyn.kind != "linear":
-        raise ValueError("checkpointing is defined for the linear kind")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_CKPT_VERSION} linear {dyn.n} {dyn.d} "
                  f"{repr(dyn.sigma_r)} {repr(dyn.r_star)}\n")
@@ -388,8 +281,7 @@ def load_dynamics(path):
         arrays[name] = vals.reshape(shape)
     masks = CausalMasks(arrays["c_ss"], arrays["c_as"],
                         arrays["u_sr"], arrays["u_ar"])
-    return CausalDynamics(masks=masks, kind="linear",
-                          sigma_s=arrays["sigma_s"], sigma_r=sigma_r,
-                          a_s=arrays["a_s"], a_a=arrays["a_a"],
-                          b_s=arrays["b_s"], b_a=arrays["b_a"],
-                          r_star=r_star)
+    return CausalDynamics(masks=masks, sigma_s=arrays["sigma_s"],
+                          sigma_r=sigma_r, a_s=arrays["a_s"],
+                          a_a=arrays["a_a"], b_s=arrays["b_s"],
+                          b_a=arrays["b_a"], r_star=r_star)

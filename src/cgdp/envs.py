@@ -1,45 +1,31 @@
-"""Synthetic interactive environments with known ground truth.
-
-Two kinds: ``lin-scm`` (the linear-Gaussian SCM recursion, with only a
-designated subset of action coordinates causal) and ``point-maze`` (a
-velocity-integrator point mass with a quadratic distance reward).
-Actions are clamped to [-1, 1]^d in both.
+"""The synthetic interactive environment with known ground truth: the
+linear-Gaussian SCM recursion (``lin-scm``), with only a designated subset
+of action coordinates causal.  Actions are clamped to [-1, 1]^d.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .scm import GroundTruthScm, random_scm, scm_step
+from .scm import random_scm, scm_step
 
 __all__ = ["EnvSpec", "EnvState", "make_env_scm", "reset", "step",
            "optimal_reward", "Environment"]
 
-_MAZE_DT = 0.05
-_GOAL_RADIUS = 0.1
-
 
 @dataclass
 class EnvSpec:
-    kind: str = "lin-scm"           # "lin-scm" | "point-maze"
     n: int = 6
     d: int = 4
     horizon: int = 20
     n_causal_actions: int = 2
     noise_scale: float = 1.0
     reward_noise: float = 0.5
-    goal: tuple = (1.0, 1.0)
     seed: int = 0
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1 or self.horizon < 1:
             raise ValueError("n, d, horizon must all be >= 1")
-        if self.kind not in ("lin-scm", "point-maze"):
-            raise ValueError(f"unknown environment kind {self.kind!r}")
-        if self.kind == "point-maze":
-            # observation is (pos, vel) in the plane, controls are forces
-            self.n = 4
-            self.d = 2
 
 
 @dataclass
@@ -50,9 +36,7 @@ class EnvState:
 
 
 def make_env_scm(spec):
-    """The ground-truth SCM behind a lin-scm spec (deterministic in seed)."""
-    if spec.kind != "lin-scm":
-        raise ValueError("make_env_scm applies to lin-scm specs only")
+    """The ground-truth SCM behind a spec (deterministic in seed)."""
     return random_scm(spec.n, spec.d, spec.n_causal_actions,
                       rng=np.random.default_rng(spec.seed),
                       noise_scale=spec.noise_scale,
@@ -64,8 +48,7 @@ class Environment:
 
     def __init__(self, spec, scm=None):
         self.spec = spec
-        self.scm = scm if scm is not None else (
-            make_env_scm(spec) if spec.kind == "lin-scm" else None)
+        self.scm = scm if scm is not None else make_env_scm(spec)
         self.state = None
 
     def reset(self, rng):
@@ -79,11 +62,7 @@ class Environment:
 
 
 def reset(spec, rng):
-    if spec.kind == "lin-scm":
-        obs = rng.standard_normal(spec.n)
-    else:
-        obs = np.zeros(4)  # start cell at the origin, zero velocity
-    return EnvState(obs=obs, t=0, done=False)
+    return EnvState(obs=rng.standard_normal(spec.n), t=0, done=False)
 
 
 def step(state, a, spec, rng, scm=None):
@@ -93,33 +72,21 @@ def step(state, a, spec, rng, scm=None):
     a = np.clip(np.asarray(a, dtype=float), -1.0, 1.0)
     if a.shape[0] != spec.d:
         raise ValueError("action dimension mismatch")
-    if spec.kind == "lin-scm":
-        if scm is None:
-            scm = make_env_scm(spec)
-        s_next, r = scm_step(scm, state.obs, a, rng)
-        t = state.t + 1
-        done = t >= spec.horizon
-        return EnvState(obs=s_next, t=t, done=done), r, done
-    # point-maze: pos += vel*dt first, then vel += a*dt, both clamped
-    pos = state.obs[:2] + state.obs[2:] * _MAZE_DT
-    vel = np.clip(state.obs[2:] + a * _MAZE_DT, -1.0, 1.0)
-    pos = np.clip(pos, -5.0, 5.0)
-    goal = np.asarray(spec.goal, dtype=float)
-    r = -float(np.sum((pos - goal) ** 2))
+    if scm is None:
+        scm = make_env_scm(spec)
+    s_next, r = scm_step(scm, state.obs, a, rng)
     t = state.t + 1
-    done = t >= spec.horizon or np.linalg.norm(pos - goal) < _GOAL_RADIUS
-    return EnvState(obs=np.concatenate([pos, vel]), t=t, done=done), r, done
+    done = t >= spec.horizon
+    return EnvState(obs=s_next, t=t, done=done), r, done
 
 
 def optimal_reward(spec, scm=None):
     """Best expected one-step reward r*.
 
-    lin-scm: the reward is linear in the action with coefficient
-    F_a B_s + B_a, so the box-constrained maximum (at s = 0) is attained
-    at a corner and equals sum |c_i|.  point-maze: 0, at the goal.
+    The reward is linear in the action with coefficient F_a B_s + B_a,
+    so the box-constrained maximum (at s = 0) is attained at a corner and
+    equals sum |c_i|.
     """
-    if spec.kind == "point-maze":
-        return 0.0
     if scm is None:
         scm = make_env_scm(spec)
     coef = scm.f_a @ scm.b_s + scm.b_a

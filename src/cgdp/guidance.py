@@ -133,7 +133,7 @@ class GuidanceHook:
 
     def joint_grad(self, a):
         """Interventional gradient rows for candidate actions."""
-        if self._s_term is None and self.dyn.kind == "linear":
+        if self._s_term is None:
             self._s_term = self.s_t @ self.dyn.a_s   # the same every step
         return do_intervention_joint_grad(
             self.dyn, self.s_t, a, self.s_next, self.r_value,
@@ -153,9 +153,9 @@ class GuidanceHook:
         return -lam_k * np.sqrt(1.0 - self.schedule.abar_at(k)) * grad
 
     def eps_jacobian(self, k):
-        """d(correction)/da at step k (linear kind), else None."""
+        """d(correction)/da at step k; None at lam_k = 0."""
         lam_k = self.cfg.lam_at(k)
-        if lam_k == 0.0 or self.dyn.kind != "linear":
+        if lam_k == 0.0:
             return None
         if self._grad_jac is None:
             self._grad_jac = joint_grad_jacobian(
@@ -186,9 +186,9 @@ def _spectral_norm(m):
 def estimate_lipschitz(dyn, net, schedule, probes=200, rng=None, delta=0.5):
     """Lipschitz constants of the guided drift's ingredients.
 
-    Linear dynamics give exact spectral-norm constants; MLP models are
-    probed empirically (a lower estimate by construction).  The score
-    constant L_s is always probed through the noise net.
+    The dynamics give exact spectral-norm constants; the score constant
+    L_s is probed through the noise net (a lower estimate by
+    construction).
     """
     if probes < 100:
         raise ValueError("need at least 100 probes")
@@ -197,25 +197,8 @@ def estimate_lipschitz(dyn, net, schedule, probes=200, rng=None, delta=0.5):
     l_f = 0.5 * beta_max
 
     d = dyn.d
-    if dyn.kind == "linear":
-        l_phi = _spectral_norm(joint_grad_jacobian(dyn, 1.0, 0.0, False))
-        l_omega = _spectral_norm(joint_grad_jacobian(dyn, 0.0, 1.0, False))
-    else:
-        l_phi = l_omega = 0.0
-        s0 = rng.standard_normal(dyn.n)
-        s_ref = rng.standard_normal(dyn.n)
-
-        def ratio(a1, a2, gamma_t, beta_guid_t):
-            g1, g2 = (do_intervention_joint_grad(
-                dyn, s0, a_i, s_ref, dyn.r_star, gamma_t, beta_guid_t)
-                for a_i in (a1, a2))
-            return np.linalg.norm(g1 - g2) / np.linalg.norm(a1 - a2)
-
-        for _ in range(probes):
-            a1 = rng.uniform(-1, 1, size=d)
-            a2 = a1 + 1e-3 * rng.standard_normal(d)
-            l_phi = max(l_phi, ratio(a1, a2, 1.0, 0.0))
-            l_omega = max(l_omega, ratio(a1, a2, 0.0, 1.0))
+    l_phi = _spectral_norm(joint_grad_jacobian(dyn, 1.0, 0.0, False))
+    l_omega = _spectral_norm(joint_grad_jacobian(dyn, 0.0, 1.0, False))
 
     l_s = 0.0
     if net is not None:
@@ -251,9 +234,9 @@ def euler_maruyama_guided(dyn, net, schedule, cfg, s, dt, steps, rng):
     (steps + 1, d) noise block at once: the initial action, then one
     increment per step, the values that drawing them step by step gives.
     The rows are a stack of one-row matrices, which NumPy multiplies one
-    at a time with the kernel of a one-row product, so with linear
-    dynamics and no net each row is bitwise the run of its state alone (a
-    net or mlp dynamics take the rows as one batch, equal to rounding).
+    at a time with the kernel of a one-row product, so with no net each
+    row is bitwise the run of its state alone (a net takes the rows as one
+    batch, equal to rounding).
     A row diverges once its norm exceeds 1e6 or an entry goes non-finite
     (reported, never raised); it keeps its value at the break while the
     other rows go on, and the call ends when every row has diverged or

@@ -102,12 +102,14 @@ class TrainerConfig:
     hidden: tuple = (64, 64)
     gamma_disc: float = 0.99
     rho_target: float = 0.005
-    dyn_kind: str = "linear"
-    dyn_mlp_steps: int = 2000
     notears: NotearsConfig = field(default_factory=NotearsConfig)
     guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
 
     def __post_init__(self):
+        for key in ("lr", "eta", "refresh_min_action_std"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"train.{key} must be finite, got "
+                                 f"{getattr(self, key)!r}")
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
         if self.batch_size < 1:
@@ -218,8 +220,7 @@ def offline_stage(dataset, cfg, rng, masks=None, w0=None):
         result = discover_masks(dataset, cfg.notears, return_result=True)
         masks = result.masks
         w0 = result.w
-    dyn = fit_dynamics(dataset, masks, kind=cfg.dyn_kind, rng=rng,
-                       mlp_steps=cfg.dyn_mlp_steps)
+    dyn = fit_dynamics(dataset, masks)
     schedule = make_schedule(cfg.k_steps, cfg.beta_start, cfg.beta_end)
     net = NoiseNet(n, d, cfg.k_steps, hidden=cfg.hidden, rng=rng)
     opt = AdamState(net.mlp.params(), lr=cfg.lr)
@@ -229,20 +230,17 @@ def offline_stage(dataset, cfg, rng, masks=None, w0=None):
                             schedule=schedule, discovery_w=w0)
 
 
-def with_masks(base, dataset, cfg, masks, fit_rng):
+def with_masks(base, dataset, masks):
     """``base``'s offline artifacts for other ``masks``: a copy of its
     noise net, and dynamics refit on the masks (base's own for its masks).
 
     ``offline_stage`` trains the noise net without reading masks or
-    guidance, and ``fit_dynamics`` draws as many values whatever the
-    masks.  So with ``fit_rng`` in the state ``base``'s ``offline_stage``
-    call received, and a copy of the generator that call left for the
+    guidance, and ``fit_dynamics`` draws no random numbers.  So with a
+    copy of the generator ``base``'s ``offline_stage`` call left for the
     online stage, a run is exactly the one after its own
     ``offline_stage(dataset, cfg, rng, masks=masks, w0=base.discovery_w)``.
     """
-    dyn = base.dyn if masks is base.masks else fit_dynamics(
-        dataset, masks, kind=cfg.dyn_kind, rng=fit_rng,
-        mlp_steps=cfg.dyn_mlp_steps)
+    dyn = base.dyn if masks is base.masks else fit_dynamics(dataset, masks)
     return replace(base, net=base.net.copy(), dyn=dyn, masks=masks)
 
 
@@ -317,15 +315,13 @@ def online_stage(env, artifacts, cfg, rng):
                 if not window.a.std(axis=0).min() >= \
                         cfg.refresh_min_action_std:
                     refreshes.append("skipped (uninformative actions)")
-                elif len(window) < min_fit_rows(cfg.dyn_kind, dyn.n, dyn.d):
+                elif len(window) < min_fit_rows(dyn.n, dyn.d):
                     refreshes.append("skipped (window too small)")
                 else:
                     try:
                         result = discover_masks(window, cfg.notears,
                                                 w0=w_warm, return_result=True)
-                        new_dyn = fit_dynamics(window, result.masks,
-                                               kind=cfg.dyn_kind, rng=rng,
-                                               mlp_steps=cfg.dyn_mlp_steps)
+                        new_dyn = fit_dynamics(window, result.masks)
                     except ValueError as exc:
                         # the current model stays
                         refreshes.append(f"failed ({exc})")

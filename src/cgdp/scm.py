@@ -22,7 +22,6 @@ __all__ = [
     "scm_step",
     "generate_dataset",
     "exact_masks",
-    "stacked_adjacency",
     "save_dataset",
     "load_dataset",
 ]
@@ -234,22 +233,6 @@ def exact_masks(scm):
         (scm.b_s != 0).astype(float),
         (scm.b_a != 0).astype(float),
     )
-
-
-def stacked_adjacency(scm):
-    """DAG over the stacked variables (s_t, a_t, s_{t+1}, r_t).
-
-    Node order: s_t (n), a_t (d), s_{t+1} (n), r_t (1).  Edges run only
-    forward in time, so the graph is acyclic by construction.
-    """
-    n, d = scm.n, scm.d
-    size = 2 * n + d + 1
-    w = np.zeros((size, size))
-    w[0:n, n + d:n + d + n] = scm.f_s
-    w[n:n + d, n + d:n + d + n] = scm.f_a
-    w[n + d:n + d + n, -1] = scm.b_s
-    w[n:n + d, -1] = scm.b_a
-    return Dag(w)
 
 
 def save_dataset(transitions, path):

@@ -193,8 +193,6 @@ def check_prop2(dyn, s, a, samples, rng):
     (s, do(a)) and forms (1/N) sum r_i grad_a log p(s'_i, r_i | s, do(a));
     passes iff the cosine with grad_a E[r | s, do(a)] is >= 0.95.
     """
-    if dyn.kind != "linear":
-        raise ValueError("analytic reference needs the linear model")
     s = np.asarray(s, dtype=float)
     a = np.asarray(a, dtype=float)
     chol = np.linalg.cholesky(dyn.sigma_s)
@@ -410,8 +408,7 @@ def stiff_linear_instance(l_total=100.0, n=2, d=1):
                         np.ones(n), np.ones(d))
     b_a = np.zeros(d)
     b_a[0] = np.sqrt(l_total)  # l_omega = |b_a|^2 / sigma_r
-    return CausalDynamics(masks=masks, kind="linear",
-                          sigma_s=np.eye(n), sigma_r=1.0,
+    return CausalDynamics(masks=masks, sigma_s=np.eye(n), sigma_r=1.0,
                           a_s=0.1 * np.eye(n), a_a=np.zeros((d, n)),
                           b_s=np.zeros(n), b_a=b_a, r_star=1.0)
 
@@ -423,5 +420,5 @@ def default_linear_instance(n=2, d=1, seed=0, episodes=60, horizon=10):
     scm = random_scm(n, d, d, rng=rng)
     data = generate_dataset(scm, episodes, horizon, 0.5, rng)
     masks = discover_masks(data, NotearsConfig())
-    dyn = fit_dynamics(data, masks, kind="linear")
+    dyn = fit_dynamics(data, masks)
     return scm, dyn

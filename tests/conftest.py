@@ -33,5 +33,5 @@ def small_instance():
     scm = random_scm(3, 2, 2, rng=rng)
     data = generate_dataset(scm, 200, 5, 1.5, rng)
     masks = discover_masks(data, NotearsConfig())
-    dyn = fit_dynamics(data, masks, kind="linear")
+    dyn = fit_dynamics(data, masks)
     return scm, dyn, data

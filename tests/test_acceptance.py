@@ -70,7 +70,7 @@ def structural_hamming_distance(est, truth):
 
 
 def bench_spec():
-    return EnvSpec(kind="lin-scm", n=6, d=4, horizon=20,
+    return EnvSpec(n=6, d=4, horizon=20,
                    n_causal_actions=2, seed=0)
 
 
@@ -111,7 +111,7 @@ def run_arm(env, data, result, lam, seed, flip_prob=0.0, bases=None):
     if flip_prob > 0.0:
         masks = corrupt_masks(result.masks, flip_prob,
                               np.random.default_rng(10 ** 6 + seed))
-    art = with_masks(base, data, cfg, masks, np.random.default_rng(seed))
+    art = with_masks(base, data, masks)
     records, _ = online_stage(Environment(spec, scm=env.scm), art, cfg,
                               copy.deepcopy(rng))
     return [rec["return"] for rec in records]
@@ -154,7 +154,7 @@ def test_01_exact_guidance_matches_gaussian_conditioning():
 
 
 def test_02_gradient_oracle_suite(small_instance):
-    scm, dyn, data = small_instance
+    _, dyn, _ = small_instance
     rng = np.random.default_rng(1)
     worst_lin = 0.0
     for _ in range(100):
@@ -175,29 +175,18 @@ def test_02_gradient_oracle_suite(small_instance):
             + 1.3 * reward_logpdf_grad(dyn, s_next, v, r)[0], a)
         worst_lin = max(worst_lin, rel_err(g, fd))
 
-    mlp_dyn = fit_dynamics(data, exact_masks(scm), kind="mlp",
-                           rng=np.random.default_rng(0), mlp_steps=50)
-    worst_mlp = 0.0
-    for _ in range(100):
-        s = rng.standard_normal(dyn.n)
-        a = rng.uniform(-1, 1, dyn.d)
-        s_next = rng.standard_normal(dyn.n)
-        _, g = transition_logpdf_grad(mlp_dyn, s, a, s_next)
-        fd = central_fd(lambda v: transition_logpdf_grad(mlp_dyn, s, v,
-                                                         s_next)[0], a)
-        worst_mlp = max(worst_mlp, rel_err(g, fd))
-
+    worst_net = 0.0
     net = Mlp([3, 16, 16, 2], rng=np.random.default_rng(2))
     for _ in range(100):
         x = rng.standard_normal(3)
         _, cache = net.forward_cache(x)
         _, gx = net.backward(cache, np.ones((1, 2)))
         fd = central_fd(lambda v: net.forward(v).sum(), x)
-        worst_mlp = max(worst_mlp, rel_err(gx[0], fd))
+        worst_net = max(worst_net, rel_err(gx[0], fd))
 
-    ok = worst_lin < 1e-5 and worst_mlp < 1e-4
+    ok = worst_lin < 1e-5 and worst_net < 1e-4
     report(2, ok, f"gradients vs finite differences: worst linear rel err "
-                  f"{worst_lin:.2e}, worst network rel err {worst_mlp:.2e}")
+                  f"{worst_lin:.2e}, worst network rel err {worst_net:.2e}")
 
 
 def test_03_structure_recovery():
@@ -303,7 +292,7 @@ def test_07_zero_guidance_equivalence(tmp_path, small_instance):
     trainer_ok = all(np.array_equal(a, b) for a, b in
                      zip(nets[0].mlp.params(), nets[1].mlp.params()))
 
-    spec = EnvSpec(kind="lin-scm", n=3, d=2, horizon=5, seed=0)
+    spec = EnvSpec(n=3, d=2, horizon=5, seed=0)
     env = Environment(spec)
     data = generate_dataset(env.scm, 50, 5, 1.5, np.random.default_rng(6))
     run_cfg = TrainerConfig(offline_steps=50, k_steps=10, hidden=(16,),
@@ -384,7 +373,7 @@ def test_10_determinism_and_round_trips(tmp_path):
     n1, n2 = tmp_path / "n1.txt", tmp_path / "n2.txt"
     save_noise_net(net, str(n1))
     save_noise_net(load_noise_net(str(n1)), str(n2))
-    dyn = fit_dynamics(data, exact_masks(scm), kind="linear")
+    dyn = fit_dynamics(data, exact_masks(scm))
     y1, y2 = tmp_path / "y1.txt", tmp_path / "y2.txt"
     save_dynamics(dyn, str(y1))
     save_dynamics(load_dynamics(str(y1)), str(y2))

@@ -12,7 +12,6 @@ from cgdp.scm import load_dataset
 
 SMALL_CFG = """
 seed = 0
-env.kind = lin-scm
 env.n = 3
 env.d = 2
 env.horizon = 5
@@ -272,22 +271,42 @@ class TestLoudInputs:
         assert err.startswith("error: ") and "'train.hidden'" in err
         assert not (out / "metrics.txt").exists()
 
-    def test_mlp_train_leaves_no_stale_linear_dynamics(self, workdir,
-                                                       capsys):
+    @pytest.mark.parametrize("line", ["train.lr = nan",
+                                      "train.eta = inf"])
+    def test_train_rejects_a_non_finite_float(self, workdir, capsys, line):
+        out, cfg_path = workdir
+        assert run(cfg_path, out, "gen-data") == 0
+        with open(cfg_path, "a") as fh:
+            fh.write(line + "\n")
+        capsys.readouterr()
+        assert run(cfg_path, out, "train") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert line.split(" =")[0] in err and "finite" in err
+        assert not (out / "metrics.txt").exists()
+
+    def test_discover_rejects_no_inner_iterations(self, workdir, capsys):
+        out, cfg_path = workdir
+        assert run(cfg_path, out, "gen-data") == 0
+        with open(cfg_path, "a") as fh:
+            fh.write("notears.max_inner = 0\n")
+        capsys.readouterr()
+        assert run(cfg_path, out, "discover") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "notears.max_inner" in err
+        assert not (out / "discovery.txt").exists()
+
+    def test_eval_without_dynamics_names_the_path(self, workdir, capsys):
         out, cfg_path = workdir
         assert run(cfg_path, out, "gen-data") == 0
         assert run(cfg_path, out, "train") == 0
-        assert (out / "dynamics.txt").exists()
-        with open(cfg_path, "a") as fh:
-            fh.write("train.dyn_kind = mlp\ntrain.dyn_mlp_steps = 20\n"
-                     "train.online_episodes = 1\n")
-        assert run(cfg_path, out, "train") == 0
-        assert not (out / "dynamics.txt").exists()
+        (out / "dynamics.txt").unlink()
         capsys.readouterr()
         assert run(cfg_path, out, "eval") == 1
         err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out / "dynamics.txt") in err
-        assert "train.dyn_kind = linear" in err
         assert not (out / "eval.txt").exists()
 
     def test_truncated_checkpoint_and_dataset_exit_1(self, workdir, capsys):

@@ -16,7 +16,7 @@ class TestParse:
         cfg = parse_config("")
         assert cfg["seed"] == 0
         assert cfg["guidance.lambda"] == 1.0
-        assert cfg["env.kind"] == "lin-scm"
+        assert cfg["env.n"] == 6
 
     def test_overrides_and_comments(self):
         text = """
@@ -24,13 +24,13 @@ class TestParse:
         seed = 7
         guidance.lambda = 0.5   # scale
         train.hidden = 32,32
-        env.kind = point-maze
+        data.path = my data.txt
         """
         cfg = parse_config(text)
         assert cfg["seed"] == 7
         assert cfg["guidance.lambda"] == 0.5
         assert cfg["train.hidden"] == "32,32"
-        assert cfg["env.kind"] == "point-maze"
+        assert cfg["data.path"] == "my data.txt"
 
     def test_unknown_key_reports_line_number(self):
         with pytest.raises(ValueError, match="line 2"):
@@ -93,8 +93,10 @@ class TestHiddenWidths:
 
 
 @pytest.mark.parametrize("key", ["notears.rho", "notears.rho_growth",
-                                 "notears.tol", "notears.max_outer"])
-def test_removed_notears_keys_are_unknown(key):
+                                 "notears.tol", "notears.max_outer",
+                                 "env.kind", "env.goal_x", "env.goal_y",
+                                 "train.dyn_kind", "train.dyn_mlp_steps"])
+def test_removed_keys_are_unknown(key):
     with pytest.raises(ValueError, match=f"line 2: unknown config key "
                                          f"'{key}'"):
         parse_config(f"seed = 1\n{key} = 2\n")
@@ -104,15 +106,12 @@ def test_removed_notears_keys_are_unknown(key):
 # default shows here
 DEFAULT_DUMP = """\
 seed = 0
-env.kind = lin-scm
 env.n = 6
 env.d = 4
 env.horizon = 20
 env.n_causal_actions = 2
 env.noise_scale = 1.0
 env.reward_noise = 0.5
-env.goal_x = 1.0
-env.goal_y = 1.0
 env.seed = 0
 data.path = dataset.txt
 data.episodes = 400
@@ -133,8 +132,6 @@ train.beta_end = 0.02
 train.hidden = 64,64
 train.gamma_disc = 0.99
 train.rho_target = 0.005
-train.dyn_kind = linear
-train.dyn_mlp_steps = 2000
 notears.l1 = 0.1
 notears.max_inner = 300
 notears.tau = 0.3
@@ -154,8 +151,7 @@ verify.dynamics = \n"""
 
 # the keys whose field differs in name or form
 IRREGULAR = {("guidance", "lam"): ["guidance.lambda"],
-             ("train", "hidden"): ["train.hidden"],
-             ("env", "goal"): ["env.goal_x", "env.goal_y"]}
+             ("train", "hidden"): ["train.hidden"]}
 SECTIONS = {"env": EnvSpec, "train": TrainerConfig,
             "notears": NotearsConfig, "guidance": GuidanceConfig}
 
@@ -185,9 +181,7 @@ class TestDerivedSchema:
         assert len(set(claimed)) == len(claimed)
 
     def test_each_key_reaches_its_field(self):
-        cfg = parse_config("env.goal_x = 2.5\nenv.goal_y = -1.0\n"
-                           "train.hidden = 3,5\nguidance.lambda = 0.5\n")
-        assert cfg.env_spec().goal == (2.5, -1.0)
+        cfg = parse_config("train.hidden = 3,5\nguidance.lambda = 0.5\n")
         assert cfg.trainer_config().hidden == (3, 5)
         assert cfg.guidance_config().lam == 0.5
         builders = {"env": "env_spec", "train": "trainer_config",
@@ -199,9 +193,7 @@ class TestDerivedSchema:
             if namespace not in SECTIONS or key in irregular:
                 continue
             # a valid value other than the default
-            other = {"str": lambda v: {"lin-scm": "point-maze",
-                                       "linear": "mlp"}[v],
-                     "bool": lambda v: not v, "int": lambda v: v + 1,
+            other = {"bool": lambda v: not v, "int": lambda v: v + 1,
                      "float": lambda v: v / 2 + 0.25}[tag](default)
             built = getattr(RunConfig({key: other}), builders[namespace])()
             assert getattr(built, name) == other, key

@@ -114,6 +114,12 @@ class TestNotearsFit:
         with pytest.raises(ValueError):
             notears_fit(np.zeros((10, 3)), NotearsConfig())
 
+    @pytest.mark.parametrize("max_inner", [0, -5])
+    def test_rejects_no_inner_iterations(self, max_inner):
+        with pytest.raises(ValueError, match="notears.max_inner must be >= 1"):
+            NotearsConfig(max_inner=max_inner)
+        NotearsConfig(max_inner=1)
+
 
 class TestExhaustiveOracle:
     def test_two_node_linear(self):

@@ -5,7 +5,6 @@ from cgdp.dynamics import (CausalDynamics, do_intervention_joint_grad,
                            fit_dynamics, joint_grad_jacobian, load_dynamics,
                            reward_logpdf_grad, save_dynamics,
                            transition_logpdf_grad)
-from cgdp.numerics import Mlp
 from cgdp.scm import (CausalMasks, GroundTruthScm, exact_masks,
                       generate_dataset, random_scm)
 
@@ -18,34 +17,33 @@ def ones_masks(n, d):
 
 
 def simple_linear_dyn(n=2, d=2):
-    return CausalDynamics(masks=ones_masks(n, d), kind="linear",
+    return CausalDynamics(masks=ones_masks(n, d),
                           sigma_s=np.eye(n), sigma_r=1.0,
                           a_s=np.zeros((n, n)), a_a=np.eye(d, n),
                           b_s=np.zeros(n), b_a=np.ones(d))
 
 
-def mlp_dyn(masks, seed=0):
-    n, d = masks.c_as.shape[1], masks.c_as.shape[0]
-    rng = np.random.default_rng(seed)
-    return CausalDynamics(masks=masks, kind="mlp", sigma_s=np.eye(n),
-                          sigma_r=1.0,
-                          trans_nets=[Mlp([n + d, 3, 1], rng=rng)
-                                      for _ in range(n)],
-                          reward_net=Mlp([n + d, 3, 1], rng=rng))
+def random_data(d=2):
+    rng = np.random.default_rng(0)
+    scm = random_scm(2, d, d, rng=rng)
+    return generate_dataset(scm, 60, 5, 1.5, rng)
 
 
 class TestApplyMasks:
     def test_all_ones_identity_gate(self):
-        dyn = mlp_dyn(ones_masks(2, 2))
-        s, a = np.array([1.0, 2.0]), np.array([3.0, 4.0])
-        out = dyn.transition_mean_batch(s, a)[0]
-        x = np.concatenate([s, a])
-        assert np.array_equal(out, [net.forward(x)[0]
-                                    for net in dyn.trans_nets])
+        # all-ones gates fit the unmasked least-squares operators
+        data = random_data()
+        dyn = fit_dynamics(data, ones_masks(2, 2))
+        x = np.concatenate([data.s, data.a], axis=1)
+        coefs = np.linalg.lstsq(x, data.s_next, rcond=None)[0]
+        assert np.allclose(np.vstack([dyn.a_s, dyn.a_a]), coefs,
+                           rtol=1e-9, atol=1e-12)
 
     def test_all_zero_masks(self):
-        dyn = mlp_dyn(CausalMasks(np.zeros((2, 2)), np.zeros((2, 2)),
-                                  np.zeros(2), np.zeros(2)))
+        data = random_data()
+        dyn = fit_dynamics(data, CausalMasks(np.zeros((2, 2)),
+                                             np.zeros((2, 2)), np.zeros(2),
+                                             np.zeros(2)))
         rng = np.random.default_rng(1)
         s, a = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
         out = dyn.transition_mean_batch(s, a)
@@ -54,15 +52,19 @@ class TestApplyMasks:
         assert np.all(r == r[0])
 
     def test_reward_masks(self):
-        dyn = mlp_dyn(CausalMasks(np.ones((2, 2)), np.ones((1, 2)),
-                                  np.array([1.0, 0.0]), np.array([0.0])))
+        data = random_data(d=1)
+        dyn = fit_dynamics(data, CausalMasks(np.ones((2, 2)),
+                                             np.ones((1, 2)),
+                                             np.array([1.0, 0.0]),
+                                             np.array([0.0])))
+        assert dyn.b_s[1] == 0.0 and dyn.b_a[0] == 0.0 and dyn.b_s[0] != 0
         r = dyn.reward_mean_batch(np.array([3.0, 5.0]), np.array([7.0]))
-        assert r[0] == dyn.reward_net.forward(np.array([3.0, 0.0, 0.0]))[0]
+        assert r[0] == dyn.reward_mean_batch(np.array([3.0, -2.0]),
+                                             np.array([0.0]))[0]
 
     def test_dimension_mismatch(self):
-        for dyn in (simple_linear_dyn(), mlp_dyn(ones_masks(2, 2))):
-            with pytest.raises(ValueError):
-                dyn.transition_mean_batch(np.ones(3), np.ones(2))
+        with pytest.raises(ValueError):
+            simple_linear_dyn().transition_mean_batch(np.ones(3), np.ones(2))
 
 
 class TestFitDynamics:
@@ -72,7 +74,7 @@ class TestFitDynamics:
         noiseless = GroundTruthScm(scm.f_s, scm.f_a, scm.b_s, scm.b_a,
                                    np.zeros((3, 3)), 0.0)
         data = generate_dataset(noiseless, 100, 5, 1.0, rng)
-        dyn = fit_dynamics(data, exact_masks(scm), kind="linear")
+        dyn = fit_dynamics(data, exact_masks(scm))
         assert np.max(np.abs(dyn.a_s - scm.f_s)) < 1e-6
         assert np.max(np.abs(dyn.a_a - scm.f_a)) < 1e-6
         assert np.max(np.abs(dyn.b_s - scm.b_s)) < 1e-6
@@ -82,7 +84,7 @@ class TestFitDynamics:
         rng = np.random.default_rng(1)
         scm = random_scm(3, 2, 2, rng=rng, noise_scale=np.sqrt(0.1))
         data = generate_dataset(scm, 2000, 5, 1.5, rng)
-        dyn = fit_dynamics(data, exact_masks(scm), kind="linear")
+        dyn = fit_dynamics(data, exact_masks(scm))
         assert np.max(np.abs(dyn.a_s - scm.f_s)) < 0.05
         assert np.max(np.abs(dyn.a_a - scm.f_a)) < 0.05
         rel = np.linalg.norm(dyn.sigma_s - scm.sigma_s) / \
@@ -95,7 +97,7 @@ class TestFitDynamics:
         data = generate_dataset(scm, 200, 5, 1.5, rng)
         masks = exact_masks(scm)
         masks.c_as[:] = 0.0
-        dyn = fit_dynamics(data, masks, kind="linear")
+        dyn = fit_dynamics(data, masks)
         assert np.all(dyn.a_a == 0)
 
     def test_requires_enough_transitions(self):
@@ -103,7 +105,7 @@ class TestFitDynamics:
         scm = random_scm(3, 2, 2, rng=rng)
         data = generate_dataset(scm, 2, 5, 1.0, rng)
         with pytest.raises(ValueError):
-            fit_dynamics(data, exact_masks(scm), kind="linear")
+            fit_dynamics(data, exact_masks(scm))
 
 
 class TestGradients:
@@ -122,7 +124,7 @@ class TestGradients:
         assert np.allclose(grad, 0.0, atol=1e-14)
 
     def test_reward_grad_trivial(self):
-        dyn = CausalDynamics(masks=ones_masks(1, 1), kind="linear",
+        dyn = CausalDynamics(masks=ones_masks(1, 1),
                              sigma_s=np.eye(1), sigma_r=1.0,
                              a_s=np.zeros((1, 1)), a_a=np.zeros((1, 1)),
                              b_s=np.zeros(1), b_a=np.ones(1))
@@ -150,28 +152,23 @@ class TestGradients:
         assert np.allclose(both, gt + gr, atol=1e-14)
 
     def test_batched_rows_match_single_rows(self, small_instance):
-        _, dyn, data = small_instance
-        mlp = fit_dynamics(data, dyn.masks, kind="mlp",
-                           rng=np.random.default_rng(0), mlp_steps=20)
+        _, dyn, _ = small_instance
         rng = np.random.default_rng(8)
         s = rng.standard_normal((4, dyn.n))
         a = rng.uniform(-1, 1, (4, dyn.d))
         s_next = rng.standard_normal((4, dyn.n))
         r = rng.standard_normal(4)
-        for model in (dyn, mlp):
-            shared = do_intervention_joint_grad(model, s[0], a, s_next[0],
-                                                r[0], 0.7, 1.3)
-            assert np.allclose(shared[1], do_intervention_joint_grad(
-                model, s[0], a[1], s_next[0], r[0], 0.7, 1.3), rtol=1e-12)
-            for sn in (s_next, None):
-                batched = do_intervention_joint_grad(model, s, a, sn, r,
-                                                     0.7, 1.3)
-                for i in range(4):
-                    row = do_intervention_joint_grad(
-                        model, s[i], a[i], None if sn is None else sn[i],
-                        r[i], 0.7, 1.3)
-                    assert np.allclose(batched[i], row, rtol=1e-12,
-                                       atol=1e-14)
+        shared = do_intervention_joint_grad(dyn, s[0], a, s_next[0], r[0],
+                                            0.7, 1.3)
+        assert np.allclose(shared[1], do_intervention_joint_grad(
+            dyn, s[0], a[1], s_next[0], r[0], 0.7, 1.3), rtol=1e-12)
+        for sn in (s_next, None):
+            batched = do_intervention_joint_grad(dyn, s, a, sn, r, 0.7, 1.3)
+            for i in range(4):
+                row = do_intervention_joint_grad(
+                    dyn, s[i], a[i], None if sn is None else sn[i], r[i],
+                    0.7, 1.3)
+                assert np.allclose(batched[i], row, rtol=1e-12, atol=1e-14)
 
     def test_action_jacobian_matches_finite_differences(self, small_instance):
         _, dyn, _ = small_instance
@@ -221,34 +218,16 @@ class TestMaskInvariance:
         scm = random_scm(3, 2, 2, rng=rng)
         data = generate_dataset(scm, 200, 5, 1.5, rng)
         masks = exact_masks(scm)
-        for kind in ("linear", "mlp"):
-            dyn = fit_dynamics(data, masks, kind=kind,
-                               rng=np.random.default_rng(0), mlp_steps=50)
-            dead_j = [j for j in range(dyn.d) if not np.any(masks.c_as[j])]
-            if not dead_j:
-                continue
-            s = rng.standard_normal(3)
-            a = rng.uniform(-1, 1, 2)
+        dyn = fit_dynamics(data, masks)
+        s = rng.standard_normal(3)
+        a = rng.uniform(-1, 1, 2)
+        base = dyn.transition_mean_batch(s, a)[0]
+        # each action coordinate moves exactly the outputs it is gated into
+        for j in range(dyn.d):
             a2 = a.copy()
-            a2[dead_j[0]] += 5.0
-            base = dyn.transition_mean_batch(s, a)
-            pert = dyn.transition_mean_batch(s, a2)
-            assert np.array_equal(base, pert)
-
-    def test_mlp_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(7)
-        scm = random_scm(3, 2, 2, rng=rng)
-        data = generate_dataset(scm, 100, 5, 1.5, rng)
-        dyn = fit_dynamics(data, exact_masks(scm), kind="mlp",
-                           rng=np.random.default_rng(0), mlp_steps=50)
-        for _ in range(20):
-            s = rng.standard_normal(3)
-            a = rng.uniform(-1, 1, 2)
-            s_next = rng.standard_normal(3)
-            _, grad = transition_logpdf_grad(dyn, s, a, s_next)
-            fd = central_fd(
-                lambda v: transition_logpdf_grad(dyn, s, v, s_next)[0], a)
-            assert rel_err(grad, fd) < 1e-4
+            a2[j] += 5.0
+            moved = dyn.transition_mean_batch(s, a2)[0] != base
+            assert np.array_equal(moved, masks.c_as[j] != 0)
 
 
 class TestCheckpoint:

@@ -8,20 +8,16 @@ from cgdp.scm import GroundTruthScm
 
 
 class TestSpec:
-    def test_point_maze_forces_planar_shapes(self):
-        spec = EnvSpec(kind="point-maze", n=10, d=7)
-        assert spec.n == 4 and spec.d == 2
-
-    def test_rejects_bad_kind_and_sizes(self):
-        with pytest.raises(ValueError):
-            EnvSpec(kind="grid-world")
+    def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             EnvSpec(n=0)
+        with pytest.raises(ValueError):
+            EnvSpec(d=0)
         with pytest.raises(ValueError):
             EnvSpec(horizon=0)
 
     def test_scm_deterministic_in_seed(self):
-        spec = EnvSpec(kind="lin-scm", n=3, d=2, seed=4)
+        spec = EnvSpec(n=3, d=2, seed=4)
         s1, s2 = make_env_scm(spec), make_env_scm(spec)
         assert np.array_equal(s1.f_s, s2.f_s)
         assert np.array_equal(s1.f_a, s2.f_a)
@@ -30,36 +26,16 @@ class TestSpec:
 
 class TestReset:
     def test_lin_scm_reset_deterministic(self):
-        spec = EnvSpec(kind="lin-scm", n=3, d=2)
+        spec = EnvSpec(n=3, d=2)
         st1 = reset(spec, np.random.default_rng(5))
         st2 = reset(spec, np.random.default_rng(5))
         assert np.array_equal(st1.obs, st2.obs)
         assert st1.t == 0 and not st1.done
 
-    def test_maze_starts_at_rest(self):
-        st = reset(EnvSpec(kind="point-maze"), np.random.default_rng(0))
-        assert np.array_equal(st.obs, np.zeros(4))
-
 
 class TestStep:
-    def test_maze_ballistic_update(self):
-        spec = EnvSpec(kind="point-maze", goal=(1.0, 1.0), horizon=10)
-        st = EnvState(obs=np.array([0.0, 0.0, 1.0, 0.0]), t=0, done=False)
-        nxt, r, done = step(st, np.array([0.0, 1.0]), spec,
-                            np.random.default_rng(0))
-        assert np.allclose(nxt.obs[:2], [0.05, 0.0], rtol=1e-14)
-        assert np.allclose(nxt.obs[2:], [1.0, 0.05], rtol=1e-14)
-        assert abs(r + ((0.05 - 1.0) ** 2 + 1.0)) < 1e-12
-        assert not done
-
-    def test_maze_goal_terminates_early(self):
-        spec = EnvSpec(kind="point-maze", goal=(0.0, 0.05), horizon=10)
-        st = EnvState(obs=np.array([0.0, 0.0, 0.0, 1.0]), t=0, done=False)
-        nxt, _, done = step(st, np.zeros(2), spec, np.random.default_rng(0))
-        assert done and nxt.done
-
     def test_zero_operator_scm_is_inert(self):
-        spec = EnvSpec(kind="lin-scm", n=2, d=1, horizon=3)
+        spec = EnvSpec(n=2, d=1, horizon=3)
         scm = GroundTruthScm(np.zeros((2, 2)), np.zeros((1, 2)), np.zeros(2),
                              np.zeros(1), np.zeros((2, 2)), 0.0)
         st = EnvState(obs=np.ones(2), t=0, done=False)
@@ -68,7 +44,7 @@ class TestStep:
         assert np.all(nxt.obs == 0) and r == 0.0
 
     def test_actions_clamped_to_unit_box(self):
-        spec = EnvSpec(kind="lin-scm", n=2, d=1, horizon=3)
+        spec = EnvSpec(n=2, d=1, horizon=3)
         scm = GroundTruthScm(np.zeros((2, 2)), np.ones((1, 2)), np.zeros(2),
                              np.zeros(1), np.zeros((2, 2)), 0.0)
         st = EnvState(obs=np.zeros(2), t=0, done=False)
@@ -79,13 +55,13 @@ class TestStep:
         assert np.array_equal(big.obs, unit.obs)
 
     def test_step_after_done_raises(self):
-        spec = EnvSpec(kind="lin-scm", n=2, d=1, horizon=1)
+        spec = EnvSpec(n=2, d=1, horizon=1)
         st = EnvState(obs=np.zeros(2), t=1, done=True)
         with pytest.raises(RuntimeError):
             step(st, np.zeros(1), spec, np.random.default_rng(0))
 
     def test_horizon_sets_done(self):
-        spec = EnvSpec(kind="lin-scm", n=2, d=2, horizon=3)
+        spec = EnvSpec(n=2, d=2, horizon=3)
         env = Environment(spec)
         rng = np.random.default_rng(1)
         env.reset(rng)
@@ -100,16 +76,13 @@ class TestStep:
 class TestOptimalReward:
     def test_matches_corner_grid_search(self):
         for seed in range(5):
-            spec = EnvSpec(kind="lin-scm", n=3, d=2, seed=seed)
+            spec = EnvSpec(n=3, d=2, seed=seed)
             scm = make_env_scm(spec)
             coef = scm.f_a @ scm.b_s + scm.b_a
             grid = np.array(np.meshgrid(*([[-1.0, 0.0, 1.0]] * 2))
                             ).reshape(2, -1).T
             best = max(float(g @ coef) for g in grid)
             assert abs(optimal_reward(spec) - best) < 1e-9
-
-    def test_maze_optimum_is_zero(self):
-        assert optimal_reward(EnvSpec(kind="point-maze")) == 0.0
 
 
 class TestNonCausalCoordinates:
@@ -120,7 +93,7 @@ class TestNonCausalCoordinates:
         return None
 
     def test_dead_coordinate_has_no_paired_effect(self):
-        spec = EnvSpec(kind="lin-scm", n=4, d=3, n_causal_actions=2, seed=0)
+        spec = EnvSpec(n=4, d=3, n_causal_actions=2, seed=0)
         scm = make_env_scm(spec)
         j = self._dead_coord(scm)
         assert j is not None
@@ -135,7 +108,7 @@ class TestNonCausalCoordinates:
             assert np.array_equal(n1.obs, n2.obs) and r1 == r2
 
     def test_dead_coordinate_reward_distribution_unchanged(self):
-        spec = EnvSpec(kind="lin-scm", n=4, d=3, n_causal_actions=2, seed=0)
+        spec = EnvSpec(n=4, d=3, n_causal_actions=2, seed=0)
         scm = make_env_scm(spec)
         j = self._dead_coord(scm)
         base = np.zeros(3)
@@ -154,7 +127,7 @@ class TestNonCausalCoordinates:
         assert p > 0.01
 
     def test_causal_coordinate_shifts_reward(self):
-        spec = EnvSpec(kind="lin-scm", n=4, d=3, n_causal_actions=2, seed=0)
+        spec = EnvSpec(n=4, d=3, n_causal_actions=2, seed=0)
         scm = make_env_scm(spec)
         causal = [jj for jj in range(3)
                   if np.any(scm.f_a[jj]) or scm.b_a[jj] != 0.0]

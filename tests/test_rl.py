@@ -43,7 +43,7 @@ def filled_buffer(capacity, count):
 def linear_dyn(n=2, d=2):
     masks = CausalMasks(np.ones((n, n)), np.ones((d, n)), np.ones(n),
                         np.ones(d))
-    return CausalDynamics(masks=masks, kind="linear", sigma_s=np.eye(n),
+    return CausalDynamics(masks=masks, sigma_s=np.eye(n),
                           sigma_r=1.0, a_s=0.3 * np.eye(n),
                           a_a=0.5 * np.eye(d, n), b_s=np.ones(n),
                           b_a=np.array([0.5, -0.5]))
@@ -271,6 +271,13 @@ class TestTrainerConfig:
             TrainerConfig(**{key: value})
         TrainerConfig(**{key: 1})
 
+    @pytest.mark.parametrize("key", ["lr", "eta", "refresh_min_action_std"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_rejects_non_finite_floats_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=f"train.{key} must be finite"):
+            TrainerConfig(**{key: value})
+
 
 class TestStages:
     def test_offline_stage_deterministic(self, small_instance):
@@ -292,7 +299,7 @@ class TestStages:
                           np.random.default_rng(0))
 
     def test_online_stage_zero_episodes(self):
-        spec = EnvSpec(kind="lin-scm", n=3, d=2, horizon=5, seed=0)
+        spec = EnvSpec(n=3, d=2, horizon=5, seed=0)
         env = Environment(spec)
         data = generate_dataset(env.scm, 50, 5, 1.5,
                                 np.random.default_rng(0))
@@ -305,7 +312,7 @@ class TestStages:
         assert final.net is art.net
 
     def test_online_stage_records_and_unguided_kl(self):
-        spec = EnvSpec(kind="lin-scm", n=3, d=2, horizon=5, seed=0)
+        spec = EnvSpec(n=3, d=2, horizon=5, seed=0)
         env = Environment(spec)
         data = generate_dataset(env.scm, 50, 5, 1.5,
                                 np.random.default_rng(0))
@@ -324,7 +331,7 @@ class TestStages:
             assert rec["mask_refresh_flag"] == 0
 
     def test_online_stage_guided_kl_positive(self):
-        spec = EnvSpec(kind="lin-scm", n=3, d=2, horizon=5, seed=0)
+        spec = EnvSpec(n=3, d=2, horizon=5, seed=0)
         env = Environment(spec)
         data = generate_dataset(env.scm, 50, 5, 1.5,
                                 np.random.default_rng(0))
@@ -339,7 +346,7 @@ class TestStages:
 
     def test_refresh_skips_windows_below_the_refit_minimum(self, monkeypatch):
         import cgdp.rl
-        spec = EnvSpec(kind="lin-scm", n=3, d=2, horizon=5, seed=0)
+        spec = EnvSpec(n=3, d=2, horizon=5, seed=0)
         env = Environment(spec)
         data = generate_dataset(env.scm, 50, 5, 1.5,
                                 np.random.default_rng(0))
@@ -361,7 +368,7 @@ class TestStages:
     def test_failed_refit_keeps_masks_and_dynamics_together(self,
                                                             monkeypatch):
         import cgdp.rl
-        spec = EnvSpec(kind="lin-scm", n=3, d=2, horizon=5, seed=0)
+        spec = EnvSpec(n=3, d=2, horizon=5, seed=0)
         env = Environment(spec)
         data = generate_dataset(env.scm, 50, 5, 1.5,
                                 np.random.default_rng(0))
@@ -384,7 +391,7 @@ class TestStages:
         assert final.discovery_w is art.discovery_w
 
     def test_refresh_outcomes_are_recorded(self):
-        spec = EnvSpec(kind="lin-scm", n=3, d=2, horizon=5, seed=0)
+        spec = EnvSpec(n=3, d=2, horizon=5, seed=0)
         env = Environment(spec)
         data = generate_dataset(env.scm, 50, 5, 1.5,
                                 np.random.default_rng(0))
@@ -410,7 +417,7 @@ class TestStages:
     def test_records_do_not_depend_on_an_unreached_capacity(self):
         # 12 episodes x horizon 5 write 60 rows; a refresh at step 30
         # (window too small) and one at 60 (applied) read the window
-        spec = EnvSpec(kind="lin-scm", n=3, d=2, horizon=5, seed=0)
+        spec = EnvSpec(n=3, d=2, horizon=5, seed=0)
         env = Environment(spec)
         data = generate_dataset(env.scm, 50, 5, 1.5,
                                 np.random.default_rng(0))

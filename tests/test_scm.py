@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cgdp.scm import (GroundTruthScm, Transitions, acyclicity, exact_masks,
+from cgdp.scm import (GroundTruthScm, Transitions, exact_masks,
                       generate_dataset, load_dataset, random_scm,
-                      save_dataset, scm_step, stacked_adjacency)
+                      save_dataset, scm_step)
 
 
 def per_row_dataset(scm, episodes, horizon, behavior_noise, rng):
@@ -118,27 +118,6 @@ class TestExactMasks:
         assert np.array_equal(m1.c_as, m2.c_as)
         assert np.array_equal(m1.u_sr, m2.u_sr)
         assert np.array_equal(m1.u_ar, m2.u_ar)
-
-
-class TestStackedAdjacency:
-    def test_all_zero_operators_give_edgeless_dag(self):
-        scm = GroundTruthScm(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1),
-                             np.zeros(1), np.eye(1), 1.0)
-        dag = stacked_adjacency(scm)
-        assert dag.n_nodes == 4
-        assert np.all(dag.adjacency == 0)
-
-    def test_chain_has_exactly_two_edges(self):
-        scm = GroundTruthScm(np.array([[0.5]]), np.zeros((1, 1)),
-                             np.array([1.0]), np.zeros(1), np.eye(1), 1.0)
-        dag = stacked_adjacency(scm)
-        assert np.count_nonzero(dag.adjacency) == 2
-
-    def test_random_scm_is_acyclic(self):
-        for seed in range(5):
-            scm = random_scm(4, 3, 2, rng=np.random.default_rng(seed))
-            dag = stacked_adjacency(scm)
-            assert abs(acyclicity(dag.adjacency)) < 1e-8
 
 
 class TestScmValidation:

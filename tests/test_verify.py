@@ -210,7 +210,7 @@ class TestCheckProp2:
         from cgdp.scm import CausalMasks
         masks = CausalMasks(np.ones((1, 1)), np.ones((1, 1)), np.ones(1),
                             np.ones(1))
-        dyn = CausalDynamics(masks=masks, kind="linear",
+        dyn = CausalDynamics(masks=masks,
                              sigma_s=np.eye(1), sigma_r=1.0,
                              a_s=np.zeros((1, 1)), a_a=np.zeros((1, 1)),
                              b_s=np.zeros(1), b_a=np.array([2.0]))
@@ -225,7 +225,7 @@ class TestCheckProp2:
         from cgdp.scm import CausalMasks
         masks = CausalMasks(np.ones((1, 1)), np.ones((1, 1)), np.ones(1),
                             np.ones(1))
-        dyn = CausalDynamics(masks=masks, kind="linear",
+        dyn = CausalDynamics(masks=masks,
                              sigma_s=np.eye(1), sigma_r=1.0,
                              a_s=np.zeros((1, 1)), a_a=np.zeros((1, 1)),
                              b_s=np.zeros(1), b_a=np.zeros(1))
@@ -238,14 +238,6 @@ class TestCheckProp2:
         rep = check_prop2(dyn, np.zeros(dyn.n), np.zeros(dyn.d), 10 ** 4,
                           np.random.default_rng(4))
         assert rep["cosine"] >= 0.95
-
-    def test_rejects_nonlinear_model(self, small_instance):
-        _, dyn, _ = small_instance
-        import dataclasses
-        bad = dataclasses.replace(dyn, kind="mlp")
-        with pytest.raises(ValueError):
-            check_prop2(bad, np.zeros(dyn.n), np.zeros(dyn.d), 10 ** 4,
-                        np.random.default_rng(0))
 
 
 class TestCheckProp1:
