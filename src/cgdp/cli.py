@@ -8,7 +8,6 @@ with byte-identical files.
 """
 
 import argparse
-import copy
 import os
 import sys
 from collections import Counter
@@ -19,11 +18,11 @@ import numpy as np
 from .config import dump_config, load_config, RunConfig
 from .diffusion import load_noise_net, make_schedule, save_noise_net, \
     ddim_sample
-from .discovery import corrupt_masks, discover_masks
+from .discovery import discover_masks
 from .dynamics import load_dynamics, save_dynamics
 from .envs import Environment, make_env_scm, optimal_reward
 from .guidance import GuidanceHook
-from .rl import offline_stage, online_stage, with_masks
+from .rl import ablation_runs, offline_stage, online_stage
 from .scm import generate_dataset, load_dataset, save_dataset
 from . import verify as verify_mod
 
@@ -60,10 +59,14 @@ def _write_metrics(records, path):
 
 
 def cmd_gen_data(cfg, out_dir):
+    noise = cfg["data.behavior_noise"]
+    if not 0 <= noise < np.inf:
+        raise ValueError(f"data.behavior_noise must be finite and >= 0, "
+                         f"got {noise!r}")
     scm = make_env_scm(cfg.env_spec())
     rng = np.random.default_rng(cfg["seed"])
     data = generate_dataset(scm, cfg["data.episodes"], cfg["data.horizon"],
-                            cfg["data.behavior_noise"], rng)
+                            noise, rng)
     path = _resolve(out_dir, cfg["data.path"])
     save_dataset(data, path)
     print(f"wrote {len(data)} transitions to {path}")
@@ -103,6 +106,13 @@ def _guidance_config(cfg, scm, guidance_on=True):
     return guid if guidance_on else replace(guid, lam=0.0)
 
 
+def _train_schedule(cfg):
+    """The diffusion schedule of the ``train.*`` keys, which
+    ``TrainerConfig`` checks first."""
+    tcfg = cfg.trainer_config()
+    return make_schedule(tcfg.k_steps, tcfg.beta_start, tcfg.beta_end)
+
+
 def cmd_train(cfg, out_dir, guidance_on):
     data = _load_data(cfg, out_dir)
     env = Environment(cfg.env_spec())
@@ -132,8 +142,7 @@ def cmd_eval(cfg, out_dir, guidance_on):
             f"writes it)")
     dyn = load_dynamics(dyn_path)
     env = Environment(cfg.env_spec())
-    schedule = make_schedule(cfg["train.k_steps"], cfg["train.beta_start"],
-                             cfg["train.beta_end"])
+    schedule = _train_schedule(cfg)
     guid = _guidance_config(cfg, env.scm, guidance_on)
     rng = np.random.default_rng(cfg["seed"])
     returns = []
@@ -162,6 +171,10 @@ def _final_return(records, tail_frac=0.1):
 
 
 def cmd_ablate(cfg, out_dir):
+    flip_prob = cfg["ablate.flip_prob"]
+    if not 0 <= flip_prob <= 1:
+        raise ValueError(f"ablate.flip_prob must lie in [0,1], got "
+                         f"{flip_prob!r}")
     data = _load_data(cfg, out_dir)
     spec = cfg.env_spec()
     scm = make_env_scm(spec)
@@ -170,27 +183,15 @@ def cmd_ablate(cfg, out_dir):
     tcfg = replace(cfg.trainer_config(), guidance=guid)
     unguided_cfg = replace(tcfg, guidance=replace(guid, lam=0.0))
 
-    arms = ("notears", "corrupted", "unguided")
-    per_arm = {arm: [] for arm in arms}
-    for seed in range(cfg["ablate.seeds"]):
-        # one base policy per seed: the arms differ in masks and guidance
-        # only, which the noise net's training never reads
-        rng = np.random.default_rng(cfg["seed"] + seed)
-        base = offline_stage(data, tcfg, rng, masks=result.masks, w0=result.w)
-        corrupted = corrupt_masks(result.masks, cfg["ablate.flip_prob"],
-                                  np.random.default_rng(10 ** 6 + seed))
-        for arm, masks, arm_cfg in (("notears", result.masks, tcfg),
-                                    ("corrupted", corrupted, tcfg),
-                                    ("unguided", result.masks, unguided_cfg)):
-            artifacts = with_masks(base, data, masks)
-            records, _ = online_stage(Environment(spec, scm=scm), artifacts,
-                                      arm_cfg, copy.deepcopy(rng))
-            per_arm[arm].append(_final_return(records))
+    arms = {"notears": (0.0, tcfg), "corrupted": (flip_prob, tcfg),
+            "unguided": (0.0, unguided_cfg)}
+    runs = ablation_runs(cfg["ablate.seeds"], data, result.masks, result.w,
+                         list(arms.values()), spec, scm, seed=cfg["seed"])
     path = os.path.join(out_dir, "ablation.csv")
     with open(path, "w") as fh:
         fh.write("arm,mean,std\n")
-        for arm in arms:
-            vals = per_arm[arm]
+        for i, arm in enumerate(arms):
+            vals = [_final_return(seed_runs[i]) for seed_runs in runs]
             fh.write(f"{arm},{_fmt(np.mean(vals))},{_fmt(np.std(vals))}\n")
     print(f"wrote ablation table to {path}")
     return 0
@@ -243,8 +244,7 @@ def _verify_theorem1(cfg, out_dir):
         scm = make_env_scm(cfg.env_spec())
     else:
         scm, dyn = verify_mod.default_linear_instance(seed=cfg["seed"])
-    schedule = make_schedule(cfg["train.k_steps"], cfg["train.beta_start"],
-                             cfg["train.beta_end"])
+    schedule = _train_schedule(cfg)
     report = verify_mod.check_theorem1(
         scm, dyn, schedule, seeds=range(cfg["verify.seeds"]),
         lam=cfg["verify.lambda"], gamma_disc=cfg["train.gamma_disc"])
@@ -260,8 +260,7 @@ def _verify_theorem1(cfg, out_dir):
 
 def _verify_prop1(cfg, out_dir):
     _, dyn = verify_mod.default_linear_instance(seed=cfg["seed"])
-    schedule = make_schedule(cfg["train.k_steps"], cfg["train.beta_start"],
-                             cfg["train.beta_end"])
+    schedule = _train_schedule(cfg)
     report = verify_mod.check_prop1(
         dyn, None, schedule, seeds=range(cfg["verify.seeds"]),
         stiff_dyn=verify_mod.stiff_linear_instance())

@@ -82,17 +82,28 @@ class Mlp:
     def __init__(self, widths, rng=None):
         if len(widths) < 2:
             raise ValueError("need at least an input and an output width")
-        self.widths = list(widths)
-        self.flat = np.zeros(sum(fan_out * (fan_in + 1) for fan_in, fan_out
-                                 in zip(widths[:-1], widths[1:])))
-        views = self.views(self.flat)
-        self.weights, self.biases = views[0::2], views[1::2]
+        self.__setstate__({
+            "widths": list(widths),
+            "flat": np.zeros(sum(fan_out * (fan_in + 1) for fan_in, fan_out
+                                 in zip(widths[:-1], widths[1:])))})
         if rng is None:
             return
         for w in self.weights:
             fan_out, fan_in = w.shape
             w[...] = rng.standard_normal((fan_out, fan_in)) * \
                 np.sqrt(1.0 / fan_in)
+
+    def __getstate__(self):
+        return {"widths": self.widths, "flat": self.flat}
+
+    def __setstate__(self, state):
+        # views of an unpickled array share its non-array base, which
+        # Adam's whole-buffer update cannot use: views need an owner
+        self.widths = list(state["widths"])
+        flat = state["flat"]
+        self.flat = flat if flat.base is None else flat.copy()
+        views = self.views(self.flat)
+        self.weights, self.biases = views[0::2], views[1::2]
 
     def views(self, flat):
         """Arrays laid out like :meth:`params`, as views into ``flat``."""

@@ -1,16 +1,21 @@
 """Two-stage training driver: replay buffer, double-Q critics with target
 networks, the combined denoising + Q policy loss with gradients unrolled
-through the guided DDIM chain, and the offline / online stages.
+through the guided DDIM chain, the offline / online stages, and the
+ablation's per-seed runs.
 """
 
+import copy
+import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .diffusion import (NoiseNet, ddim_sample, ddim_vjp, forward_corrupt,
                         make_schedule, train_noise_net)
-from .discovery import NotearsConfig, discover_masks
+from .discovery import NotearsConfig, corrupt_masks, discover_masks
 from .dynamics import fit_dynamics, min_fit_rows
+from .envs import Environment
 from .guidance import GuidanceConfig, GuidanceHook, KlAccumulator, guided_noise
 from .numerics import AdamState, Mlp
 from .scm import Transitions
@@ -24,6 +29,8 @@ __all__ = [
     "offline_stage",
     "online_stage",
     "with_masks",
+    "ablation_seed",
+    "ablation_runs",
     "OfflineArtifacts",
 ]
 
@@ -106,7 +113,8 @@ class TrainerConfig:
     guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
 
     def __post_init__(self):
-        for key in ("lr", "eta", "refresh_min_action_std"):
+        for key in ("lr", "eta", "refresh_min_action_std", "beta_start",
+                    "beta_end"):
             if not np.isfinite(getattr(self, key)):
                 raise ValueError(f"train.{key} must be finite, got "
                                  f"{getattr(self, key)!r}")
@@ -242,6 +250,52 @@ def with_masks(base, dataset, masks):
     """
     dyn = base.dyn if masks is base.masks else fit_dynamics(dataset, masks)
     return replace(base, net=base.net.copy(), dyn=dyn, masks=masks)
+
+
+def ablation_seed(index, dataset, masks, w0, arms, spec, scm, seed=0):
+    """The online records of each of ``arms`` for ablation seed ``index``.
+
+    An arm is ``(flip_prob, cfg)``: it guides with ``masks`` with each
+    entry flipped with probability ``flip_prob`` (drawn from generator
+    ``10**6 + index``; 0 keeps ``masks`` themselves) and trains with
+    ``cfg``.  The seed's base policy is trained once, from generator
+    ``seed + index`` with the first arm's config, and each arm runs
+    from a copy of it and of the generator it left (``with_masks``).
+    """
+    rng = np.random.default_rng(seed + index)
+    base = offline_stage(dataset, arms[0][1], rng, masks=masks, w0=w0)
+    out = []
+    for flip_prob, cfg in arms:
+        arm_masks = masks if flip_prob == 0 else corrupt_masks(
+            masks, flip_prob, np.random.default_rng(10 ** 6 + index))
+        records, _ = online_stage(Environment(spec, scm=scm),
+                                  with_masks(base, dataset, arm_masks), cfg,
+                                  copy.deepcopy(rng))
+        out.append(records)
+    return out
+
+
+def ablation_runs(seeds, dataset, masks, w0, arms, spec, scm, seed=0):
+    """``ablation_seed`` for each index in ``range(seeds)``, in order.
+
+    The seeds run in forked worker processes, one per seed up to the
+    CPUs this process may run on, or in this process when that is one.
+    Only the inputs and the records cross between processes, so the
+    records are those of a run in this process.
+    """
+    work = partial(ablation_seed, dataset=dataset, masks=masks, w0=w0,
+                   arms=arms, spec=spec, scm=scm, seed=seed)
+    workers = min(seeds, len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return list(map(work, range(seeds)))
+    # imported here so that importing cgdp stays as fast as before
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # fork: a worker starts with cgdp already imported, and cgdp itself
+    # starts no thread that a fork could catch holding a lock
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+        return list(pool.map(work, range(seeds)))
 
 
 def online_stage(env, artifacts, cfg, rng):

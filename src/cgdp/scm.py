@@ -208,8 +208,8 @@ def generate_dataset(scm, episodes, horizon, behavior_noise, rng):
     """
     if episodes < 0 or horizon < 1:
         raise ValueError("episodes must be >= 0 and horizon >= 1")
-    if behavior_noise < 0:
-        raise ValueError("behavior_noise must be >= 0")
+    if not 0 <= behavior_noise < np.inf:
+        raise ValueError("behavior_noise must be finite and >= 0")
     rng = np.random.default_rng(rng)
     gain = rng.normal(0.0, 0.3, size=(scm.n, scm.d))
     out = Transitions.zeros(episodes * horizon, scm.n, scm.d)

@@ -3,8 +3,6 @@ reported as a single pass/fail line.  Budgets are sized for a single
 desktop core; every run is deterministic in its stated seeds.
 """
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from cgdp.cli import _write_metrics, main
 from cgdp.config import RunConfig, dump_config, parse_config
 from cgdp.diffusion import (NoiseNet, ddim_sample, ddpm_sample, load_noise_net,
                             make_schedule, save_noise_net)
-from cgdp.discovery import (NotearsConfig, corrupt_masks, discover_masks,
+from cgdp.discovery import (NotearsConfig, discover_masks,
                             exhaustive_dag_oracle, notears_fit)
 from cgdp.dynamics import (do_intervention_joint_grad, fit_dynamics,
                            load_dynamics, reward_logpdf_grad, save_dynamics,
@@ -20,8 +18,8 @@ from cgdp.dynamics import (do_intervention_joint_grad, fit_dynamics,
 from cgdp.envs import Environment, EnvSpec, optimal_reward
 from cgdp.guidance import GuidanceConfig, GuidanceHook
 from cgdp.numerics import AdamState, Mlp
-from cgdp.rl import (TrainerConfig, offline_stage, online_stage,
-                     policy_update, with_masks)
+from cgdp.rl import (TrainerConfig, ablation_runs, offline_stage,
+                     online_stage, policy_update)
 from cgdp.scm import (exact_masks, generate_dataset, load_dataset, random_scm,
                       save_dataset)
 from cgdp.verify import (PosteriorSpec, check_lemma1, check_prop1,
@@ -91,46 +89,24 @@ def bench_setup():
     return spec, env, data, result
 
 
-def run_arm(env, data, result, lam, seed, flip_prob=0.0, bases=None):
-    """Per-episode returns of one (lambda, seed, mask flip) training run.
-
-    ``bases`` maps a seed to its offline artifacts and the generator they
-    left; a seed's base policy is trained once and shared by its runs, as
-    ``cgdp ablate`` does (``rl.with_masks``).
-    """
-    spec = env.spec
-    r_star = optimal_reward(spec, env.scm)
-    cfg = bench_cfg(lam, r_star)
-    bases = {} if bases is None else bases
-    if seed not in bases:
-        rng = np.random.default_rng(seed)
-        bases[seed] = (offline_stage(data, cfg, rng, masks=result.masks,
-                                     w0=result.w), rng)
-    base, rng = bases[seed]
-    masks = result.masks
-    if flip_prob > 0.0:
-        masks = corrupt_masks(result.masks, flip_prob,
-                              np.random.default_rng(10 ** 6 + seed))
-    art = with_masks(base, data, masks)
-    records, _ = online_stage(Environment(spec, scm=env.scm), art, cfg,
-                              copy.deepcopy(rng))
-    return [rec["return"] for rec in records]
-
-
 @pytest.fixture(scope="module")
 def arm_runs(bench_setup):
-    """run_arm memoised per (lambda, seed, flip): tests 8 and 9 share the
-    runs they have in common, and every seed's base policy."""
-    _, env, data, result = bench_setup
-    bases = {}
-    runs = {}
+    """Per-episode returns of each (lambda, seed, mask flip) training run
+    of tests 8 and 9.  Each seed's three runs share one base policy, as
+    ``cgdp ablate`` runs them (``rl.ablation_runs``), and the seeds run
+    in worker processes."""
+    spec, env, data, result = bench_setup
+    r_star = optimal_reward(spec, env.scm)
+    keys = ((1.0, 0.0), (1.0, 0.25), (0.0, 0.0))
+    arms = [(flip, bench_cfg(lam, r_star)) for lam, flip in keys]
+    per_seed = ablation_runs(5, data, result.masks, result.w, arms, spec,
+                             env.scm)
+    runs = {(lam, seed, flip): [rec["return"] for rec in records]
+            for seed, seed_runs in enumerate(per_seed)
+            for (lam, flip), records in zip(keys, seed_runs)}
 
     def run(lam, seed, flip_prob=0.0):
-        key = (lam, seed, flip_prob)
-        if key not in runs:
-            runs[key] = run_arm(env, data, result, lam, seed, flip_prob,
-                                bases)
-        return runs[key]
+        return runs[(lam, seed, flip_prob)]
 
     return run
 

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -114,10 +116,46 @@ class TestAblate:
         assert table["notears"] == table["corrupted"]
 
 
+class TestAblatePool:
+    def test_one_cpu_gives_the_pool_table_byte_for_byte(self, workdir,
+                                                        monkeypatch):
+        out, cfg_path = workdir
+        with open(cfg_path, "a") as fh:
+            fh.write("ablate.seeds = 3\nablate.flip_prob = 0.3\n")
+        assert run(cfg_path, out, "gen-data") == 0
+        assert run(cfg_path, out, "ablate") == 0
+        pooled = (out / "ablation.csv").read_bytes()
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run(cfg_path, out, "ablate") == 0
+        assert (out / "ablation.csv").read_bytes() == pooled
+
+    def test_worker_error_exits_1_with_one_line(self, workdir, monkeypatch,
+                                                capsys):
+        import cgdp.rl as rl
+
+        def failing_online_stage(*args):
+            raise ValueError("online stage failed in a worker")
+
+        out, cfg_path = workdir
+        with open(cfg_path, "a") as fh:
+            fh.write("ablate.seeds = 2\n")
+        assert run(cfg_path, out, "gen-data") == 0
+        # forked workers inherit the patch
+        monkeypatch.setattr(rl, "online_stage", failing_online_stage)
+        capsys.readouterr()
+        assert run(cfg_path, out, "ablate") == 1
+        assert capsys.readouterr().err == \
+            "error: online stage failed in a worker\n"
+        assert not (out / "ablation.csv").exists()
+        assert multiprocessing.active_children() == []
+
+
 class TestGuidanceTarget:
     def test_train_eval_and_ablate_resolve_the_same_r_star(self, workdir,
                                                             monkeypatch):
         import cgdp.cli as cli
+        import cgdp.rl as rl
         from cgdp.envs import optimal_reward
         out, cfg_path = workdir
         targets = {}
@@ -132,7 +170,9 @@ class TestGuidanceTarget:
                 super().__init__(dyn, cfg, *args, **kwargs)
 
         online_stage = cli.online_stage
+        # train calls it from cli, ablate from rl.ablation_seed
         monkeypatch.setattr(cli, "online_stage", recording_online_stage)
+        monkeypatch.setattr(rl, "online_stage", recording_online_stage)
         monkeypatch.setattr(cli, "GuidanceHook", RecordingHook)
         assert run(cfg_path, out, "gen-data") == 0
         for command in ("train", "eval", "ablate"):
@@ -272,7 +312,9 @@ class TestLoudInputs:
         assert not (out / "metrics.txt").exists()
 
     @pytest.mark.parametrize("line", ["train.lr = nan",
-                                      "train.eta = inf"])
+                                      "train.eta = inf",
+                                      "train.beta_start = nan",
+                                      "train.beta_end = nan"])
     def test_train_rejects_a_non_finite_float(self, workdir, capsys, line):
         out, cfg_path = workdir
         assert run(cfg_path, out, "gen-data") == 0
@@ -284,6 +326,25 @@ class TestLoudInputs:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert line.split(" =")[0] in err and "finite" in err
         assert not (out / "metrics.txt").exists()
+
+    @pytest.mark.parametrize("command,line,output", [
+        ("ablate", "ablate.flip_prob = nan", "ablation.csv"),
+        ("ablate", "ablate.flip_prob = 1.5", "ablation.csv"),
+        ("gen-data", "data.behavior_noise = nan", "dataset.txt"),
+        ("gen-data", "data.behavior_noise = inf", "dataset.txt")])
+    def test_a_bad_config_float_exits_1_before_any_output(
+            self, workdir, capsys, command, line, output):
+        out, cfg_path = workdir
+        if command != "gen-data":
+            assert run(cfg_path, out, "gen-data") == 0
+        with open(cfg_path, "a") as fh:
+            fh.write(line + "\n")
+        capsys.readouterr()
+        assert run(cfg_path, out, command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert line.split(" =")[0] in err
+        assert not (out / output).exists()
 
     def test_discover_rejects_no_inner_iterations(self, workdir, capsys):
         out, cfg_path = workdir

@@ -1,4 +1,8 @@
+import copy
+import pickle
+
 import numpy as np
+import pytest
 
 from cgdp.numerics import AdamState, Mlp, mat_expm
 
@@ -141,6 +145,21 @@ class TestMlp:
         assert np.array_equal(clone.flat, net.flat)
         clone.weights[0][0, 0] += 1.0
         assert clone.flat[0] == net.flat[0] + 1.0
+
+    @pytest.mark.parametrize("round_trip", [
+        copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))])
+    def test_copied_and_unpickled_nets_keep_one_flat_buffer(self,
+                                                            round_trip):
+        orig = Mlp([3, 5, 2], rng=np.random.default_rng(0))
+        net = round_trip(orig)
+        assert np.array_equal(net.flat, orig.flat)
+        assert all(p.base is net.flat for p in net.params())
+        _, cache = net.forward_cache(np.ones((4, 3)))
+        grads, _ = net.backward(cache, np.ones((4, 2)))
+        AdamState(net.params(), lr=1e-2).step(net.params(), grads)
+        assert np.array_equal(
+            np.concatenate([p.ravel() for p in net.params()]), net.flat)
+        assert np.array_equal(net.copy().flat, net.flat)
 
 
 def reference_adam(params, grads_seq, lr=3e-4, beta1=0.9, beta2=0.999,

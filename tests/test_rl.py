@@ -271,7 +271,8 @@ class TestTrainerConfig:
             TrainerConfig(**{key: value})
         TrainerConfig(**{key: 1})
 
-    @pytest.mark.parametrize("key", ["lr", "eta", "refresh_min_action_std"])
+    @pytest.mark.parametrize("key", ["lr", "eta", "refresh_min_action_std",
+                                     "beta_start", "beta_end"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])
     def test_rejects_non_finite_floats_naming_the_key(self, key, value):
