@@ -75,7 +75,7 @@ def cmd_gen_data(cfg, out_dir):
 
 def cmd_discover(cfg, out_dir):
     data = _load_data(cfg, out_dir)
-    result = discover_masks(data, cfg.notears_config(), return_result=True)
+    result = discover_masks(data, cfg.notears_config())
     path = os.path.join(out_dir, "discovery.txt")
     lines = []
     for row in result.w:
@@ -150,9 +150,10 @@ def cmd_eval(cfg, out_dir, guidance_on):
         state = env.reset(rng)
         total = 0.0
         while not state.done:
-            hook = GuidanceHook(dyn, guid, schedule, state.obs)
-            a = np.clip(ddim_sample(net, schedule, state.obs, rng,
-                                    hook=hook), -1.0, 1.0)
+            s = state.obs[None]
+            hook = GuidanceHook(dyn, guid, schedule, s)
+            a = np.clip(ddim_sample(net, schedule, s, rng, hook=hook)[0],
+                        -1.0, 1.0)
             state, r, _ = env.step(a, rng)
             total += r
         returns.append(total)
@@ -178,7 +179,7 @@ def cmd_ablate(cfg, out_dir):
     data = _load_data(cfg, out_dir)
     spec = cfg.env_spec()
     scm = make_env_scm(spec)
-    result = discover_masks(data, cfg.notears_config(), return_result=True)
+    result = discover_masks(data, cfg.notears_config())
     guid = _guidance_config(cfg, scm)
     tcfg = replace(cfg.trainer_config(), guidance=guid)
     unguided_cfg = replace(tcfg, guidance=replace(guid, lam=0.0))
@@ -283,6 +284,10 @@ _CHECKS = {
 
 
 def cmd_verify(cfg, out_dir, which):
+    lam = cfg["verify.lambda"]
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"verify.lambda must be finite and >= 0, got "
+                         f"{lam!r}")
     names = list(_CHECKS) if which == "all" else [which]
     summary = []
     all_ok = True

@@ -6,9 +6,14 @@ Samplers accept an optional guidance hook ``hook(a_k, k) -> correction``
 returning an epsilon-space additive correction; a hook returning zeros is
 bit-identical to no hook under the same seed, because hooks never touch
 the random stream.  A noise predictor is anything with ``d_action``,
-``forward(a, s, k, x=None)`` and ``chain_inputs(s)``: the latter returns
-an input buffer that ``forward`` may reuse as ``x`` along one reverse
-chain over the state rows ``s`` (or None, for a predictor without one).
+``forward(a, s, k, x=None)`` and ``chain_inputs(s)``: ``forward`` maps
+action rows (B, d) and state rows (B, n) to noise rows (B, d), and
+``chain_inputs`` returns an input buffer that ``forward`` may reuse as
+``x`` along one reverse chain over the state rows ``s`` (or None, for a
+predictor without one).  The samplers take state rows and return action
+rows.  A trained predictor (:class:`NoiseNet`) keeps its parameters in
+one flat vector, ``net.mlp.flat``, and its gradients (``backward``,
+:func:`ddim_vjp`) are flat vectors of the same layout.
 """
 
 import math
@@ -78,7 +83,6 @@ class NoiseNet:
     def chain_inputs(self, s):
         """An input buffer [a | s | k/K] for the state rows ``s``, with
         the state block filled; :meth:`forward` fills the rest."""
-        s = np.atleast_2d(s)
         x = np.empty((s.shape[0], self.d_action + self.n_state + 1))
         x[:, self.d_action:-1] = s
         return x
@@ -91,17 +95,16 @@ class NoiseNet:
         return x
 
     def forward(self, a, s, k, x=None):
-        squeeze = np.asarray(a).ndim == 1
-        out = self.mlp.forward(self._inputs(a, s, k, x))
-        return out[0] if squeeze else out
+        return self.mlp.forward(self._inputs(a, s, k, x))
 
     def forward_cache(self, a, s, k, x=None):
         return self.mlp.forward_cache(self._inputs(a, s, k, x))
 
     def backward(self, cache, cotangent):
-        """Returns (param_grads, grad w.r.t. the action block only)."""
-        grads, gx = self.mlp.backward(cache, cotangent)
-        return grads, gx[..., :self.d_action]
+        """Returns (flat parameter gradient, grad w.r.t. the action
+        block only)."""
+        grad, gx = self.mlp.backward(cache, cotangent)
+        return grad, gx[:, :self.d_action]
 
     def copy(self):
         clone = NoiseNet.__new__(NoiseNet)
@@ -140,8 +143,8 @@ def train_noise_net(net, dataset, schedule, opt, steps, rng, batch_size=64):
         pred, cache = net.forward_cache(ak, dataset.s[idx], k)
         err = pred - eps
         loss = float((err ** 2).sum(axis=1).mean())
-        grads, _ = net.backward(cache, (2.0 / batch_size) * err)
-        opt.step(net.mlp.params(), grads)
+        grad, _ = net.backward(cache, (2.0 / batch_size) * err)
+        opt.step(net.mlp.flat, grad)
         losses.append(loss)
     return losses
 
@@ -151,20 +154,18 @@ def ddpm_sample(net, schedule, s, rng, hook=None):
 
     Starts at a^K ~ N(0, I) and applies K reverse steps with mean
     (1/sqrt(alpha_k)) (a^k - beta_k / sqrt(1-abar_k) eps_hat) and variance
-    beta_k; the terminal step adds no noise.  ``s`` may be a single state
-    or a batch of rows.
+    beta_k; the terminal step adds no noise.  Takes state rows (B, n) and
+    returns action rows (B, d).
     """
     s = np.asarray(s, dtype=float)
-    squeeze = s.ndim == 1
-    s2 = s[None, :] if squeeze else s
-    batch = s2.shape[0]
+    batch = s.shape[0]
     d = net.d_action
     a = rng.standard_normal((batch, d))
     for k in range(schedule.k_steps, 0, -1):
         beta_k = schedule.betas[k - 1]
         alpha_k = schedule.alphas[k - 1]
         abar_k = schedule.abar_at(k)
-        eps_hat = net.forward(a, s2, k)
+        eps_hat = net.forward(a, s, k)
         if hook is not None:
             eps_hat = eps_hat + hook(a, k)
         mean = (a - beta_k / np.sqrt(1.0 - abar_k) * eps_hat) / np.sqrt(alpha_k)
@@ -172,33 +173,31 @@ def ddpm_sample(net, schedule, s, rng, hook=None):
             a = mean + np.sqrt(beta_k) * rng.standard_normal((batch, d))
         else:
             a = mean
-    return a[0] if squeeze else a
+    return a
 
 
 def ddim_sample(net, schedule, s, rng, hook=None, tape=None):
     """Deterministic reverse chain from a^K ~ N(0, I):
-    a^{k-1} = u_k a^k + w_k eps_hat(a^k, s, k).
+    a^{k-1} = u_k a^k + w_k eps_hat(a^k, s, k), over state rows (B, n).
 
     Passing a list as ``tape`` records each step's ``(k, net cache)`` for
     :func:`ddim_vjp`; the returned sample is the same either way.
     """
     s = np.asarray(s, dtype=float)
-    squeeze = s.ndim == 1
-    s2 = s[None, :] if squeeze else s
-    a = rng.standard_normal((s2.shape[0], net.d_action))
+    a = rng.standard_normal((s.shape[0], net.d_action))
     # one input buffer for the whole chain; a taped step keeps its input
     # in the cache, so it gets a fresh one
-    x = net.chain_inputs(s2) if tape is None else None
+    x = net.chain_inputs(s) if tape is None else None
     for k in range(schedule.k_steps, 0, -1):
         if tape is None:
-            eps_hat = net.forward(a, s2, k, x)
+            eps_hat = net.forward(a, s, k, x)
         else:
-            eps_hat, cache = net.forward_cache(a, s2, k)
+            eps_hat, cache = net.forward_cache(a, s, k)
             tape.append((k, cache))
         if hook is not None:
             eps_hat = eps_hat + hook(a, k)
         a = schedule.ddim_u[k - 1] * a + schedule.ddim_w[k - 1] * eps_hat
-    return a[0] if squeeze else a
+    return a
 
 
 def ddim_vjp(net, schedule, tape, cot, hook=None):
@@ -207,20 +206,19 @@ def ddim_vjp(net, schedule, tape, cot, hook=None):
 
     The hook's dependence on a^k enters through ``hook.eps_jacobian(k)``,
     a (d, d) matrix, or is treated as locally constant where that is None.
-    Returns gradients laid out like ``net.mlp.params()``, as views into
-    one flat array.
+    Returns one flat gradient laid out like ``net.mlp.flat``.
     """
-    grads = np.zeros(net.mlp.flat.size)
+    grad = np.zeros(net.mlp.flat.size)
     for k, cache in reversed(tape):
         cot_eps = schedule.ddim_w[k - 1] * cot
-        step_grads, ga = net.backward(cache, cot_eps)
-        grads += step_grads[0].base   # the flat array the views tile
+        step_grad, ga = net.backward(cache, cot_eps)
+        grad += step_grad
         cot = schedule.ddim_u[k - 1] * cot + ga
         if hook is not None:
             jac = hook.eps_jacobian(k)
             if jac is not None:
                 cot = cot + cot_eps @ jac
-    return net.mlp.views(grads)
+    return grad
 
 
 def save_noise_net(net, path):

@@ -203,12 +203,13 @@ def exhaustive_dag_oracle(data):
     return Dag(best_w)
 
 
-def discover_masks(transitions, cfg, w0=None, return_result=False):
+def discover_masks(transitions, cfg, w0=None):
     """NOTEARS over the stacked [s_t | a_t | s_{t+1} | r_t] matrix.
 
     Temporal ordering is enforced by construction: columns into s_t and
     a_t are hard-zeroed, and the reward node is a sink.  The learned
     adjacency is sliced into the four mask blocks and thresholded at tau.
+    Returns the :class:`DiscoveryResult` with ``masks`` set.
     """
     if not transitions:
         raise ValueError("discover_masks needs non-empty transitions")
@@ -235,9 +236,7 @@ def discover_masks(transitions, cfg, w0=None, return_result=False):
         thresholded[n:n + d, -1],
     )
     result.masks = masks
-    if return_result:
-        return result
-    return masks
+    return result
 
 
 def corrupt_masks(masks, flip_prob, rng):

@@ -26,6 +26,15 @@ class EnvSpec:
     def __post_init__(self):
         if self.n < 1 or self.d < 1 or self.horizon < 1:
             raise ValueError("n, d, horizon must all be >= 1")
+        for key in ("noise_scale", "reward_noise"):
+            value = getattr(self, key)
+            if not 0 <= value < np.inf:
+                raise ValueError(f"env.{key} must be finite and >= 0, got "
+                                 f"{value!r}")
+        # more causal actions than d are clamped to d by random_scm
+        if self.n_causal_actions < 0:
+            raise ValueError(f"env.n_causal_actions must be >= 0, got "
+                             f"{self.n_causal_actions}")
 
 
 @dataclass

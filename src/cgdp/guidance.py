@@ -77,16 +77,13 @@ class KlAccumulator:
         self.records = []
 
     def add(self, correction, g_t, dt):
-        """Add one term; a batch of correction rows adds its row mean."""
+        """Add one term, the row mean over the correction rows (B, d)."""
         if g_t <= 0 or dt <= 0:
             raise ValueError("g_t and dt must be > 0")
         c = np.asarray(correction, dtype=float)
-        if c.ndim > 1:
-            # the row mean of the squared norms, as .mean() computes it
-            rows = np.add.reduce(c * c, axis=-1)
-            sq = float(np.add.reduce(rows)) / rows.shape[0]
-        else:
-            sq = float(c @ c)
+        # the row mean of the squared norms, as .mean() computes it
+        rows = np.add.reduce(c * c, axis=-1)
+        sq = float(np.add.reduce(rows)) / rows.shape[0]
         contrib = sq / (g_t * g_t) * dt
         self.total += contrib
         self.records.append(contrib)
@@ -121,9 +118,9 @@ class GuidanceHook:
         self.dyn = dyn
         self.cfg = cfg
         self.schedule = schedule
-        self.s_t = np.atleast_2d(np.asarray(s_t, dtype=float))
+        self.s_t = np.asarray(s_t, dtype=float)
         self.s_next = None if s_next is None else \
-            np.atleast_2d(np.asarray(s_next, dtype=float))
+            np.asarray(s_next, dtype=float)
         if r_value is None:
             r_value = cfg.r_star if cfg.use_r_star else dyn.r_star
         self.r_value = r_value

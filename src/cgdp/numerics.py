@@ -73,10 +73,10 @@ class Mlp:
     ``self.weights`` ((out, in) matrices) and ``self.biases`` are views
     into it, laid out weights then bias per layer as :meth:`params` lists
     them.  Write parameters in place (``net.weights[0][...] = w``) so the
-    flat buffer sees them.  ``forward``/``backward`` accept a single
-    vector or a batch of rows; ``backward`` returns exact gradients of
-    ``sum(output * cotangent)`` w.r.t. every parameter, as views into one
-    fresh flat array of the same layout, and w.r.t. the input.
+    flat buffer sees them.  Inputs are rows, shape (B, in); ``backward``
+    returns the exact gradient of ``sum(output * cotangent)`` w.r.t. the
+    parameters, as one fresh flat array in the layout of ``self.flat``,
+    and w.r.t. the input rows.
     """
 
     def __init__(self, widths, rng=None):
@@ -97,8 +97,8 @@ class Mlp:
         return {"widths": self.widths, "flat": self.flat}
 
     def __setstate__(self, state):
-        # views of an unpickled array share its non-array base, which
-        # Adam's whole-buffer update cannot use: views need an owner
+        # a flat that views foreign memory (an unpickled out-of-band
+        # buffer) is copied, so that the parameter views alias self.flat
         self.widths = list(state["widths"])
         flat = state["flat"]
         self.flat = flat if flat.base is None else flat.copy()
@@ -116,18 +116,10 @@ class Mlp:
             start = stop + fan_out
         return out
 
-    @property
-    def n_layers(self):
-        return len(self.weights)
-
     def params(self):
         """Parameter arrays (weights then bias per layer), views into
         ``self.flat``."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return self.views(self.flat)
 
     def copy(self):
         clone = Mlp(self.widths)
@@ -139,120 +131,78 @@ class Mlp:
         return y
 
     def forward_cache(self, x):
-        """Forward pass keeping per-layer activations for backward."""
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        h = x[None, :] if squeeze else x
-        if h.shape[1] != self.widths[0]:
-            raise ValueError(
-                f"input width {h.shape[1]} != expected {self.widths[0]}")
+        """Forward pass over input rows (B, in), keeping per-layer
+        activations for backward."""
+        h = np.asarray(x, dtype=float)
+        if h.ndim != 2 or h.shape[1] != self.widths[0]:
+            raise ValueError(f"expected input rows of shape (B, "
+                             f"{self.widths[0]}), got {h.shape}")
         acts = [h]
-        for i in range(self.n_layers):
-            z = h @ self.weights[i].T + self.biases[i]
-            h = np.tanh(z) if i < self.n_layers - 1 else z
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = h @ w.T + b
+            h = np.tanh(z) if i < last else z
             acts.append(h)
-        y = acts[-1][0] if squeeze else acts[-1]
-        return y, (acts, squeeze)
+        return h, acts
 
     def backward(self, cache, cotangent):
-        """Backprop a cotangent; returns (param_grads, input_grad).
+        """Backprop cotangent rows (B, out); returns (grad, input_grad).
 
-        ``param_grads`` matches the layout of :meth:`params`, sums over
-        the batch and views one fresh flat array (each view's ``.base``);
-        ``input_grad`` has the shape of the original input.
+        ``grad`` sums over the rows and is one fresh flat array laid out
+        like ``self.flat``; ``input_grad`` has the shape of the input.
         """
-        acts, squeeze = cache
+        acts = cache
         g = np.asarray(cotangent, dtype=float)
-        # a single input with a batch-of-one cotangent keeps the batch axis
-        squeeze = squeeze and g.ndim == 1
-        if squeeze:
-            g = g[None, :]
-        param_grads = self.views(np.empty(self.flat.size))
-        for i in range(self.n_layers - 1, -1, -1):
-            h_in = acts[i]
-            if i < self.n_layers - 1:
+        grad = np.empty(self.flat.size)
+        grad_views = self.views(grad)
+        last = len(self.weights) - 1
+        for i in range(last, -1, -1):
+            if i < last:
                 # activation output of this hidden layer
                 g = g * (1.0 - acts[i + 1] ** 2)
-            np.matmul(g.T, h_in, out=param_grads[2 * i])
-            np.add.reduce(g, axis=0, out=param_grads[2 * i + 1])
+            np.matmul(g.T, acts[i], out=grad_views[2 * i])
+            np.add.reduce(g, axis=0, out=grad_views[2 * i + 1])
             g = g @ self.weights[i]
-        input_grad = g[0] if squeeze else g
-        return param_grads, input_grad
-
-
-def _flat_buffers(arrays):
-    """The 1-D arrays that consecutive runs of ``arrays`` tile whole, one
-    per run, as the views of :meth:`Mlp.params` and of ``Mlp.backward``'s
-    gradients do; None if some array is not such a view."""
-    out = []
-    i, count = 0, len(arrays)
-    while i < count:
-        base = arrays[i].base
-        if base is None or base.ndim != 1:
-            return None
-        size = 0
-        while i < count and arrays[i].base is base:
-            size += arrays[i].size
-            i += 1
-        if size != base.size:
-            return None
-        out.append(base)
-    return out
+        return grad, g
 
 
 class AdamState:
-    """Adam optimizer state for a fixed list of parameter arrays.
-
-    The moments are kept flat, in the order of the parameter elements.
-    Parameters and gradients that are views tiling flat buffers (an
-    ``Mlp``'s) are updated one buffer at a time; other arrays one array
-    at a time.  The arithmetic per element is the same either way.
-    """
+    """Adam optimizer state for one flat parameter vector."""
 
     def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         if lr < 0:
             raise ValueError("learning rate must be >= 0")
+        if np.ndim(params) != 1:
+            raise ValueError("AdamState takes one flat parameter vector")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        size = sum(np.size(p) for p in params)
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m = np.zeros(np.size(params))
+        self.v = np.zeros(np.size(params))
 
-    def step(self, params, grads):
-        """Apply one Adam update in place.  lr == 0 leaves params untouched."""
-        if self.lr == 0.0:
-            self.step_count += 1
-            return
+    def step(self, params, grad):
+        """Apply one Adam update to the flat ``params`` in place.  lr == 0
+        leaves params untouched."""
         self.step_count += 1
+        if self.lr == 0.0:
+            return
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
-        c1 = 1 - b1 ** t
-        c2 = 1 - b2 ** t
-        p_bufs, g_bufs = _flat_buffers(params), _flat_buffers(grads)
-        if p_bufs is None or g_bufs is None or \
-                [p.size for p in p_bufs] != [g.size for g in g_bufs]:
-            p_bufs, g_bufs = params, grads
-        start = 0
-        for p, g in zip(p_bufs, g_bufs):
-            stop = start + p.size
-            m = self.m[start:stop].reshape(p.shape)
-            v = self.v[start:stop].reshape(p.shape)
-            start = stop
-            # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            g2 = (1 - b2) * g
-            g2 *= g
-            v += g2
-            # p -= lr m_hat / (sqrt(v_hat) + eps)
-            m_hat = m / c1
-            m_hat *= self.lr
-            denom = v / c2
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            m_hat /= denom
-            p -= m_hat
+        m, v = self.m, self.v
+        # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g
+        m *= b1
+        m += (1 - b1) * grad
+        v *= b2
+        g2 = (1 - b2) * grad
+        g2 *= grad
+        v += g2
+        # p -= lr m_hat / (sqrt(v_hat) + eps)
+        m_hat = m / (1 - b1 ** t)
+        m_hat *= self.lr
+        denom = v / (1 - b2 ** t)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        m_hat /= denom
+        params -= m_hat

@@ -67,14 +67,12 @@ class ReplayBuffer:
 
 
 class CriticPair:
-    """Double Q-networks with polyak-averaged target copies."""
+    """Double Q-networks with polyak-averaged target copies, each Q-net
+    with its own Adam state.  ``TrainerConfig`` checks ``rho_target``
+    and ``gamma_disc``."""
 
     def __init__(self, n_state, d_action, hidden, rng=None, rho_target=0.005,
                  gamma_disc=0.99, lr=3e-4):
-        if not 0 < rho_target <= 1:
-            raise ValueError("rho_target must lie in (0,1]")
-        if not 0 <= gamma_disc < 1:
-            raise ValueError("gamma_disc must lie in [0,1)")
         widths = [n_state + d_action, *hidden, 1]
         self.q1 = Mlp(widths, rng=rng)
         self.q2 = Mlp(widths, rng=rng)
@@ -82,7 +80,8 @@ class CriticPair:
         self.q2_target = self.q2.copy()
         self.rho_target = rho_target
         self.gamma_disc = gamma_disc
-        self.opt = AdamState(self.q1.params() + self.q2.params(), lr=lr)
+        self.opt1 = AdamState(self.q1.flat, lr=lr)
+        self.opt2 = AdamState(self.q2.flat, lr=lr)
 
     def soft_update(self):
         rho = self.rho_target
@@ -122,9 +121,15 @@ class TrainerConfig:
             raise ValueError("eta must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        for key in ("refresh_window", "buffer_capacity"):
+        for key in ("refresh_window", "buffer_capacity", "k_steps"):
             if getattr(self, key) < 1:
                 raise ValueError(f"train.{key} must be >= 1")
+        if not 0 <= self.gamma_disc < 1:
+            raise ValueError(f"train.gamma_disc must lie in [0,1), got "
+                             f"{self.gamma_disc!r}")
+        if not 0 < self.rho_target <= 1:
+            raise ValueError(f"train.rho_target must lie in (0,1], got "
+                             f"{self.rho_target!r}")
 
 
 def critic_update(critics, batch, policy_sampler, rng):
@@ -152,7 +157,8 @@ def critic_update(critics, batch, policy_sampler, rng):
     loss = float((err1 ** 2 + err2 ** 2).mean())
     g1, _ = critics.q1.backward(cache1, (2.0 / batch_n) * err1[:, None])
     g2, _ = critics.q2.backward(cache2, (2.0 / batch_n) * err2[:, None])
-    critics.opt.step(critics.q1.params() + critics.q2.params(), g1 + g2)
+    critics.opt1.step(critics.q1.flat, g1)
+    critics.opt2.step(critics.q2.flat, g2)
     critics.soft_update()
     return loss
 
@@ -183,7 +189,7 @@ def policy_update(net, critics, dyn, batch, cfg, schedule, opt, rng,
     pred, cache = net.forward_cache(ak, s, k)
     err = pred - target
     denoise_loss = float((err ** 2).sum(axis=1).mean())
-    grads, _ = net.backward(cache, (2.0 / batch_n) * err)
+    grad, _ = net.backward(cache, (2.0 / batch_n) * err)
 
     q_obj = 0.0
     if cfg.eta != 0.0:
@@ -197,11 +203,9 @@ def policy_update(net, critics, dyn, batch, cfg, schedule, opt, rng,
         _, gx = critics.q1.backward(qcache, np.full((batch_n, 1),
                                                     1.0 / batch_n))
         cot_a0 = -cfg.eta * gx[:, dyn.n:]
-        actor_grads = ddim_vjp(net, schedule, tape, cot_a0, hook=actor_hook)
-        flat_grads = grads[0].base   # the flat array the views tile
-        flat_grads += actor_grads[0].base
+        grad += ddim_vjp(net, schedule, tape, cot_a0, hook=actor_hook)
 
-    opt.step(net.mlp.params(), grads)
+    opt.step(net.mlp.flat, grad)
     return denoise_loss, q_obj
 
 
@@ -225,13 +229,13 @@ def offline_stage(dataset, cfg, rng, masks=None, w0=None):
         raise ValueError("offline stage needs a non-empty dataset")
     n, d = dataset.s.shape[1], dataset.a.shape[1]
     if masks is None:
-        result = discover_masks(dataset, cfg.notears, return_result=True)
+        result = discover_masks(dataset, cfg.notears)
         masks = result.masks
         w0 = result.w
     dyn = fit_dynamics(dataset, masks)
     schedule = make_schedule(cfg.k_steps, cfg.beta_start, cfg.beta_end)
     net = NoiseNet(n, d, cfg.k_steps, hidden=cfg.hidden, rng=rng)
-    opt = AdamState(net.mlp.params(), lr=cfg.lr)
+    opt = AdamState(net.mlp.flat, lr=cfg.lr)
     train_noise_net(net, dataset, schedule, opt, cfg.offline_steps, rng,
                     batch_size=cfg.batch_size)
     return OfflineArtifacts(net=net, dyn=dyn, masks=masks,
@@ -317,7 +321,7 @@ def online_stage(env, artifacts, cfg, rng):
     critics = CriticPair(dyn.n, dyn.d, hidden=cfg.hidden, rng=rng,
                          rho_target=cfg.rho_target,
                          gamma_disc=cfg.gamma_disc, lr=cfg.lr)
-    opt = AdamState(net.mlp.params(), lr=cfg.lr)
+    opt = AdamState(net.mlp.flat, lr=cfg.lr)
     # a FIFO that never wraps acts the same whatever its capacity, so
     # the ring holds no more rows than the run can write
     rows = max(1, cfg.online_episodes * env.spec.horizon)
@@ -343,7 +347,7 @@ def online_stage(env, artifacts, cfg, rng):
         n_updates = 0
         refreshes = []
         while not state.done:
-            a = policy_sampler(state.obs, rng, kl_acc)
+            a = policy_sampler(state.obs[None], rng, kl_acc)[0]
             s_prev = state.obs
             state, r, done = env.step(a, rng)
             buffer.add(s_prev, a, r, state.obs, done)
@@ -373,8 +377,7 @@ def online_stage(env, artifacts, cfg, rng):
                     refreshes.append("skipped (window too small)")
                 else:
                     try:
-                        result = discover_masks(window, cfg.notears,
-                                                w0=w_warm, return_result=True)
+                        result = discover_masks(window, cfg.notears, w0=w_warm)
                         new_dyn = fit_dynamics(window, result.masks)
                     except ValueError as exc:
                         # the current model stays

@@ -419,6 +419,6 @@ def default_linear_instance(n=2, d=1, seed=0, episodes=60, horizon=10):
     rng = np.random.default_rng(seed)
     scm = random_scm(n, d, d, rng=rng)
     data = generate_dataset(scm, episodes, horizon, 0.5, rng)
-    masks = discover_masks(data, NotearsConfig())
+    masks = discover_masks(data, NotearsConfig()).masks
     dyn = fit_dynamics(data, masks)
     return scm, dyn

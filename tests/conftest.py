@@ -32,6 +32,6 @@ def small_instance():
     rng = np.random.default_rng(0)
     scm = random_scm(3, 2, 2, rng=rng)
     data = generate_dataset(scm, 200, 5, 1.5, rng)
-    masks = discover_masks(data, NotearsConfig())
+    masks = discover_masks(data, NotearsConfig()).masks
     dyn = fit_dynamics(data, masks)
     return scm, dyn, data

@@ -85,7 +85,7 @@ def bench_setup():
     env = Environment(spec)
     rng = np.random.default_rng(0)
     data = generate_dataset(env.scm, 400, 5, 1.5, rng)
-    result = discover_masks(data, NotearsConfig(), return_result=True)
+    result = discover_masks(data, NotearsConfig())
     return spec, env, data, result
 
 
@@ -154,10 +154,10 @@ def test_02_gradient_oracle_suite(small_instance):
     worst_net = 0.0
     net = Mlp([3, 16, 16, 2], rng=np.random.default_rng(2))
     for _ in range(100):
-        x = rng.standard_normal(3)
+        x = rng.standard_normal((1, 3))
         _, cache = net.forward_cache(x)
         _, gx = net.backward(cache, np.ones((1, 2)))
-        fd = central_fd(lambda v: net.forward(v).sum(), x)
+        fd = central_fd(lambda v: net.forward(v[None]).sum(), x[0])
         worst_net = max(worst_net, rel_err(gx[0], fd))
 
     ok = worst_lin < 1e-5 and worst_net < 1e-4
@@ -259,14 +259,13 @@ def test_07_zero_guidance_equivalence(tmp_path, small_instance):
     nets = []
     for factory in (None, lambda states: None):
         n2 = net.copy()
-        opt = AdamState(n2.mlp.params(), lr=1e-3)
+        opt = AdamState(n2.mlp.flat, lr=1e-3)
         critics = CriticPair(dyn.n, dyn.d, hidden=(8,),
                              rng=np.random.default_rng(4))
         policy_update(n2, critics, dyn, batch, tcfg, schedule, opt,
                       np.random.default_rng(5), hook_factory=factory)
         nets.append(n2)
-    trainer_ok = all(np.array_equal(a, b) for a, b in
-                     zip(nets[0].mlp.params(), nets[1].mlp.params()))
+    trainer_ok = np.array_equal(nets[0].mlp.flat, nets[1].mlp.flat)
 
     spec = EnvSpec(n=3, d=2, horizon=5, seed=0)
     env = Environment(spec)

@@ -248,8 +248,7 @@ class TestAblationReuse:
         data = load_dataset(str(out / "dataset.txt"))
         spec = cfg.env_spec()
         scm = make_env_scm(spec)
-        result = discover_masks(data, cfg.notears_config(),
-                                return_result=True)
+        result = discover_masks(data, cfg.notears_config())
         guid = _guidance_config(cfg, scm)
         lines = ["arm,mean,std"]
         for arm in ("notears", "corrupted", "unguided"):
@@ -286,7 +285,8 @@ class TestLoudInputs:
             "small);" in capsys.readouterr().out
 
     @pytest.mark.parametrize("key", ["train.refresh_window",
-                                     "train.buffer_capacity"])
+                                     "train.buffer_capacity",
+                                     "train.k_steps"])
     def test_train_rejects_a_count_below_one(self, workdir, capsys, key):
         out, cfg_path = workdir
         assert run(cfg_path, out, "gen-data") == 0
@@ -331,7 +331,18 @@ class TestLoudInputs:
         ("ablate", "ablate.flip_prob = nan", "ablation.csv"),
         ("ablate", "ablate.flip_prob = 1.5", "ablation.csv"),
         ("gen-data", "data.behavior_noise = nan", "dataset.txt"),
-        ("gen-data", "data.behavior_noise = inf", "dataset.txt")])
+        ("gen-data", "data.behavior_noise = inf", "dataset.txt"),
+        ("gen-data", "env.noise_scale = nan", "dataset.txt"),
+        ("gen-data", "env.noise_scale = -1", "dataset.txt"),
+        ("gen-data", "env.reward_noise = nan", "dataset.txt"),
+        ("gen-data", "env.reward_noise = inf", "dataset.txt"),
+        ("gen-data", "env.n_causal_actions = -1", "dataset.txt"),
+        ("train", "train.gamma_disc = 1.0", "metrics.txt"),
+        ("train", "train.gamma_disc = nan", "metrics.txt"),
+        ("train", "train.rho_target = 0", "metrics.txt"),
+        ("train", "train.rho_target = 1.5", "metrics.txt"),
+        ("verify", "verify.lambda = nan", "lemma1.csv"),
+        ("verify", "verify.lambda = -1", "lemma1.csv")])
     def test_a_bad_config_float_exits_1_before_any_output(
             self, workdir, capsys, command, line, output):
         out, cfg_path = workdir
@@ -339,12 +350,14 @@ class TestLoudInputs:
             assert run(cfg_path, out, "gen-data") == 0
         with open(cfg_path, "a") as fh:
             fh.write(line + "\n")
+        before = sorted(os.listdir(out))
         capsys.readouterr()
         assert run(cfg_path, out, command) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert line.split(" =")[0] in err
         assert not (out / output).exists()
+        assert sorted(os.listdir(out)) == before
 
     def test_discover_rejects_no_inner_iterations(self, workdir, capsys):
         out, cfg_path = workdir
@@ -384,14 +397,3 @@ class TestLoudInputs:
         data.write_text("\n".join(data.read_text().splitlines()[:10]))
         assert run(cfg_path, out, "discover") == 1
         assert capsys.readouterr().err.startswith(f"error: {data}:11:")
-
-
-def test_threads_env_var_does_not_change_ablation(workdir, monkeypatch):
-    out, cfg_path = workdir
-    assert run(cfg_path, out, "gen-data") == 0
-    monkeypatch.setenv("CGDP_THREADS", "1")
-    assert run(cfg_path, out, "ablate") == 0
-    single = (out / "ablation.csv").read_bytes()
-    monkeypatch.setenv("CGDP_THREADS", "3")
-    assert run(cfg_path, out, "ablate") == 0
-    assert (out / "ablation.csv").read_bytes() == single

@@ -84,8 +84,8 @@ class TestSamplers:
     def test_ddpm_single_step_closed_form(self):
         sched = make_schedule(1, 0.36, 0.36)
         rng = np.random.default_rng(2)
-        a0 = ddpm_sample(ZeroNet(), sched, np.zeros(2), rng)
-        a1 = np.random.default_rng(2).standard_normal((1, 2))[0]
+        a0 = ddpm_sample(ZeroNet(), sched, np.zeros((1, 2)), rng)
+        a1 = np.random.default_rng(2).standard_normal((1, 2))
         assert np.allclose(a0, a1 / np.sqrt(1.0 - 0.36), rtol=1e-14)
 
     def test_zero_hook_bit_identity(self):
@@ -93,7 +93,7 @@ class TestSamplers:
         net = NoiseNet(2, 2, 20, hidden=(8,), rng=np.random.default_rng(0))
 
         def zero_hook(a, k):
-            return np.zeros_like(np.atleast_2d(a))
+            return np.zeros_like(a)
 
         s = np.random.default_rng(1).standard_normal((4, 2))
         for sampler in (ddpm_sample, ddim_sample):
@@ -175,9 +175,6 @@ class TestSamplers:
                                       np.random.default_rng(2), hook=h)
                     want = reference(net, s, np.random.default_rng(2), h)
                     assert np.array_equal(got, want)
-            one = ddim_sample(net, sched, s[0], np.random.default_rng(3))
-            assert np.array_equal(one, reference(
-                net, s[:1], np.random.default_rng(3), None)[0])
 
     def test_ddpm_matches_known_gaussian(self):
         # analytic noise for actions ~ N(mu, 0.1^2 I) under the forward kernel
@@ -228,7 +225,7 @@ class TestTraining:
                            np.zeros(1), np.zeros((1, 2)), np.zeros(1))
         sched = make_schedule(10)
         net = NoiseNet(2, 2, 10, hidden=(32, 32), rng=rng)
-        opt = AdamState(net.mlp.params(), lr=1e-3)
+        opt = AdamState(net.mlp.flat, lr=1e-3)
         losses = train_noise_net(net, data, sched, opt, 2000, rng)
         early = np.mean(losses[:200])
         late = np.mean(losses[-200:])
@@ -238,11 +235,10 @@ class TestTraining:
     def test_zero_steps_leaves_params(self):
         rng = np.random.default_rng(7)
         net = NoiseNet(2, 2, 10, hidden=(8,), rng=rng)
-        before = [p.copy() for p in net.mlp.params()]
-        opt = AdamState(net.mlp.params())
+        before = net.mlp.flat.copy()
+        opt = AdamState(net.mlp.flat)
         train_noise_net(net, toy_dataset(rng), make_schedule(10), opt, 0, rng)
-        assert all(np.array_equal(b, p)
-                   for b, p in zip(before, net.mlp.params()))
+        assert np.array_equal(before, net.mlp.flat)
 
     def test_heldout_loss_improves_most_seeds(self):
         sched = make_schedule(10)
@@ -255,7 +251,7 @@ class TestTraining:
             before = np.mean([heldout_loss(net, held, sched,
                                            np.random.default_rng(100 + i))
                               for i in range(5)])
-            opt = AdamState(net.mlp.params(), lr=1e-3)
+            opt = AdamState(net.mlp.flat, lr=1e-3)
             train_noise_net(net, data, sched, opt, 300, rng)
             after = np.mean([heldout_loss(net, held, sched,
                                           np.random.default_rng(100 + i))
@@ -268,7 +264,7 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_noise_net(net, Transitions.zeros(0, 2, 2),
                             make_schedule(10),
-                            AdamState(net.mlp.params()), 10,
+                            AdamState(net.mlp.flat), 10,
                             np.random.default_rng(0))
 
 

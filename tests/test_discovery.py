@@ -156,7 +156,7 @@ class TestDiscoverMasks:
         rng = np.random.default_rng(9)
         scm = random_scm(4, 3, 2, rng=rng)
         data = generate_dataset(scm, 2000, 5, 1.5, rng)
-        masks = discover_masks(data, NotearsConfig())
+        masks = discover_masks(data, NotearsConfig()).masks
         gt = exact_masks(scm)
         for est, true in ((masks.c_ss, gt.c_ss), (masks.c_as, gt.c_as),
                           (masks.u_sr, gt.u_sr), (masks.u_ar, gt.u_ar)):
@@ -166,7 +166,7 @@ class TestDiscoverMasks:
         rng = np.random.default_rng(10)
         scm = random_scm(3, 2, 2, rng=rng)
         data = generate_dataset(scm, 200, 5, 1.5, rng)
-        result = discover_masks(data, NotearsConfig(), return_result=True)
+        result = discover_masks(data, NotearsConfig())
         n, d = 3, 2
         assert np.all(result.w[:, :n + d] == 0)
         assert np.all(result.w[-1, :] == 0)
@@ -176,7 +176,7 @@ class TestDiscoverMasks:
         scm = random_scm(3, 2, 2, rng=rng)
         data = generate_dataset(scm, 200, 5, 0.0, rng)
         data.a[:] = 0.7
-        masks = discover_masks(data, NotearsConfig())
+        masks = discover_masks(data, NotearsConfig()).masks
         assert np.all(masks.c_as == 0) and np.all(masks.u_ar == 0)
 
     def test_rejects_empty(self):

@@ -16,6 +16,15 @@ class TestSpec:
         with pytest.raises(ValueError):
             EnvSpec(horizon=0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("noise_scale", float("nan")), ("noise_scale", -0.5),
+        ("reward_noise", float("nan")), ("reward_noise", float("inf")),
+        ("n_causal_actions", -1)])
+    def test_rejects_bad_noise_and_causal_counts_naming_the_key(self, key,
+                                                               value):
+        with pytest.raises(ValueError, match=f"env.{key} must be"):
+            EnvSpec(**{key: value})
+
     def test_scm_deterministic_in_seed(self):
         spec = EnvSpec(n=3, d=2, seed=4)
         s1, s2 = make_env_scm(spec), make_env_scm(spec)

@@ -164,18 +164,18 @@ class TestGuidanceHook:
 class TestKlAccumulator:
     def test_zero_correction_no_change(self):
         acc = KlAccumulator()
-        acc.add(np.zeros(3), 1.0, 0.1)
+        acc.add(np.zeros((2, 3)), 1.0, 0.1)
         assert acc.total == 0.0
 
     def test_constant_correction_unit_integral(self):
         acc = KlAccumulator()
         for _ in range(10):
-            acc.add(np.array([1.0, 0.0]), 1.0, 0.1)
+            acc.add(np.array([[1.0, 0.0], [0.0, -1.0]]), 1.0, 0.1)
         assert abs(acc.total - 1.0) < 1e-12
 
     def test_ratio_normalization(self):
         acc = KlAccumulator()
-        acc.add(np.array([2.0]), 2.0, 1.0)
+        acc.add(np.array([[2.0]]), 2.0, 1.0)
         assert abs(acc.total - 1.0) < 1e-12
 
     def test_monotone_and_unguided_zero(self, small_instance):
@@ -198,7 +198,7 @@ class TestKlAccumulator:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            KlAccumulator().add(np.ones(2), 0.0, 0.1)
+            KlAccumulator().add(np.ones((1, 2)), 0.0, 0.1)
 
 
 class TestStabilityBound:
@@ -312,7 +312,7 @@ def reference_euler(dyn, net, schedule, cfg, s, dt, steps, rng):
         g = np.sqrt(beta_t)
         if net is not None:
             k = int(np.clip(round(t * k_steps), 1, k_steps))
-            eps = net.forward(a, s, k)
+            eps = net.forward(a[None], s[None], k)[0]
             score = score_from_noise(eps, min(schedule.abar_at(k), 1 - 1e-12))
         else:
             score = -a

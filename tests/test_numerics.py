@@ -65,13 +65,13 @@ class TestMatExpm:
 class TestMlp:
     def test_zero_network_zero_output(self):
         net = Mlp([3, 4, 2])
-        assert np.array_equal(net.forward(np.ones(3)), np.zeros(2))
+        assert np.array_equal(net.forward(np.ones((1, 3))), np.zeros((1, 2)))
 
     def test_identity_linear_layer(self):
         net = Mlp([2, 2])
         net.weights[0][...] = np.eye(2)
-        assert np.array_equal(net.forward(np.array([1.0, 2.0])),
-                              np.array([1.0, 2.0]))
+        x = np.array([[1.0, 2.0], [-3.0, 0.5]])
+        assert np.array_equal(net.forward(x), x)
 
     def test_hand_computed_tanh_composition(self):
         net = Mlp([2, 2, 1])
@@ -82,45 +82,48 @@ class TestMlp:
         x = np.array([0.3, -0.7])
         h = np.tanh(net.weights[0] @ x + net.biases[0])
         expected = net.weights[1] @ h + net.biases[1]
-        assert np.allclose(net.forward(x), expected, rtol=1e-14)
+        assert np.allclose(net.forward(x[None])[0], expected, rtol=1e-14)
 
     def test_linear_layer_weight_gradient(self):
         net = Mlp([3, 2])
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.array([[1.0, 2.0, 3.0]])
         _, cache = net.forward_cache(x)
-        grads, _ = net.backward(cache, np.array([1.0, 0.0]))
-        assert np.array_equal(grads[0][0], x)
-        assert np.array_equal(grads[0][1], np.zeros(3))
+        grad, _ = net.backward(cache, np.array([[1.0, 0.0]]))
+        w_grad, b_grad = net.views(grad)
+        assert np.array_equal(w_grad, [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+        assert np.array_equal(b_grad, [1.0, 0.0])
 
     def test_zero_cotangent_zero_gradients(self):
         net = Mlp([3, 5, 2], rng=np.random.default_rng(0))
-        _, cache = net.forward_cache(np.ones(3))
-        grads, gx = net.backward(cache, np.zeros(2))
-        assert all(np.all(g == 0) for g in grads)
-        assert np.all(gx == 0)
+        _, cache = net.forward_cache(np.ones((2, 3)))
+        grad, gx = net.backward(cache, np.zeros((2, 2)))
+        assert np.all(grad == 0) and grad.shape == net.flat.shape
+        assert np.all(gx == 0) and gx.shape == (2, 3)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         for probe in range(100):
             widths = [int(rng.integers(2, 9)) for _ in range(3)]
             net = Mlp(widths, rng=rng)
-            x = rng.standard_normal(widths[0])
-            cot = rng.standard_normal(widths[-1])
+            x = rng.standard_normal((1, widths[0]))
+            cot = rng.standard_normal((1, widths[-1]))
             _, cache = net.forward_cache(x)
-            grads, gx = net.backward(cache, cot)
-            assert rel_err(gx, central_fd(
-                lambda v: float(net.forward(v) @ cot), x)) < 1e-4
+            grad, gx = net.backward(cache, cot)
+            assert rel_err(gx[0], central_fd(
+                lambda v: float(net.forward(v[None])[0] @ cot[0]),
+                x[0])) < 1e-4
             w0 = net.weights[0]
             i, j = int(rng.integers(w0.shape[0])), int(rng.integers(w0.shape[1]))
             h = 1e-5
             orig = w0[i, j]
             w0[i, j] = orig + h
-            up = float(net.forward(x) @ cot)
+            up = float(net.forward(x)[0] @ cot[0])
             w0[i, j] = orig - h
-            down = float(net.forward(x) @ cot)
+            down = float(net.forward(x)[0] @ cot[0])
             w0[i, j] = orig
             fd = (up - down) / (2 * h)
-            assert abs(grads[0][i, j] - fd) < 1e-4 * max(abs(fd), 1.0)
+            assert abs(net.views(grad)[0][i, j] - fd) < \
+                1e-4 * max(abs(fd), 1.0)
 
     def test_batched_forward_matches_per_row(self):
         rng = np.random.default_rng(3)
@@ -128,8 +131,15 @@ class TestMlp:
         x = rng.standard_normal((5, 3))
         batched = net.forward(x)
         for i in range(5):
-            assert np.allclose(batched[i], net.forward(x[i]), rtol=1e-14)
+            assert np.allclose(batched[i], net.forward(x[i:i + 1])[0],
+                               rtol=1e-14)
 
+    @pytest.mark.parametrize("x", [np.ones(3), np.ones((2, 4)),
+                                   np.ones((1, 2, 3))])
+    def test_rejects_anything_but_rows_of_the_input_width(self, x):
+        net = Mlp([3, 4, 2])
+        with pytest.raises(ValueError, match=r"shape \(B, 3\)"):
+            net.forward_cache(x)
 
     def test_parameters_and_gradients_view_one_flat_buffer(self):
         net = Mlp([3, 5, 2], rng=np.random.default_rng(0))
@@ -137,10 +147,10 @@ class TestMlp:
         assert np.array_equal(
             np.concatenate([p.ravel() for p in net.params()]), net.flat)
         _, cache = net.forward_cache(np.ones((4, 3)))
-        grads, _ = net.backward(cache, np.ones((4, 2)))
-        flat = grads[0].base
-        assert flat.shape == net.flat.shape
-        assert all(g.base is flat for g in grads)
+        grad, _ = net.backward(cache, np.ones((4, 2)))
+        again, _ = net.backward(cache, np.ones((4, 2)))
+        assert grad.shape == net.flat.shape and grad.base is None
+        assert again is not grad and np.array_equal(again, grad)
         clone = net.copy()
         assert np.array_equal(clone.flat, net.flat)
         clone.weights[0][0, 0] += 1.0
@@ -155,8 +165,8 @@ class TestMlp:
         assert np.array_equal(net.flat, orig.flat)
         assert all(p.base is net.flat for p in net.params())
         _, cache = net.forward_cache(np.ones((4, 3)))
-        grads, _ = net.backward(cache, np.ones((4, 2)))
-        AdamState(net.params(), lr=1e-2).step(net.params(), grads)
+        grad, _ = net.backward(cache, np.ones((4, 2)))
+        AdamState(net.flat, lr=1e-2).step(net.flat, grad)
         assert np.array_equal(
             np.concatenate([p.ravel() for p in net.params()]), net.flat)
         assert np.array_equal(net.copy().flat, net.flat)
@@ -178,26 +188,25 @@ def reference_adam(params, grads_seq, lr=3e-4, beta1=0.9, beta2=0.999,
 
 class TestAdam:
     def test_flat_buffer_steps_match_per_array_adam_bitwise(self):
+        # two nets with an optimizer each, as the critic pair has
         rng = np.random.default_rng(5)
         nets = [Mlp([7, 16, 16, 3], rng=np.random.default_rng(6)),
                 Mlp([7, 8, 1], rng=np.random.default_rng(7))]
-        ref = [[p.copy() for p in net.params()] for net in nets]
-        params = nets[0].params() + nets[1].params()
-        opt = AdamState(params, lr=1e-2)
-        grads_seq = []
+        refs = [[p.copy() for p in net.params()] for net in nets]
+        opts = [AdamState(net.flat, lr=1e-2) for net in nets]
+        grads_seqs = [[], []]
         for _ in range(50):
             x = rng.standard_normal((9, 7))
-            grads = []
-            for net in nets:
+            for net, opt, grads_seq in zip(nets, opts, grads_seqs):
                 _, cache = net.forward_cache(x)
                 g, _ = net.backward(cache, rng.standard_normal(
                     (9, net.widths[-1])))
-                grads += g
-            grads_seq.append([g.copy() for g in grads])
-            opt.step(params, grads)
-        reference_adam(ref[0] + ref[1], grads_seq, lr=1e-2)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(params, ref[0] + ref[1]))
+                grads_seq.append([v.copy() for v in net.views(g)])
+                opt.step(net.flat, g)
+        for net, ref, grads_seq in zip(nets, refs, grads_seqs):
+            reference_adam(ref, grads_seq, lr=1e-2)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(net.params(), ref))
 
     def test_soft_update_matches_per_array_polyak_bitwise(self):
         from cgdp.rl import CriticPair
@@ -222,18 +231,21 @@ class TestAdam:
 
     def test_zero_learning_rate_is_noop(self):
         net = Mlp([2, 3, 1], rng=np.random.default_rng(0))
-        before = [p.copy() for p in net.params()]
-        opt = AdamState(net.params(), lr=0.0)
-        grads = [np.ones_like(p) for p in net.params()]
+        before = net.flat.copy()
+        opt = AdamState(net.flat, lr=0.0)
         for _ in range(5):
-            opt.step(net.params(), grads)
-        assert all(np.array_equal(b, p)
-                   for b, p in zip(before, net.params()))
+            opt.step(net.flat, np.ones_like(net.flat))
+        assert np.array_equal(before, net.flat) and opt.step_count == 5
 
     def test_descends_a_quadratic(self):
-        p = [np.array([5.0])]
+        p = np.array([5.0, -3.0])
         opt = AdamState(p, lr=0.1)
         for _ in range(500):
-            opt.step(p, [2.0 * p[0]])
-        assert abs(p[0][0]) < 1e-2
+            opt.step(p, 2.0 * p)
+        assert np.all(np.abs(p) < 1e-2)
+
+    def test_takes_one_flat_vector(self):
+        net = Mlp([2, 3, 1])
+        with pytest.raises(ValueError, match="one flat parameter vector"):
+            AdamState(net.weights[0])
 

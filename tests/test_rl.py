@@ -179,23 +179,21 @@ class TestGuidedChain:
 
         tape = []
         objective(tape)
-        grads = ddim_vjp(net, sched, tape, np.ones((2, 2)), hook=hook)
+        grad = ddim_vjp(net, sched, tape, np.ones((2, 2)), hook=hook)
+        assert grad.shape == net.mlp.flat.shape
         rng = np.random.default_rng(6)
-        params = net.mlp.params()
+        flat = net.mlp.flat
         h = 1e-6
         for _ in range(20):
-            p = params[int(rng.integers(len(params)))]
-            idx = tuple(int(rng.integers(sz)) for sz in p.shape)
-            which = [i for i, q in enumerate(params) if q is p][0]
-            orig = p[idx]
-            p[idx] = orig + h
+            i = int(rng.integers(flat.size))
+            orig = flat[i]
+            flat[i] = orig + h
             up = objective()
-            p[idx] = orig - h
+            flat[i] = orig - h
             down = objective()
-            p[idx] = orig
+            flat[i] = orig
             fd = (up - down) / (2 * h)
-            assert rel_err(np.array([grads[which][idx]]),
-                           np.array([fd])) < 1e-4
+            assert rel_err(np.array([grad[i]]), np.array([fd])) < 1e-4
 
 
 class TestPolicyUpdate:
@@ -208,8 +206,8 @@ class TestPolicyUpdate:
                             k_steps=5, lr=1e-3)
         net = NoiseNet(2, 2, 5, hidden=(8,), rng=np.random.default_rng(8))
         net2 = net.copy()
-        opt = AdamState(net.mlp.params(), lr=1e-3)
-        opt2 = AdamState(net2.mlp.params(), lr=1e-3)
+        opt = AdamState(net.mlp.flat, lr=1e-3)
+        opt2 = AdamState(net2.mlp.flat, lr=1e-3)
         critics = CriticPair(2, 2, hidden=(4,))
 
         policy_update(net, critics, dyn, batch, cfg, sched, opt,
@@ -220,11 +218,10 @@ class TestPolicyUpdate:
         k = int(rng2.integers(1, 6))
         ak, eps = forward_corrupt(sched, a0, k, rng2)
         pred, cache = net2.forward_cache(ak, s, k)
-        grads, _ = net2.backward(cache, (2.0 / len(batch)) * (pred - eps))
-        opt2.step(net2.mlp.params(), grads)
+        grad, _ = net2.backward(cache, (2.0 / len(batch)) * (pred - eps))
+        opt2.step(net2.mlp.flat, grad)
 
-        for a, b in zip(net.mlp.params(), net2.mlp.params()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(net.mlp.flat, net2.mlp.flat)
 
     def test_q_term_changes_update(self):
         sched = make_schedule(5)
@@ -237,15 +234,13 @@ class TestPolicyUpdate:
                                 k_steps=5, lr=1e-3)
             net = NoiseNet(2, 2, 5, hidden=(8,),
                            rng=np.random.default_rng(11))
-            opt = AdamState(net.mlp.params(), lr=1e-3)
+            opt = AdamState(net.mlp.flat, lr=1e-3)
             critics = CriticPair(2, 2, hidden=(8,),
                                  rng=np.random.default_rng(12))
             policy_update(net, critics, dyn, batch, cfg, sched, opt,
                           np.random.default_rng(13))
             nets.append(net)
-        diffs = [np.max(np.abs(a - b)) for a, b in
-                 zip(nets[0].mlp.params(), nets[1].mlp.params())]
-        assert max(diffs) > 0
+        assert not np.array_equal(nets[0].mlp.flat, nets[1].mlp.flat)
 
     def test_empty_batch_rejected(self):
         cfg = TrainerConfig(k_steps=5)
@@ -253,7 +248,7 @@ class TestPolicyUpdate:
         with pytest.raises(ValueError):
             policy_update(net, CriticPair(2, 2, hidden=(4,)), linear_dyn(),
                           Transitions.zeros(0, 2, 2), cfg, make_schedule(5),
-                          AdamState(net.mlp.params()),
+                          AdamState(net.mlp.flat),
                           np.random.default_rng(0))
 
 
@@ -264,7 +259,8 @@ class TestTrainerConfig:
         with pytest.raises(ValueError):
             TrainerConfig(batch_size=0)
 
-    @pytest.mark.parametrize("key", ["refresh_window", "buffer_capacity"])
+    @pytest.mark.parametrize("key", ["refresh_window", "buffer_capacity",
+                                     "k_steps"])
     @pytest.mark.parametrize("value", [0, -3])
     def test_rejects_counts_below_one_naming_the_key(self, key, value):
         with pytest.raises(ValueError, match=f"train.{key} must be >= 1"):
@@ -277,6 +273,14 @@ class TestTrainerConfig:
                                        float("-inf")])
     def test_rejects_non_finite_floats_naming_the_key(self, key, value):
         with pytest.raises(ValueError, match=f"train.{key} must be finite"):
+            TrainerConfig(**{key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("gamma_disc", 1.0), ("gamma_disc", -0.1),
+        ("gamma_disc", float("nan")), ("rho_target", 0.0),
+        ("rho_target", 1.5), ("rho_target", float("nan"))])
+    def test_rejects_rates_out_of_range_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=f"train.{key} must lie in"):
             TrainerConfig(**{key: value})
 
 
