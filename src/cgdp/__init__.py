@@ -9,8 +9,7 @@ supporting theory.
 from .config import RunConfig, dump_config, load_config, parse_config
 from .diffusion import (DiffusionSchedule, NoiseNet, ddim_sample, ddim_vjp,
                         ddpm_sample, forward_corrupt, load_noise_net,
-                        make_schedule, save_noise_net, score_from_noise,
-                        train_noise_net)
+                        make_schedule, save_noise_net, train_noise_net)
 from .discovery import (DiscoveryResult, NotearsConfig, acyclicity,
                         corrupt_masks, discover_masks,
                         exhaustive_dag_oracle, notears_fit)

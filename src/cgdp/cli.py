@@ -100,8 +100,7 @@ def _guidance_config(cfg, scm, guidance_on=True):
     optimal one-step reward, read off the ground-truth SCM (``scm``).
     ``guidance_on = False`` sets lambda to 0.
     """
-    r_star = max(cfg["guidance.r_star"],
-                 optimal_reward(cfg.env_spec(), scm))
+    r_star = max(cfg["guidance.r_star"], optimal_reward(scm))
     guid = replace(cfg.guidance_config(), r_star=r_star)
     return guid if guidance_on else replace(guid, lam=0.0)
 
@@ -238,14 +237,13 @@ def _verify_prop2(cfg, out_dir):
     return passed, f"min cosine {_fmt(worst)}"
 
 
-def _verify_theorem1(cfg, out_dir):
+def _verify_theorem1(cfg, out_dir, schedule):
     ckpt = cfg["verify.dynamics"]
     if ckpt:
         dyn = load_dynamics(ckpt)
         scm = make_env_scm(cfg.env_spec())
     else:
         scm, dyn = verify_mod.default_linear_instance(seed=cfg["seed"])
-    schedule = _train_schedule(cfg)
     report = verify_mod.check_theorem1(
         scm, dyn, schedule, seeds=range(cfg["verify.seeds"]),
         lam=cfg["verify.lambda"], gamma_disc=cfg["train.gamma_disc"])
@@ -259,28 +257,17 @@ def _verify_theorem1(cfg, out_dir):
         f"holds in {_fmt(report['fraction_holds'])} of seeds"
 
 
-def _verify_prop1(cfg, out_dir):
+def _verify_prop1(cfg, out_dir, schedule):
     _, dyn = verify_mod.default_linear_instance(seed=cfg["seed"])
-    schedule = _train_schedule(cfg)
     report = verify_mod.check_prop1(
-        dyn, None, schedule, seeds=range(cfg["verify.seeds"]),
+        dyn, schedule, seeds=range(cfg["verify.seeds"]),
         stiff_dyn=verify_mod.stiff_linear_instance())
     with open(os.path.join(out_dir, "prop1.csv"), "w") as fh:
         fh.write("dt,diverged,terminal_norm\n")
         for row in report["rows"]:
             fh.write(f"{_fmt(row['dt'])},{row['diverged']},"
                      f"{_fmt(row['terminal_norm'])}\n")
-    note = "skipped" if report.get("skipped") else \
-        f"dt_max {_fmt(report['dt_max'])}"
-    return report["passed"], note
-
-
-_CHECKS = {
-    "lemma1": _verify_lemma1,
-    "prop1": _verify_prop1,
-    "prop2": _verify_prop2,
-    "theorem1": _verify_theorem1,
-}
+    return report["passed"], f"dt_max {_fmt(report['dt_max'])}"
 
 
 def cmd_verify(cfg, out_dir, which):
@@ -288,11 +275,18 @@ def cmd_verify(cfg, out_dir, which):
     if not 0 <= lam < np.inf:
         raise ValueError(f"verify.lambda must be finite and >= 0, got "
                          f"{lam!r}")
-    names = list(_CHECKS) if which == "all" else [which]
+    schedule = _train_schedule(cfg)   # rejects bad train.* before any output
+    checks = {
+        "lemma1": lambda: _verify_lemma1(cfg, out_dir),
+        "prop1": lambda: _verify_prop1(cfg, out_dir, schedule),
+        "prop2": lambda: _verify_prop2(cfg, out_dir),
+        "theorem1": lambda: _verify_theorem1(cfg, out_dir, schedule),
+    }
+    names = list(checks) if which == "all" else [which]
     summary = []
     all_ok = True
     for name in names:
-        ok, note = _CHECKS[name](cfg, out_dir)
+        ok, note = checks[name]()
         all_ok = all_ok and ok
         summary.append(f"{name} {'PASS' if ok else 'FAIL'} ({note})")
     with open(os.path.join(out_dir, "verify_summary.txt"), "w") as fh:

@@ -32,7 +32,6 @@ __all__ = [
     "ddpm_sample",
     "ddim_sample",
     "ddim_vjp",
-    "score_from_noise",
     "save_noise_net",
     "load_noise_net",
 ]
@@ -289,10 +288,3 @@ def load_noise_net(path):
         raise ValueError(f"{path}:{i + 1}: more param blocks than the "
                          f"{len(params)} of the network")
     return net
-
-
-def score_from_noise(eps, abar_k):
-    """score = -eps / sqrt(1 - abar_k)."""
-    if not 0 < abar_k < 1:
-        raise ValueError("abar_k must lie in (0,1)")
-    return -np.asarray(eps, dtype=float) / np.sqrt(1.0 - abar_k)

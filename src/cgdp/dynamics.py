@@ -71,11 +71,11 @@ class CausalDynamics:
         """Predicted next states; ``s_term``, ``s @ a_s``, may be passed
         in by a caller that already has it."""
         if s_term is None:
-            s_term = np.atleast_2d(s) @ self.a_s
-        return s_term + np.atleast_2d(a) @ self.a_a
+            s_term = s @ self.a_s
+        return s_term + a @ self.a_a
 
     def reward_mean_batch(self, s_next, a):
-        return np.atleast_2d(s_next) @ self.b_s + np.atleast_2d(a) @ self.b_a
+        return s_next @ self.b_s + a @ self.b_a
 
 
 def min_fit_rows(n, d):
@@ -150,37 +150,33 @@ def do_intervention_joint_grad(dyn, s, a, s_next, r_target, gamma_t,
     """gamma_t * grad_a log p(s_next | s, do(a))
     + beta_guid_t * grad_a log p(r_target | s_next, do(a)), row by row.
 
-    ``s``, ``a`` and ``s_next`` are rows or batches of rows and
-    ``r_target`` a scalar or one value per row; a single row serves every
-    row of the others.  ``s_next = None`` evaluates at the model's
-    predicted mean, where the transition term vanishes.  The reward term
-    holds s_next fixed.  Returns one gradient row per row of the batch, or
-    a vector when every argument is a single row and ``a`` is 1-D.  The
-    do-semantics hold by construction: a enters only through its
-    structural-equation role in the two masked models.  ``s_term`` is
-    ``s @ a_s``, for a caller that evaluates many actions at the same
-    states.  ``s`` and ``a`` may also be stacks (P, 1, n) and (P, 1, d)
-    of single rows, with a scalar ``r_target`` and no ``s_next``; the
-    result is then a (P, 1, d) stack, each row bitwise its one-row result.
+    ``a`` holds one action row per row of the batch, (B, d); ``s`` and
+    ``s_next`` are state rows, (B, n) or one row (1, n) that serves every
+    row, and ``r_target`` a scalar or one value per row.  ``s_next = None``
+    evaluates at the model's predicted mean, where the transition term
+    vanishes.  The reward term holds s_next fixed.  Returns one gradient
+    row per action row.  The do-semantics hold by construction: a enters
+    only through its structural-equation role in the two masked models.
+    ``s_term`` is ``s @ a_s``, for a caller that evaluates many actions at
+    the same states.  ``s`` and ``a`` may also be stacks (P, 1, n) and
+    (P, 1, d) of single rows, with a scalar ``r_target`` and no
+    ``s_next``; the result is then a (P, 1, d) stack, each row bitwise its
+    one-row result.
     """
     if not (math.isfinite(gamma_t) and math.isfinite(beta_guid_t)):
         raise ValueError("guidance coefficients must be finite")
-    a2 = np.atleast_2d(np.asarray(a, dtype=float))
-    sn = None if s_next is None else \
-        np.atleast_2d(np.asarray(s_next, dtype=float))
-    batch = max(a2.shape[0], np.size(r_target),
-                0 if sn is None else sn.shape[0])
-    grad = np.zeros((batch,) + a2.shape[1:])
-    with_trans = gamma_t != 0.0 and sn is not None
-    if sn is None or with_trans:
-        mean_next = dyn.transition_mean_batch(s, a2, s_term)
+    with_trans = gamma_t != 0.0 and s_next is not None
+    if s_next is None or with_trans:
+        mean_next = dyn.transition_mean_batch(s, a, s_term)
+    grad = None
     if with_trans:
-        grad += gamma_t * (sn - mean_next) @ dyn._prec_s @ dyn.a_a.T
+        grad = gamma_t * (s_next - mean_next) @ dyn._prec_s @ dyn.a_a.T
     if beta_guid_t != 0.0:
-        sn = mean_next if sn is None else sn
-        resid = r_target - (sn @ dyn.b_s + a2 @ dyn.b_a)
-        grad += beta_guid_t * resid[:, None] * dyn.b_a[None, :] / dyn.sigma_r
-    return grad[0] if batch == 1 and np.ndim(a) == 1 else grad
+        sn = mean_next if s_next is None else s_next
+        resid = r_target - (sn @ dyn.b_s + a @ dyn.b_a)
+        reward = beta_guid_t * resid[..., None] * dyn.b_a / dyn.sigma_r
+        grad = reward if grad is None else grad + reward
+    return np.zeros(a.shape) if grad is None else grad
 
 
 def joint_grad_jacobian(dyn, gamma_t, beta_guid_t, predicted_next):
@@ -200,24 +196,28 @@ def joint_grad_jacobian(dyn, gamma_t, beta_guid_t, predicted_next):
 
 
 def transition_logpdf_grad(dyn, s, a, s_next):
-    """log N(s_next; f(s, a), Sigma) and its exact gradient w.r.t. a."""
-    resid = np.asarray(s_next, dtype=float) - \
-        dyn.transition_mean_batch(s, a)[0]
+    """log N(s_next; f(s, a), Sigma) and its exact gradient w.r.t. a, at
+    one state s, action a and next state s_next."""
+    resid = s_next - dyn.transition_mean_batch(s[None], a[None])[0]
     logp = -0.5 * (float(resid @ dyn._prec_s @ resid) + dyn._logdet_s
                    + dyn.n * np.log(2 * np.pi))
-    return logp, do_intervention_joint_grad(dyn, s, a, s_next, 0.0, 1.0, 0.0)
+    grad = do_intervention_joint_grad(dyn, s[None], a[None], s_next[None],
+                                      0.0, 1.0, 0.0)
+    return logp, grad[0]
 
 
 def reward_logpdf_grad(dyn, s_next, a, r):
-    """log N(r; g(s_next, a), sigma_r) and its exact gradient w.r.t. a.
+    """log N(r; g(s_next, a), sigma_r) and its exact gradient w.r.t. a, at
+    one next state s_next and action a.
 
     Pass r = r_star for optimal-reward conditioning.
     """
-    resid = r - dyn.reward_mean_batch(s_next, a)[0]
+    resid = r - dyn.reward_mean_batch(s_next[None], a[None])[0]
     logp = -0.5 * (resid * resid / dyn.sigma_r
                    + np.log(2 * np.pi * dyn.sigma_r))
-    grad = do_intervention_joint_grad(dyn, None, a, s_next, r, 0.0, 1.0)
-    return float(logp), grad
+    grad = do_intervention_joint_grad(dyn, None, a[None], s_next[None], r,
+                                      0.0, 1.0)
+    return float(logp), grad[0]
 
 
 # ---- checkpoint serialization -------------------------------------------

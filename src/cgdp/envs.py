@@ -65,8 +65,7 @@ class Environment:
         return self.state
 
     def step(self, a, rng):
-        self.state, r, done = step(self.state, a, self.spec, rng,
-                                   scm=self.scm)
+        self.state, r, done = step(self.state, a, self.spec, rng, self.scm)
         return self.state, r, done
 
 
@@ -74,29 +73,25 @@ def reset(spec, rng):
     return EnvState(obs=rng.standard_normal(spec.n), t=0, done=False)
 
 
-def step(state, a, spec, rng, scm=None):
+def step(state, a, spec, rng, scm):
     """Advance one environment step; returns (next EnvState, r, done)."""
     if state.done:
         raise RuntimeError("step() called on a finished episode")
     a = np.clip(np.asarray(a, dtype=float), -1.0, 1.0)
     if a.shape[0] != spec.d:
         raise ValueError("action dimension mismatch")
-    if scm is None:
-        scm = make_env_scm(spec)
     s_next, r = scm_step(scm, state.obs, a, rng)
     t = state.t + 1
     done = t >= spec.horizon
     return EnvState(obs=s_next, t=t, done=done), r, done
 
 
-def optimal_reward(spec, scm=None):
-    """Best expected one-step reward r*.
+def optimal_reward(scm):
+    """Best expected one-step reward r* of an SCM.
 
     The reward is linear in the action with coefficient F_a B_s + B_a,
     so the box-constrained maximum (at s = 0) is attained at a corner and
     equals sum |c_i|.
     """
-    if scm is None:
-        scm = make_env_scm(spec)
     coef = scm.f_a @ scm.b_s + scm.b_a
     return float(np.abs(coef).sum())

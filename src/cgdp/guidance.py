@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import score_from_noise
 from .dynamics import do_intervention_joint_grad, joint_grad_jacobian
 
 __all__ = [
@@ -80,9 +79,8 @@ class KlAccumulator:
         """Add one term, the row mean over the correction rows (B, d)."""
         if g_t <= 0 or dt <= 0:
             raise ValueError("g_t and dt must be > 0")
-        c = np.asarray(correction, dtype=float)
         # the row mean of the squared norms, as .mean() computes it
-        rows = np.add.reduce(c * c, axis=-1)
+        rows = np.add.reduce(correction * correction, axis=-1)
         sq = float(np.add.reduce(rows)) / rows.shape[0]
         contrib = sq / (g_t * g_t) * dt
         self.total += contrib
@@ -110,7 +108,8 @@ class GuidanceHook:
     acting, where the transition term then vanishes at its own mean), and
     returns -lam_k sqrt(1-abar_k) * gradient.  Every call also feeds the
     KL accumulator; at lam_k = 0 the gradient is skipped and the
-    correction and KL term are zero.
+    correction and KL term are zero.  ``s_t``, ``s_next`` and the actions
+    are rows, as :func:`do_intervention_joint_grad` takes them.
     """
 
     def __init__(self, dyn, cfg, schedule, s_t, s_next=None, r_value=None,
@@ -118,9 +117,8 @@ class GuidanceHook:
         self.dyn = dyn
         self.cfg = cfg
         self.schedule = schedule
-        self.s_t = np.asarray(s_t, dtype=float)
-        self.s_next = None if s_next is None else \
-            np.asarray(s_next, dtype=float)
+        self.s_t = s_t
+        self.s_next = s_next
         if r_value is None:
             r_value = cfg.r_star if cfg.use_r_star else dyn.r_star
         self.r_value = r_value
@@ -165,117 +163,76 @@ class GuidanceHook:
 def stability_max_step(bundle, gamma_t, beta_guid_t):
     """Sufficient explicit-Euler step bound
     delta / (L_f + g(1)^2 L_s + |gamma_t| L_phi + |beta_guid_t| L_omega),
-    with g(1)^2 = ``bundle.g2_max``, the largest g(t)^2.
-
-    A zero denominator returns (1e6, True); otherwise (dt_max, False).
-    """
+    with g(1)^2 = ``bundle.g2_max``, the largest g(t)^2."""
     denom = (bundle.l_f + bundle.g2_max * bundle.l_s
              + abs(gamma_t) * bundle.l_phi + abs(beta_guid_t) * bundle.l_omega)
-    if denom <= 0:
-        return 1e6, True
-    return bundle.delta / denom, False
+    return bundle.delta / denom
 
 
 def _spectral_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
-def estimate_lipschitz(dyn, net, schedule, probes=200, rng=None, delta=0.5):
-    """Lipschitz constants of the guided drift's ingredients.
-
-    The dynamics give exact spectral-norm constants; the score constant
-    L_s is probed through the noise net (a lower estimate by
-    construction).
-    """
-    if probes < 100:
-        raise ValueError("need at least 100 probes")
-    rng = np.random.default_rng(rng)
+def estimate_lipschitz(dyn, schedule, delta=0.5):
+    """Lipschitz constants of the guided drift's ingredients, all exact:
+    spectral norms of the dynamics' gradient Jacobians, L_f = beta_max / 2
+    of the VP drift, and L_s = 1 for the standard-normal score -a that
+    :func:`euler_maruyama_guided` integrates."""
     beta_max = float(schedule.betas.max())
-    l_f = 0.5 * beta_max
-
-    d = dyn.d
-    l_phi = _spectral_norm(joint_grad_jacobian(dyn, 1.0, 0.0, False))
-    l_omega = _spectral_norm(joint_grad_jacobian(dyn, 0.0, 1.0, False))
-
-    l_s = 0.0
-    if net is not None:
-        s_probe = rng.standard_normal((1, dyn.n))
-        for _ in range(probes):
-            k = int(rng.integers(1, schedule.k_steps + 1))
-            abar_k = schedule.abar_at(k)
-            a1 = rng.standard_normal(d)
-            a2 = a1 + 1e-3 * rng.standard_normal(d)
-            sc1 = score_from_noise(net.forward(a1[None], s_probe, k)[0],
-                                   abar_k)
-            sc2 = score_from_noise(net.forward(a2[None], s_probe, k)[0],
-                                   abar_k)
-            l_s = max(l_s, np.linalg.norm(sc1 - sc2) / np.linalg.norm(a1 - a2))
-
-    return LipschitzBundle(l_f=l_f, l_s=l_s, l_phi=l_phi, l_omega=l_omega,
-                           delta=delta, g2_max=beta_max)
+    return LipschitzBundle(
+        l_f=0.5 * beta_max, l_s=1.0,
+        l_phi=_spectral_norm(joint_grad_jacobian(dyn, 1.0, 0.0, False)),
+        l_omega=_spectral_norm(joint_grad_jacobian(dyn, 0.0, 1.0, False)),
+        delta=delta, g2_max=beta_max)
 
 
-def euler_maruyama_guided(dyn, net, schedule, cfg, s, dt, steps, rng):
+def euler_maruyama_guided(dyn, schedule, cfg, s, dt, steps, rng):
     """Explicit Euler integration of the guided reverse VP-SDE.
 
     Integrated in the denoising direction: the drift is
     -f(a, t) + g(t)^2 * score + (gamma grad_phi + beta_guid grad_omega)
     with the VP ingredients f(a, t) = -0.5 beta(t) a, g(t) = sqrt(beta(t)),
     beta interpolated over [0, 1] process time and clamped beyond.  The
-    score comes from ``net``, or is -a (a standard normal) for None; the
-    guidance is evaluated at the predicted next state.
+    score is -a, a standard normal's; the guidance is evaluated at the
+    predicted next state.
 
-    ``s`` is one state with ``rng`` a seed or Generator, or rows of
-    states (P, n), integrated in lockstep, with a list of one Generator
-    per row in ``rng``.  Each generator draws its row's whole
-    (steps + 1, d) noise block at once: the initial action, then one
+    ``s`` holds rows of states (P, n), integrated in lockstep, and ``rng``
+    a list of one Generator per row.  Each generator draws its row's
+    whole (steps + 1, d) noise block at once: the initial action, then one
     increment per step, the values that drawing them step by step gives.
     The rows are a stack of one-row matrices, which NumPy multiplies one
-    at a time with the kernel of a one-row product, so with no net each
-    row is bitwise the run of its state alone (a net takes the rows as one
-    batch, equal to rounding).
+    at a time with the kernel of a one-row product, so each row is
+    bitwise the run of its state alone.
     A row diverges once its norm exceeds 1e6 or an entry goes non-finite
     (reported, never raised); it keeps its value at the break while the
     other rows go on, and the call ends when every row has diverged or
-    the steps run out.  Returns (trajectory (T+1, d), diverged) for one
-    state and (trajectory (T+1, P, d), diverged (P,)) for rows.
+    the steps run out.  Returns (trajectory (T+1, P, d), diverged (P,)).
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    s = np.asarray(s, dtype=float)
-    single = s.ndim == 1
-    if single:
-        s, rng = s[None, :], [rng]
-    elif not isinstance(rng, (list, tuple)) or len(rng) != len(s):
+    if not isinstance(rng, (list, tuple)) or len(rng) != len(s):
         raise ValueError("state rows need one generator per row")
     if len(s) == 0:
         raise ValueError("need at least one state row")
     s = s[:, None, :]
-    noise = np.stack([np.random.default_rng(g).standard_normal((steps + 1,
-                                                                dyn.d))
-                      for g in rng], axis=1)[:, :, None, :]
+    noise = np.stack([g.standard_normal((steps + 1, dyn.d)) for g in rng],
+                     axis=1)[:, :, None, :]
     traj = np.empty_like(noise)
     traj[0] = a = noise[0]
     diverged = np.zeros(len(s), dtype=bool)
-    live, s_live = slice(None), s      # the rows still integrating
-    hook = GuidanceHook(dyn, cfg, schedule, s_live)
+    live = slice(None)                 # the rows still integrating
+    hook = GuidanceHook(dyn, cfg, schedule, s)
     beta_start = float(schedule.betas.min())
     beta_end = float(schedule.betas.max())
     root_dt = math.sqrt(dt)
-    k_steps = schedule.k_steps
     end = steps
     for nstep in range(steps):
         t = min(nstep * dt, 1.0)
         beta_t = beta_start + (beta_end - beta_start) * t
         g = math.sqrt(beta_t)
-        if net is not None:
-            k = int(np.clip(round(t * k_steps), 1, k_steps))
-            eps = net.forward(a[:, 0], s_live[:, 0], k)[:, None]
-            score = score_from_noise(eps, min(schedule.abar_at(k), 1 - 1e-12))
-        else:
-            score = -a
         guid = hook.joint_grad(a)  # carries the gamma/beta weights
-        drift = 0.5 * beta_t * a + beta_t * score + guid
+        # -f(a, t) = 0.5 beta_t a, plus beta_t times the score -a
+        drift = 0.5 * beta_t * a - beta_t * a + guid
         a = a + drift * dt + g * root_dt * noise[nstep + 1, live]
         # a squared norm well below 1e12 cannot diverge; a non-finite
         # entry fails the comparison too
@@ -289,10 +246,7 @@ def euler_maruyama_guided(dyn, net, schedule, cfg, s, dt, steps, rng):
                 if bad.all():
                     end = nstep + 1
                     break
-                live, a, s_live = rows[~bad], a[~bad], s[rows[~bad]]
-                hook = GuidanceHook(dyn, cfg, schedule, s_live)
+                live, a = rows[~bad], a[~bad]
+                hook = GuidanceHook(dyn, cfg, schedule, s[live])
         traj[nstep + 1, live] = a
-    traj = traj[:end + 1, :, 0]
-    if single:
-        return traj[:, 0], bool(diverged[0])
-    return traj, diverged
+    return traj[:end + 1, :, 0], diverged

@@ -96,7 +96,7 @@ def arm_runs(bench_setup):
     ``cgdp ablate`` runs them (``rl.ablation_runs``), and the seeds run
     in worker processes."""
     spec, env, data, result = bench_setup
-    r_star = optimal_reward(spec, env.scm)
+    r_star = optimal_reward(env.scm)
     keys = ((1.0, 0.0), (1.0, 0.25), (0.0, 0.0))
     arms = [(flip, bench_cfg(lam, r_star)) for lam, flip in keys]
     per_seed = ablation_runs(5, data, result.masks, result.w, arms, spec,
@@ -145,7 +145,8 @@ def test_02_gradient_oracle_suite(small_instance):
         _, g = reward_logpdf_grad(dyn, s_next, a, r)
         fd = central_fd(lambda v: reward_logpdf_grad(dyn, s_next, v, r)[0], a)
         worst_lin = max(worst_lin, rel_err(g, fd))
-        g = do_intervention_joint_grad(dyn, s, a, s_next, r, 0.7, 1.3)
+        g = do_intervention_joint_grad(dyn, s[None], a[None], s_next[None],
+                                       r, 0.7, 1.3)[0]
         fd = central_fd(
             lambda v: 0.7 * transition_logpdf_grad(dyn, s, v, s_next)[0]
             + 1.3 * reward_logpdf_grad(dyn, s_next, v, r)[0], a)
@@ -194,8 +195,7 @@ def test_03_structure_recovery():
 
 def test_04_step_size_stability():
     _, dyn = default_linear_instance(seed=0)
-    rep = check_prop1(dyn, None, make_schedule(10), range(20),
-                      steps=10 ** 4, delta=0.5,
+    rep = check_prop1(dyn, make_schedule(10), range(20), steps=10 ** 4,
                       stiff_dyn=stiff_linear_instance())
     safe_div = sum(row["diverged"] for row in rep["rows"]
                    if row["factor"] <= 1.0)

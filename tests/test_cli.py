@@ -8,7 +8,7 @@ import pytest
 from cgdp.cli import _final_return, _fmt, _guidance_config, main
 from cgdp.config import load_config, parse_config
 from cgdp.discovery import corrupt_masks, discover_masks
-from cgdp.envs import Environment, make_env_scm
+from cgdp.envs import Environment, make_env_scm, optimal_reward
 from cgdp.rl import offline_stage, online_stage
 from cgdp.scm import load_dataset
 
@@ -156,7 +156,6 @@ class TestGuidanceTarget:
                                                             monkeypatch):
         import cgdp.cli as cli
         import cgdp.rl as rl
-        from cgdp.envs import optimal_reward
         out, cfg_path = workdir
         targets = {}
 
@@ -178,7 +177,7 @@ class TestGuidanceTarget:
         for command in ("train", "eval", "ablate"):
             assert run(cfg_path, out, command) == 0
         spec = parse_config(SMALL_CFG).env_spec()
-        assert targets == {c: {optimal_reward(spec)}
+        assert targets == {c: {optimal_reward(make_env_scm(spec))}
                            for c in ("train", "eval", "ablate")}
 
 
@@ -342,7 +341,9 @@ class TestLoudInputs:
         ("train", "train.rho_target = 0", "metrics.txt"),
         ("train", "train.rho_target = 1.5", "metrics.txt"),
         ("verify", "verify.lambda = nan", "lemma1.csv"),
-        ("verify", "verify.lambda = -1", "lemma1.csv")])
+        ("verify", "verify.lambda = -1", "lemma1.csv"),
+        ("verify", "train.gamma_disc = 1.0", "lemma1.csv"),
+        ("verify", "train.k_steps = 0", "lemma1.csv")])
     def test_a_bad_config_float_exits_1_before_any_output(
             self, workdir, capsys, command, line, output):
         out, cfg_path = workdir

@@ -3,8 +3,7 @@ import pytest
 
 from cgdp.diffusion import (NoiseNet, ddim_sample, ddpm_sample,
                             forward_corrupt, load_noise_net, make_schedule,
-                            save_noise_net, score_from_noise,
-                            train_noise_net)
+                            save_noise_net, train_noise_net)
 from cgdp.numerics import AdamState
 from cgdp.scm import Transitions
 
@@ -193,19 +192,6 @@ class TestSamplers:
         rng = np.random.default_rng(4)
         out = ddpm_sample(AnalyticNet(), sched, np.zeros((10 ** 4, 1)), rng)
         assert np.all(np.abs(out.mean(axis=0) - mu) < 0.05)
-
-
-class TestScoreConversion:
-    def test_zero_noise_zero_score(self):
-        assert np.all(score_from_noise(np.zeros(3), 0.5) == 0)
-
-    def test_example_value(self):
-        out = score_from_noise(np.array([1.0, 0.0]), 0.75)
-        assert np.allclose(out, [-2.0, 0.0], rtol=1e-14)
-
-    def test_rejects_bad_abar(self):
-        with pytest.raises(ValueError):
-            score_from_noise(np.zeros(2), 1.0)
 
 
 def heldout_loss(net, dataset, schedule, rng, batch_size=256):

@@ -58,13 +58,14 @@ class TestApplyMasks:
                                              np.array([1.0, 0.0]),
                                              np.array([0.0])))
         assert dyn.b_s[1] == 0.0 and dyn.b_a[0] == 0.0 and dyn.b_s[0] != 0
-        r = dyn.reward_mean_batch(np.array([3.0, 5.0]), np.array([7.0]))
-        assert r[0] == dyn.reward_mean_batch(np.array([3.0, -2.0]),
-                                             np.array([0.0]))[0]
+        r = dyn.reward_mean_batch(np.array([[3.0, 5.0]]), np.array([[7.0]]))
+        assert r[0] == dyn.reward_mean_batch(np.array([[3.0, -2.0]]),
+                                             np.array([[0.0]]))[0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            simple_linear_dyn().transition_mean_batch(np.ones(3), np.ones(2))
+            simple_linear_dyn().transition_mean_batch(np.ones((1, 3)),
+                                                      np.ones((1, 2)))
 
 
 class TestFitDynamics:
@@ -134,22 +135,27 @@ class TestGradients:
     def test_reward_grad_zero_at_prediction(self):
         dyn = simple_linear_dyn()
         s_next, a = np.ones(2), np.array([0.5, -0.5])
-        r = dyn.reward_mean_batch(s_next, a)[0]
+        r = dyn.reward_mean_batch(s_next[None], a[None])[0]
         _, grad = reward_logpdf_grad(dyn, s_next, a, r)
         assert np.allclose(grad, 0.0, atol=1e-14)
 
     def test_joint_grad_reductions_and_additivity(self):
         dyn = simple_linear_dyn()
-        s, a = np.ones(2), np.array([0.2, -0.7])
-        s_next = np.array([0.5, 0.1])
+        s, a = np.ones((1, 2)), np.array([[0.2, -0.7]])
+        s_next = np.array([[0.5, 0.1]])
         zero = do_intervention_joint_grad(dyn, s, a, s_next, 1.0, 0.0, 0.0)
-        assert np.all(zero == 0)
-        _, gt = transition_logpdf_grad(dyn, s, a, s_next)
+        assert zero.shape == (1, 2) and np.all(zero == 0)
+        rows = np.tile(a, (3, 1))
+        for sn in (s_next, None):
+            zero = do_intervention_joint_grad(dyn, s, rows, sn, 1.0, 0.0,
+                                              0.0)
+            assert zero.shape == rows.shape and np.all(zero == 0)
+        _, gt = transition_logpdf_grad(dyn, s[0], a[0], s_next[0])
         only_t = do_intervention_joint_grad(dyn, s, a, s_next, 1.0, 1.0, 0.0)
-        assert np.array_equal(only_t, gt)
-        _, gr = reward_logpdf_grad(dyn, s_next, a, 1.0)
+        assert np.array_equal(only_t[0], gt)
+        _, gr = reward_logpdf_grad(dyn, s_next[0], a[0], 1.0)
         both = do_intervention_joint_grad(dyn, s, a, s_next, 1.0, 1.0, 1.0)
-        assert np.allclose(both, gt + gr, atol=1e-14)
+        assert np.allclose(both[0], gt + gr, atol=1e-14)
 
     def test_batched_rows_match_single_rows(self, small_instance):
         _, dyn, _ = small_instance
@@ -158,28 +164,30 @@ class TestGradients:
         a = rng.uniform(-1, 1, (4, dyn.d))
         s_next = rng.standard_normal((4, dyn.n))
         r = rng.standard_normal(4)
-        shared = do_intervention_joint_grad(dyn, s[0], a, s_next[0], r[0],
+        shared = do_intervention_joint_grad(dyn, s[:1], a, s_next[:1], r[0],
                                             0.7, 1.3)
         assert np.allclose(shared[1], do_intervention_joint_grad(
-            dyn, s[0], a[1], s_next[0], r[0], 0.7, 1.3), rtol=1e-12)
+            dyn, s[:1], a[1:2], s_next[:1], r[0], 0.7, 1.3)[0], rtol=1e-12)
         for sn in (s_next, None):
             batched = do_intervention_joint_grad(dyn, s, a, sn, r, 0.7, 1.3)
             for i in range(4):
                 row = do_intervention_joint_grad(
-                    dyn, s[i], a[i], None if sn is None else sn[i], r[i],
-                    0.7, 1.3)
-                assert np.allclose(batched[i], row, rtol=1e-12, atol=1e-14)
+                    dyn, s[i:i + 1], a[i:i + 1],
+                    None if sn is None else sn[i:i + 1], r[i], 0.7, 1.3)
+                assert np.allclose(batched[i], row[0], rtol=1e-12,
+                                   atol=1e-14)
 
     def test_action_jacobian_matches_finite_differences(self, small_instance):
         _, dyn, _ = small_instance
         rng = np.random.default_rng(9)
-        s, s_next = rng.standard_normal(dyn.n), rng.standard_normal(dyn.n)
+        s = rng.standard_normal((1, dyn.n))
+        s_next = rng.standard_normal((1, dyn.n))
         a = rng.uniform(-1, 1, dyn.d)
         for sn in (s_next, None):
             jac = joint_grad_jacobian(dyn, 0.7, 1.3, predicted_next=sn is None)
             for i in range(dyn.d):
                 fd = central_fd(lambda v: do_intervention_joint_grad(
-                    dyn, s, v, sn, 0.4, 0.7, 1.3)[i], a)
+                    dyn, s, v[None], sn, 0.4, 0.7, 1.3)[0, i], a)
                 assert rel_err(jac[i], fd) < 1e-6
 
     def test_linear_gradients_match_finite_differences(self, small_instance):
@@ -219,13 +227,13 @@ class TestMaskInvariance:
         data = generate_dataset(scm, 200, 5, 1.5, rng)
         masks = exact_masks(scm)
         dyn = fit_dynamics(data, masks)
-        s = rng.standard_normal(3)
-        a = rng.uniform(-1, 1, 2)
+        s = rng.standard_normal((1, 3))
+        a = rng.uniform(-1, 1, (1, 2))
         base = dyn.transition_mean_batch(s, a)[0]
         # each action coordinate moves exactly the outputs it is gated into
         for j in range(dyn.d):
             a2 = a.copy()
-            a2[j] += 5.0
+            a2[0, j] += 5.0
             moved = dyn.transition_mean_batch(s, a2)[0] != base
             assert np.array_equal(moved, masks.c_as[j] != 0)
 

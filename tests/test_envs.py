@@ -67,7 +67,8 @@ class TestStep:
         spec = EnvSpec(n=2, d=1, horizon=1)
         st = EnvState(obs=np.zeros(2), t=1, done=True)
         with pytest.raises(RuntimeError):
-            step(st, np.zeros(1), spec, np.random.default_rng(0))
+            step(st, np.zeros(1), spec, np.random.default_rng(0),
+                 make_env_scm(spec))
 
     def test_horizon_sets_done(self):
         spec = EnvSpec(n=2, d=2, horizon=3)
@@ -91,7 +92,7 @@ class TestOptimalReward:
             grid = np.array(np.meshgrid(*([[-1.0, 0.0, 1.0]] * 2))
                             ).reshape(2, -1).T
             best = max(float(g @ coef) for g in grid)
-            assert abs(optimal_reward(spec) - best) < 1e-9
+            assert abs(optimal_reward(scm) - best) < 1e-9
 
 
 class TestNonCausalCoordinates:

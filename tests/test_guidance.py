@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cgdp.diffusion import ddim_sample, make_schedule, score_from_noise
+from cgdp.diffusion import ddim_sample, make_schedule
 from cgdp.guidance import (GuidanceConfig, GuidanceHook, KlAccumulator,
                            LipschitzBundle, estimate_lipschitz,
                            euler_maruyama_guided, guided_noise,
@@ -21,6 +21,9 @@ class TestGuidedNoise:
         assert np.allclose(out, [-1.0, 0.0], rtol=1e-14)
 
     def test_score_space_additivity(self):
+        def score_from_noise(eps, abar):
+            return -eps / np.sqrt(1.0 - abar)
+
         rng = np.random.default_rng(0)
         for _ in range(20):
             eps = rng.standard_normal(3)
@@ -69,13 +72,13 @@ class TestGuidanceHook:
         sched = make_schedule(15)
         cfg = GuidanceConfig(lam=1.3, r_star=dyn.r_star)
         rng = np.random.default_rng(4)
-        s = rng.standard_normal(dyn.n)
-        s_next = rng.standard_normal(dyn.n)
+        s = rng.standard_normal((1, dyn.n))
+        s_next = rng.standard_normal((1, dyn.n))
         hook = GuidanceHook(dyn, cfg, sched, s, s_next=s_next, r_value=0.5)
         k = 7
         jac = hook.eps_jacobian(k)
-        a1 = rng.uniform(-1, 1, dyn.d)
-        a2 = rng.uniform(-1, 1, dyn.d)
+        a1 = rng.uniform(-1, 1, (1, dyn.d))
+        a2 = rng.uniform(-1, 1, (1, dyn.d))
         diff = hook(a1, k) - hook(a2, k)
         assert np.allclose(diff, (a1 - a2) @ jac.T, rtol=1e-10)
 
@@ -89,7 +92,7 @@ class TestGuidanceHook:
         hits = 0
         probes = 100
         for _ in range(probes):
-            s = rng.standard_normal(dyn.n)
+            s = rng.standard_normal((1, dyn.n))
             hook = GuidanceHook(dyn, cfg, sched, s)
             grad = hook.joint_grad(rng.uniform(-1, 1, (1, dyn.d)))[0]
             # below-target reward residual pushes the action along b_a
@@ -124,8 +127,8 @@ class TestGuidanceHook:
         a = rng.uniform(-1, 1, (4, dyn.d))
         batched = hook(a, 3)
         for i in range(4):
-            single = GuidanceHook(dyn, cfg, sched, s[i])(a[i], 3)
-            assert np.allclose(batched[i], single, rtol=1e-12)
+            single = GuidanceHook(dyn, cfg, sched, s[i:i + 1])(a[i:i + 1], 3)
+            assert np.allclose(batched[i], single[0], rtol=1e-12)
 
 
     def test_hoisted_state_term_matches_the_joint_gradient_bitwise(
@@ -138,18 +141,15 @@ class TestGuidanceHook:
         for rows in (1, 64):
             s = rng.standard_normal((rows, dyn.n))
             s_next = rng.standard_normal((rows, dyn.n))
-            for states, nexts in ((s, None), (s, s_next), (s[0], None)):
+            for states, nexts in ((s, None), (s, s_next), (s[:1], None)):
                 hook = GuidanceHook(dyn, cfg, sched, states, s_next=nexts)
-                shapes = [(rows, dyn.d)] if rows > 1 else [(dyn.d,),
-                                                           (1, dyn.d)]
-                for shape in shapes:
-                    for _ in range(3):   # later calls reuse the state term
-                        a = rng.uniform(-1, 1, shape)
-                        direct = do_intervention_joint_grad(
-                            dyn, states, a, nexts, hook.r_value, 0.7, 1.3)
-                        hooked = hook.joint_grad(a)
-                        assert hooked.shape == direct.shape
-                        assert np.array_equal(hooked, direct)
+                for _ in range(3):   # later calls reuse the state term
+                    a = rng.uniform(-1, 1, (rows, dyn.d))
+                    direct = do_intervention_joint_grad(
+                        dyn, states, a, nexts, hook.r_value, 0.7, 1.3)
+                    hooked = hook.joint_grad(a)
+                    assert hooked.shape == direct.shape == (rows, dyn.d)
+                    assert np.array_equal(hooked, direct)
 
     def test_kl_row_mean_matches_numpy_mean_bitwise(self):
         rng = np.random.default_rng(8)
@@ -205,32 +205,27 @@ class TestStabilityBound:
     def test_direct_arithmetic(self):
         bundle = LipschitzBundle(l_f=1.0, l_s=2.0, l_phi=0.5, l_omega=0.5,
                                  delta=0.5, g2_max=1.0)
-        dt, capped = stability_max_step(bundle, 1.0, 1.0)
-        assert abs(dt - 0.125) < 1e-14 and not capped
+        dt = stability_max_step(bundle, 1.0, 1.0)
+        assert abs(dt - 0.125) < 1e-14
 
     def test_zero_guidance_reduction(self):
         bundle = LipschitzBundle(l_f=1.0, l_s=2.0, l_phi=9.0, l_omega=9.0,
                                  delta=0.5, g2_max=1.0)
-        dt, _ = stability_max_step(bundle, 0.0, 0.0)
+        dt = stability_max_step(bundle, 0.0, 0.0)
         assert abs(dt - 0.5 / 3.0) < 1e-14
 
     def test_linearity_in_delta(self):
         b1 = LipschitzBundle(1.0, 1.0, 1.0, 1.0, delta=0.2, g2_max=1.0)
         b2 = LipschitzBundle(1.0, 1.0, 1.0, 1.0, delta=0.4, g2_max=1.0)
-        assert abs(2 * stability_max_step(b1, 1, 1)[0]
-                   - stability_max_step(b2, 1, 1)[0]) < 1e-14
+        assert abs(2 * stability_max_step(b1, 1, 1)
+                   - stability_max_step(b2, 1, 1)) < 1e-14
 
     def test_monotone_decreasing_in_coefficients(self):
         bundle = LipschitzBundle(1.0, 1.0, 1.0, 1.0, delta=0.5, g2_max=1.0)
-        assert stability_max_step(bundle, 2.0, 1.0)[0] < \
-            stability_max_step(bundle, 1.0, 1.0)[0]
-        assert stability_max_step(bundle, 1.0, 2.0)[0] < \
-            stability_max_step(bundle, 1.0, 1.0)[0]
-
-    def test_zero_denominator_capped(self):
-        bundle = LipschitzBundle(0.0, 0.0, 0.0, 0.0, delta=0.5, g2_max=0.0)
-        dt, capped = stability_max_step(bundle, 0.0, 0.0)
-        assert capped and dt == 1e6
+        assert stability_max_step(bundle, 2.0, 1.0) < \
+            stability_max_step(bundle, 1.0, 1.0)
+        assert stability_max_step(bundle, 1.0, 2.0) < \
+            stability_max_step(bundle, 1.0, 1.0)
 
 
 class TestEstimateLipschitz:
@@ -245,7 +240,8 @@ class TestEstimateLipschitz:
                              a_a=2.0 * np.eye(d), b_s=np.zeros(n),
                              b_a=np.array([1.0, 2.0]))
         sched = make_schedule(10)
-        bundle = estimate_lipschitz(dyn, None, sched, probes=100, rng=0)
+        bundle = estimate_lipschitz(dyn, sched)
+        assert bundle.l_s == 1.0   # the score -a of a standard normal
         assert abs(bundle.l_phi - 4.0) < 1e-12
         assert abs(bundle.l_omega - 5.0 / 2.0) < 1e-12
         assert abs(bundle.l_f - 0.5 * float(sched.betas.max())) < 1e-15
@@ -254,33 +250,25 @@ class TestEstimateLipschitz:
     def test_bound_reads_the_largest_beta(self, small_instance, k_steps):
         _, dyn, _ = small_instance
         sched = make_schedule(k_steps)
-        bundle = estimate_lipschitz(dyn, None, sched, probes=100, rng=0)
+        bundle = estimate_lipschitz(dyn, sched)
         betas = sched.betas
         # g(1)^2 of beta linearly interpolated over process time
         assert bundle.g2_max == betas[0] + (betas[-1] - betas[0]) * 1.0 \
             == betas.max()
-
-    def test_requires_probe_budget(self, small_instance):
-        _, dyn, _ = small_instance
-        with pytest.raises(ValueError):
-            estimate_lipschitz(dyn, None, make_schedule(10), probes=10)
 
 
 class TestEulerIntegration:
     def test_safe_step_no_divergence(self, small_instance):
         _, dyn, _ = small_instance
         sched = make_schedule(20)
-        from dataclasses import replace
-        bundle = replace(estimate_lipschitz(dyn, None, sched, probes=100,
-                                            rng=0), l_s=1.0)
-        dt_max, _ = stability_max_step(bundle, 1.0, 1.0)
+        dt_max = stability_max_step(estimate_lipschitz(dyn, sched), 1.0, 1.0)
         cfg = GuidanceConfig(lam=1.0, r_star=dyn.r_star)
         for seed in range(5):
             rng = np.random.default_rng(seed)
             _, diverged = euler_maruyama_guided(
-                dyn, None, sched, cfg, rng.standard_normal(dyn.n),
-                0.5 * dt_max, 2000, rng)
-            assert not diverged
+                dyn, sched, cfg, rng.standard_normal((1, dyn.n)),
+                0.5 * dt_max, 2000, [rng])
+            assert not diverged[0]
 
     def test_divergence_is_flagged_not_raised(self):
         from cgdp.verify import stiff_linear_instance
@@ -288,35 +276,29 @@ class TestEulerIntegration:
         sched = make_schedule(20)
         cfg = GuidanceConfig(lam=1.0, r_star=dyn.r_star)
         traj, diverged = euler_maruyama_guided(
-            dyn, None, sched, cfg, np.zeros(dyn.n), 50.0, 2000,
-            np.random.default_rng(0))
-        assert diverged
-        assert traj.ndim == 2 and len(traj) >= 2
+            dyn, sched, cfg, np.zeros((1, dyn.n)), 50.0, 2000,
+            [np.random.default_rng(0)])
+        assert diverged[0]
+        assert traj.ndim == 3 and len(traj) >= 2
 
 
-def reference_euler(dyn, net, schedule, cfg, s, dt, steps, rng):
+def reference_euler(dyn, schedule, cfg, s, dt, steps, rng):
     """The one-state integrator as it was before rows were added: one
-    noise draw per step, a Python list of states, a break at divergence."""
+    noise draw per step, a Python list of states, a break at divergence.
+    ``s`` is one state row (1, n); guidance is taken with one-row calls."""
     rng = np.random.default_rng(rng)
-    s = np.asarray(s, dtype=float)
     beta_start = float(schedule.betas.min())
     beta_end = float(schedule.betas.max())
     hook = GuidanceHook(dyn, cfg, schedule, s)
     a = rng.standard_normal(dyn.d)
     traj = [a.copy()]
     diverged = False
-    k_steps = schedule.k_steps
     for nstep in range(steps):
         t = min(nstep * dt, 1.0)
         beta_t = beta_start + (beta_end - beta_start) * t
         g = np.sqrt(beta_t)
-        if net is not None:
-            k = int(np.clip(round(t * k_steps), 1, k_steps))
-            eps = net.forward(a[None], s[None], k)[0]
-            score = score_from_noise(eps, min(schedule.abar_at(k), 1 - 1e-12))
-        else:
-            score = -a
-        guid = hook.joint_grad(a)
+        score = -a
+        guid = hook.joint_grad(a[None])[0]
         drift = 0.5 * beta_t * a + beta_t * score + guid
         a = a + drift * dt + g * np.sqrt(dt) * rng.standard_normal(dyn.d)
         if not np.all(np.isfinite(a)) or np.linalg.norm(a) > 1e6:
@@ -331,26 +313,22 @@ class TestEulerRows:
     """Rows of states integrated in lockstep, one generator per row."""
 
     @staticmethod
-    def instance(small_instance, with_net):
+    def instance(small_instance):
         _, dyn, _ = small_instance
         sched = make_schedule(20)
-        net = NoiseNet(dyn.n, dyn.d, 20, hidden=(8,),
-                       rng=np.random.default_rng(3)) if with_net else None
-        return dyn, sched, net, GuidanceConfig(lam=1.0, r_star=dyn.r_star)
+        return dyn, sched, GuidanceConfig(lam=1.0, r_star=dyn.r_star)
 
-    @pytest.mark.parametrize("with_net", [False, True])
     @pytest.mark.parametrize("dt,steps", [(0.01, 300), (2.0, 400)])
-    def test_one_state_equals_reference_loop(self, small_instance, with_net,
-                                             dt, steps):
-        dyn, sched, net, cfg = self.instance(small_instance, with_net)
-        s = np.random.default_rng(9).standard_normal(dyn.n)
+    def test_one_state_equals_reference_loop(self, small_instance, dt,
+                                             steps):
+        dyn, sched, cfg = self.instance(small_instance)
+        s = np.random.default_rng(9).standard_normal((1, dyn.n))
         g_new, g_ref = np.random.default_rng(4), np.random.default_rng(4)
-        traj, diverged = euler_maruyama_guided(dyn, net, sched, cfg, s, dt,
-                                               steps, g_new)
-        ref, ref_div = reference_euler(dyn, net, sched, cfg, s, dt, steps,
-                                       g_ref)
-        assert np.array_equal(traj, ref) and diverged == ref_div
-        if not diverged:
+        traj, diverged = euler_maruyama_guided(dyn, sched, cfg, s, dt,
+                                               steps, [g_new])
+        ref, ref_div = reference_euler(dyn, sched, cfg, s, dt, steps, g_ref)
+        assert np.array_equal(traj[:, 0], ref) and diverged[0] == ref_div
+        if not ref_div:
             # the block draw leaves the generator where per-step draws do
             assert g_new.random() == g_ref.random()
 
@@ -360,45 +338,38 @@ class TestEulerRows:
         sched = make_schedule(20)
         cfg = GuidanceConfig(lam=1.0, r_star=dyn.r_star)
         gen = np.random.default_rng(0)
-        traj, diverged = euler_maruyama_guided(dyn, None, sched, cfg,
-                                               np.zeros(dyn.n), 50.0, 2000,
-                                               gen)
-        assert diverged and len(traj) < 2001
+        traj, diverged = euler_maruyama_guided(dyn, sched, cfg,
+                                               np.zeros((1, dyn.n)), 50.0,
+                                               2000, [gen])
+        assert diverged[0] and len(traj) < 2001
         after = np.random.default_rng(0)
         after.standard_normal((2001, dyn.d))
         assert gen.random() == after.random()
 
     @staticmethod
-    def rows_against_one_row_runs(dyn, net, sched, cfg, same):
+    def one_row_run(dyn, sched, cfg, state, dt, steps, seed):
+        traj, diverged = euler_maruyama_guided(
+            dyn, sched, cfg, state[None], dt, steps,
+            [np.random.default_rng(seed)])
+        return traj[:, 0], diverged[0]
+
+    def test_rows_are_bitwise_one_row_runs(self, small_instance):
+        dyn, sched, cfg = self.instance(small_instance)
         states = np.random.default_rng(5).standard_normal((4, dyn.n))
         states[1] *= 1e7      # with linear guidance it diverges early
         steps = 200
         traj, diverged = euler_maruyama_guided(
-            dyn, net, sched, cfg, states, 0.05, steps,
+            dyn, sched, cfg, states, 0.05, steps,
             [np.random.default_rng(10 + i) for i in range(4)])
         assert traj.shape == (steps + 1, 4, dyn.d)
         assert diverged.tolist() == [i == 1 for i in range(4)]
         for i in range(4):
-            one, one_div = euler_maruyama_guided(
-                dyn, net, sched, cfg, states[i], 0.05, steps,
-                np.random.default_rng(10 + i))
+            one, one_div = self.one_row_run(dyn, sched, cfg, states[i], 0.05,
+                                            steps, 10 + i)
             assert one_div == diverged[i]
-            assert same(traj[:len(one), i], one)
+            assert np.array_equal(traj[:len(one), i], one)
             # a diverged row keeps its value at the break
             assert np.all(traj[len(one):, i] == traj[len(one) - 1, i])
-
-    def test_rows_are_bitwise_one_row_runs(self, small_instance):
-        dyn, sched, net, cfg = self.instance(small_instance, False)
-        self.rows_against_one_row_runs(dyn, net, sched, cfg,
-                                       np.array_equal)
-
-    def test_rows_with_a_net(self, small_instance):
-        # one batch through the net: equal to rounding
-        def close(x, y):
-            return np.allclose(x, y, rtol=1e-9, atol=1e-12)
-
-        dyn, sched, net, cfg = self.instance(small_instance, True)
-        self.rows_against_one_row_runs(dyn, net, sched, cfg, close)
 
     def test_call_ends_when_every_row_diverged(self):
         from cgdp.verify import stiff_linear_instance
@@ -407,36 +378,31 @@ class TestEulerRows:
         cfg = GuidanceConfig(lam=1.0, r_star=dyn.r_star)
         states = np.zeros((3, dyn.n))
         traj, diverged = euler_maruyama_guided(
-            dyn, None, sched, cfg, states, 50.0, 2000,
+            dyn, sched, cfg, states, 50.0, 2000,
             [np.random.default_rng(i) for i in range(3)])
         assert diverged.all()
         lengths = []
         for i in range(3):
-            one, _ = euler_maruyama_guided(dyn, None, sched, cfg, states[i],
-                                           50.0, 2000,
-                                           np.random.default_rng(i))
+            one, _ = self.one_row_run(dyn, sched, cfg, states[i], 50.0, 2000,
+                                      i)
             lengths.append(len(one))
             assert np.array_equal(traj[:len(one), i], one)
         assert len(traj) == max(lengths) < 2001
 
     def test_return_shapes(self, small_instance):
-        dyn, sched, _, cfg = self.instance(small_instance, False)
+        dyn, sched, cfg = self.instance(small_instance)
         traj, diverged = euler_maruyama_guided(
-            dyn, None, sched, cfg, np.zeros(dyn.n), 0.01, 5, 0)
-        assert traj.shape == (6, dyn.d) and type(diverged) is bool
-        traj, diverged = euler_maruyama_guided(
-            dyn, None, sched, cfg, np.zeros((1, dyn.n)), 0.01, 5,
+            dyn, sched, cfg, np.zeros((1, dyn.n)), 0.01, 5,
             [np.random.default_rng(0)])
         assert traj.shape == (6, 1, dyn.d)
         assert diverged.shape == (1,) and diverged.dtype == bool
 
     def test_rows_need_one_generator_each(self, small_instance):
-        dyn, sched, _, cfg = self.instance(small_instance, False)
+        dyn, sched, cfg = self.instance(small_instance)
         states = np.zeros((2, dyn.n))
         for rng in (np.random.default_rng(0), [np.random.default_rng(0)]):
             with pytest.raises(ValueError, match="one generator per row"):
-                euler_maruyama_guided(dyn, None, sched, cfg, states, 0.01,
-                                      5, rng)
+                euler_maruyama_guided(dyn, sched, cfg, states, 0.01, 5, rng)
         with pytest.raises(ValueError, match="at least one state row"):
-            euler_maruyama_guided(dyn, None, sched, cfg,
-                                  np.zeros((0, dyn.n)), 0.01, 5, [])
+            euler_maruyama_guided(dyn, sched, cfg, np.zeros((0, dyn.n)),
+                                  0.01, 5, [])

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -241,32 +239,31 @@ class TestCheckProp2:
 
 
 class TestCheckProp1:
-    def test_zero_margin_skips(self):
-        dyn = stiff_linear_instance(l_total=4.0)
-        rep = check_prop1(dyn, None, make_schedule(20), [0], delta=0.0)
-        assert rep["passed"] and rep["skipped"]
-
     def test_safe_factors_stable_and_stiff_diverges(self):
         dyn = stiff_linear_instance(l_total=4.0)
-        rep = check_prop1(dyn, None, make_schedule(20), [0, 1],
-                          steps=2000, stiff_dyn=stiff_linear_instance())
-        assert rep["passed"] and not rep["skipped"]
+        rep = check_prop1(dyn, make_schedule(20), [0, 1], steps=2000,
+                          stiff_dyn=stiff_linear_instance())
+        assert rep["passed"]
         for row in rep["rows"]:
             if row["factor"] <= 1.0:
                 assert row["diverged"] == 0
         assert rep["stiff"]["diverged"] >= 1
 
 
-def per_seed_prop1(dyn, net, schedule, seeds, steps=10 ** 4, delta=0.5,
-                   gamma_t=1.0, beta_guid_t=1.0, stiff_dyn=None,
-                   rng_probe=0):
-    """check_prop1 with one one-state Euler run per seed and factor, as
+def per_seed_prop1(dyn, schedule, seeds, steps=10 ** 4, gamma_t=1.0,
+                   beta_guid_t=1.0, stiff_dyn=None):
+    """check_prop1 with one one-row Euler run per seed and factor, as
     it was computed before the seeds ran in lockstep."""
-    bundle = estimate_lipschitz(dyn, net, schedule, probes=100,
-                                rng=rng_probe, delta=delta)
-    if net is None:
-        bundle = replace(bundle, l_s=1.0)
-    dt_max, capped = stability_max_step(bundle, gamma_t, beta_guid_t)
+
+    def one_row_run(model, cfg, seed, dt, n_steps):
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal((1, model.n))
+        traj, diverged = euler_maruyama_guided(model, schedule, cfg, s, dt,
+                                               n_steps, [rng])
+        return traj[:, 0], bool(diverged[0])
+
+    dt_max = stability_max_step(estimate_lipschitz(dyn, schedule), gamma_t,
+                                beta_guid_t)
     cfg = GuidanceConfig(lam=1.0, gamma_t=gamma_t, beta_guid_t=beta_guid_t,
                          r_star=dyn.r_star)
     rows = []
@@ -276,10 +273,7 @@ def per_seed_prop1(dyn, net, schedule, seeds, steps=10 ** 4, delta=0.5,
         n_div = 0
         worst = 0.0
         for seed in seeds:
-            rng = np.random.default_rng(seed)
-            s = rng.standard_normal(dyn.n)
-            traj, diverged = euler_maruyama_guided(
-                dyn, net, schedule, cfg, s, dt, n_steps, rng)
+            traj, diverged = one_row_run(dyn, cfg, seed, dt, n_steps)
             n_div += int(diverged)
             worst = max(worst, float(np.linalg.norm(traj[-1])))
         rows.append({"factor": factor, "dt": dt, "diverged": n_div,
@@ -288,27 +282,21 @@ def per_seed_prop1(dyn, net, schedule, seeds, steps=10 ** 4, delta=0.5,
                   if row["factor"] <= 1.0)
     stiff_row = None
     if stiff_dyn is not None:
-        s_bundle = replace(estimate_lipschitz(stiff_dyn, None, schedule,
-                                              probes=100, rng=rng_probe,
-                                              delta=delta), l_s=1.0)
-        s_dt_max, _ = stability_max_step(s_bundle, gamma_t, beta_guid_t)
+        s_dt_max = stability_max_step(estimate_lipschitz(stiff_dyn, schedule),
+                                      gamma_t, beta_guid_t)
         s_cfg = GuidanceConfig(lam=1.0, gamma_t=gamma_t,
                                beta_guid_t=beta_guid_t,
                                r_star=stiff_dyn.r_star)
         n_div = 0
         for seed in seeds:
-            rng = np.random.default_rng(seed)
-            s = rng.standard_normal(stiff_dyn.n)
-            _, diverged = euler_maruyama_guided(
-                stiff_dyn, None, schedule, s_cfg, s, 50.0 * s_dt_max,
-                min(steps, 2000), rng)
+            _, diverged = one_row_run(stiff_dyn, s_cfg, seed,
+                                      50.0 * s_dt_max, min(steps, 2000))
             n_div += int(diverged)
         stiff_row = {"factor": 50.0, "dt": 50.0 * s_dt_max,
                      "diverged": n_div}
     stiff_ok = stiff_row is None or stiff_row["diverged"] >= 1
-    return {"dt_max": dt_max, "capped": capped, "rows": rows,
-            "stiff": stiff_row, "passed": bool(safe_ok and stiff_ok),
-            "skipped": False}
+    return {"dt_max": dt_max, "rows": rows, "stiff": stiff_row,
+            "passed": bool(safe_ok and stiff_ok)}
 
 
 class TestProp1Lockstep:
@@ -319,8 +307,8 @@ class TestProp1Lockstep:
         sched = make_schedule(20)
         kwargs = dict(steps=1500, stiff_dyn=stiff_linear_instance())
         seeds = [0, 1, 2, 3]
-        rep = check_prop1(dyn, None, sched, seeds, **kwargs)
-        assert rep == per_seed_prop1(dyn, None, sched, seeds, **kwargs)
+        rep = check_prop1(dyn, sched, seeds, **kwargs)
+        assert rep == per_seed_prop1(dyn, sched, seeds, **kwargs)
         # the sweep has factors where no seed diverges and factors where
         # the seeds diverge at different steps
         assert rep["rows"][0]["diverged"] == 0
@@ -329,7 +317,7 @@ class TestProp1Lockstep:
 
     def test_rejects_empty_seed_list(self):
         with pytest.raises(ValueError, match="at least one seed"):
-            check_prop1(stiff_linear_instance(l_total=4.0), None,
+            check_prop1(stiff_linear_instance(l_total=4.0),
                         make_schedule(20), [])
 
 
