@@ -12,6 +12,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -22,12 +23,16 @@ from .discovery import discover_masks
 from .dynamics import load_dynamics, save_dynamics
 from .envs import Environment, make_env_scm, optimal_reward
 from .guidance import GuidanceHook
+from .pool import fork_pool
 from .rl import ablation_runs, offline_stage, online_stage
 from .scm import generate_dataset, load_dataset, save_dataset
 from . import verify as verify_mod
 
 __all__ = ["main", "cmd_gen_data", "cmd_discover", "cmd_train",
            "cmd_eval", "cmd_ablate", "cmd_verify"]
+
+# the checks of ``cgdp verify``, in the order of its summary
+_VERIFY_CHECKS = ("lemma1", "prop1", "prop2", "theorem1")
 
 _METRIC_FIELDS = ("episode", "return", "denoise_loss", "q_loss",
                   "kl_integral", "mask_refresh_flag")
@@ -270,30 +275,54 @@ def _verify_prop1(cfg, out_dir, schedule):
     return report["passed"], f"dt_max {_fmt(report['dt_max'])}"
 
 
+def _verify_check(name, cfg, out_dir, schedule):
+    """Run the check ``name`` and write its CSV; returns (passed, note).
+
+    A module-level function, so that a process pool can pickle it.
+    ``schedule`` is the ``train.*`` schedule prop1 and theorem1 use.
+    """
+    if name == "lemma1":
+        return _verify_lemma1(cfg, out_dir)
+    if name == "prop1":
+        return _verify_prop1(cfg, out_dir, schedule)
+    if name == "prop2":
+        return _verify_prop2(cfg, out_dir)
+    if name == "theorem1":
+        return _verify_theorem1(cfg, out_dir, schedule)
+    raise ValueError(f"unknown check {name!r}")
+
+
 def cmd_verify(cfg, out_dir, which):
     lam = cfg["verify.lambda"]
     if not 0 <= lam < np.inf:
         raise ValueError(f"verify.lambda must be finite and >= 0, got "
                          f"{lam!r}")
+    # lemma1's floors, checked here so that no other check writes first
+    for key, floor in (("verify.k_steps", verify_mod.LEMMA1_MIN_K_STEPS),
+                       ("verify.samples", verify_mod.LEMMA1_MIN_SAMPLES)):
+        if cfg[key] < floor:
+            raise ValueError(f"{key} must be >= {floor}, got {cfg[key]}")
     schedule = _train_schedule(cfg)   # rejects bad train.* before any output
-    checks = {
-        "lemma1": lambda: _verify_lemma1(cfg, out_dir),
-        "prop1": lambda: _verify_prop1(cfg, out_dir, schedule),
-        "prop2": lambda: _verify_prop2(cfg, out_dir),
-        "theorem1": lambda: _verify_theorem1(cfg, out_dir, schedule),
-    }
-    names = list(checks) if which == "all" else [which]
-    summary = []
-    all_ok = True
-    for name in names:
-        ok, note = checks[name]()
-        all_ok = all_ok and ok
-        summary.append(f"{name} {'PASS' if ok else 'FAIL'} ({note})")
+    names = list(_VERIFY_CHECKS) if which == "all" else [which]
+    check = partial(_verify_check, cfg=cfg, out_dir=out_dir,
+                    schedule=schedule)
+    # the first check, lemma1, the longest, runs in this process, where a
+    # tracer of this process sees it; the others run meanwhile in forked
+    # workers, on the CPUs this process leaves free
+    workers = min(len(names) - 1, len(os.sched_getaffinity(0)) - 1)
+    if workers < 1:
+        results = [check(name) for name in names]
+    else:
+        with fork_pool(workers) as pool:
+            futures = [pool.submit(check, name) for name in names[1:]]
+            results = [check(names[0])] + [f.result() for f in futures]
+    summary = [f"{name} {'PASS' if ok else 'FAIL'} ({note})"
+               for name, (ok, note) in zip(names, results)]
     with open(os.path.join(out_dir, "verify_summary.txt"), "w") as fh:
         fh.write("\n".join(summary) + "\n")
     for line in summary:
         print(line)
-    return 0 if all_ok else 1
+    return 0 if all(ok for ok, _ in results) else 1
 
 
 def _build_parser():
@@ -311,8 +340,7 @@ def _build_parser():
         sub.add_parser(name, parents=[common])
     verify_p = sub.add_parser("verify", parents=[common])
     verify_p.add_argument("which", nargs="?", default="all",
-                          choices=("lemma1", "prop1", "prop2", "theorem1",
-                                   "all"))
+                          choices=(*_VERIFY_CHECKS, "all"))
     return parser
 
 

@@ -18,6 +18,7 @@ from .dynamics import fit_dynamics, min_fit_rows
 from .envs import Environment
 from .guidance import GuidanceConfig, GuidanceHook, KlAccumulator, guided_noise
 from .numerics import AdamState, Mlp
+from .pool import fork_pool
 from .scm import Transitions
 
 __all__ = [
@@ -292,13 +293,7 @@ def ablation_runs(seeds, dataset, masks, w0, arms, spec, scm, seed=0):
     workers = min(seeds, len(os.sched_getaffinity(0)))
     if workers <= 1:
         return list(map(work, range(seeds)))
-    # imported here so that importing cgdp stays as fast as before
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    # fork: a worker starts with cgdp already imported, and cgdp itself
-    # starts no thread that a fork could catch holding a lock
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+    with fork_pool(workers) as pool:
         return list(pool.map(work, range(seeds)))
 
 

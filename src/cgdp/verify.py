@@ -32,6 +32,10 @@ __all__ = [
     "default_linear_instance",
 ]
 
+# the fewest diffusion steps and samples check_lemma1 accepts
+LEMMA1_MIN_K_STEPS = 500
+LEMMA1_MIN_SAMPLES = 10 ** 4
+
 
 @dataclass
 class PosteriorSpec:
@@ -81,6 +85,17 @@ def gaussian_posterior(spec):
     return mean, cov
 
 
+def _affine_rows(a, lin, const):
+    """``a @ lin + const`` for action rows ``a`` (or one 1-D action),
+    bit for bit, with ``const`` added one column at a time: NumPy adds a
+    short vector to many rows a few elements per inner loop, several
+    times slower than one strided pass per column."""
+    out = np.asarray(a, dtype=float) @ lin
+    for j, c in enumerate(const):
+        out[..., j] += c
+    return out
+
+
 class GaussianPriorNet:
     """Analytic noise predictor for a Gaussian action prior.
 
@@ -109,7 +124,8 @@ class GaussianPriorNet:
         return None   # the prior reads neither the state nor a buffer
 
     def forward(self, a, s, k, x=None):
-        return np.asarray(a, dtype=float) @ self.lin[k - 1] - self.off[k - 1]
+        # + (-off) is the IEEE operation - off
+        return _affine_rows(a, self.lin[k - 1], -self.off[k - 1])
 
 
 def _exact_guidance_hook(spec, prior, lam):
@@ -139,7 +155,7 @@ def _exact_guidance_hook(spec, prior, lam):
         lin = scale * jac.T @ spec.m.T @ x
         m0 = spec.mu_bar - np.sqrt(abar) * spec.mu_bar @ jac.T
         const = -scale * (spec.y - spec.m @ m0) @ x
-        return np.asarray(a, dtype=float) @ lin + const
+        return _affine_rows(a, lin, const)
 
     return hook
 
@@ -153,10 +169,11 @@ def check_lemma1(spec, schedule, samples, rng, lam=1.0):
     relative Frobenius error is below 10%.  lam=0 checks the unguided
     limit against the prior instead.
     """
-    if schedule.k_steps < 500:
-        raise ValueError("need at least 500 diffusion steps")
-    if samples < 10 ** 4:
-        raise ValueError("need at least 10^4 samples")
+    if schedule.k_steps < LEMMA1_MIN_K_STEPS:
+        raise ValueError(f"need at least {LEMMA1_MIN_K_STEPS} diffusion "
+                         f"steps")
+    if samples < LEMMA1_MIN_SAMPLES:
+        raise ValueError(f"need at least {LEMMA1_MIN_SAMPLES} samples")
     net = GaussianPriorNet(spec.mu_bar, spec.sigma_bar, schedule)
     hook = _exact_guidance_hook(spec, net, lam) if lam != 0.0 else None
     d = spec.mu_bar.shape[0]

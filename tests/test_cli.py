@@ -151,6 +151,77 @@ class TestAblatePool:
         assert multiprocessing.active_children() == []
 
 
+VERIFY_CFG = """
+verify.seeds = 1
+verify.samples = 10000
+verify.k_steps = 500
+"""
+
+
+class TestVerifyPool:
+    @pytest.fixture()
+    def pools(self, workdir, monkeypatch):
+        """Two CPUs, and the worker count of every pool cgdp verify
+        starts."""
+        import cgdp.cli as cli
+        with open(workdir[1], "a") as fh:
+            fh.write(VERIFY_CFG)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        started = []
+        fork_pool = cli.fork_pool
+
+        def recording_fork_pool(workers):
+            started.append(workers)
+            return fork_pool(workers)
+
+        monkeypatch.setattr(cli, "fork_pool", recording_fork_pool)
+        return started
+
+    def test_one_cpu_gives_the_pool_outputs_byte_for_byte(
+            self, workdir, pools, monkeypatch, capsys):
+        out, cfg_path = workdir
+        names = ("lemma1.csv", "prop1.csv", "prop2.csv", "theorem1.csv",
+                 "verify_summary.txt")
+        capsys.readouterr()
+        assert run(cfg_path, out, "verify") == 0
+        pooled = {name: (out / name).read_bytes() for name in names}
+        pooled_stdout = capsys.readouterr().out
+        assert pools == [1]
+        assert multiprocessing.active_children() == []
+        for name in names:
+            (out / name).unlink()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run(cfg_path, out, "verify") == 0
+        assert pools == [1]
+        assert {name: (out / name).read_bytes() for name in names} == pooled
+        assert capsys.readouterr().out == pooled_stdout
+        assert pooled_stdout.count("PASS") == 4
+
+    def test_worker_error_exits_1_with_one_line(self, workdir, pools,
+                                                monkeypatch, capsys):
+        import cgdp.verify as verify_mod
+
+        def failing_check_prop2(*args):
+            raise ValueError("prop2 failed in a worker")
+
+        out, cfg_path = workdir
+        # forked workers inherit the patch
+        monkeypatch.setattr(verify_mod, "check_prop2", failing_check_prop2)
+        capsys.readouterr()
+        assert run(cfg_path, out, "verify") == 1
+        assert pools == [1]
+        assert capsys.readouterr().err == "error: prop2 failed in a worker\n"
+        assert not (out / "verify_summary.txt").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_one_check_starts_no_pool(self, workdir, pools):
+        out, cfg_path = workdir
+        assert run(cfg_path, out, "verify", "prop2") == 0
+        assert pools == []
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["prop2.csv", "run.cfg", "verify_summary.txt"]
+
+
 class TestGuidanceTarget:
     def test_train_eval_and_ablate_resolve_the_same_r_star(self, workdir,
                                                             monkeypatch):
@@ -359,6 +430,22 @@ class TestLoudInputs:
         assert line.split(" =")[0] in err
         assert not (out / output).exists()
         assert sorted(os.listdir(out)) == before
+
+    @pytest.mark.parametrize("line", ["verify.k_steps = 100",
+                                      "verify.samples = 100"])
+    def test_verify_checks_lemma1_sizes_before_any_check(
+            self, workdir, capsys, monkeypatch, line):
+        out, cfg_path = workdir
+        with open(cfg_path, "a") as fh:
+            fh.write(line + "\n")
+        # with two CPUs the other checks would run beside lemma1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        capsys.readouterr()
+        assert run(cfg_path, out, "verify") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert line.split(" =")[0] in err
+        assert sorted(p.name for p in out.iterdir()) == ["run.cfg"]
 
     def test_discover_rejects_no_inner_iterations(self, workdir, capsys):
         out, cfg_path = workdir

@@ -82,7 +82,8 @@ verify.k_steps = 500
 """
 
 
-def test_traced_verify_reads_every_note(tmp_path):
+def traced_verify(tmp_path):
+    """The spans and notes this process records in one ``cgdp verify``."""
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(VERIFY_CFG)
     tracer = spans.Tracer()
@@ -97,6 +98,14 @@ def test_traced_verify_reads_every_note(tmp_path):
     notes = {}
     for _, _, _, name, _, _, _, note in recorded:
         notes.setdefault(name, []).append(note)
+    return recorded, notes
+
+
+def test_traced_verify_reads_every_note(tmp_path, monkeypatch):
+    # one CPU: every check runs in this process, where the tracer is;
+    # forked checks keep their spans in the worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    recorded, notes = traced_verify(tmp_path)
     # one lockstep call per step size, one for the stiff companion
     assert len(notes["euler_maruyama"]) == 6
     assert all(steps > 0 for steps in notes["euler_maruyama"])
@@ -108,3 +117,12 @@ def test_traced_verify_reads_every_note(tmp_path):
     for name in ("check_lemma1", "check_prop1", "check_prop2",
                  "check_theorem1"):
         assert metrics[f"{name}_s"] > 0.0
+
+
+def test_pooled_verify_traces_lemma1_here(tmp_path, monkeypatch):
+    # the benchmark reads lemma1's (spec, report) off this process's spans
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _, notes = traced_verify(tmp_path)
+    ((spec, report),) = notes["check_lemma1"]
+    assert report["passed"] and spec.mu_bar.shape == (2,)
+    assert "check_prop1" not in notes and "check_theorem1" not in notes
