@@ -11,12 +11,10 @@ from .diffusion import (DiffusionSchedule, NoiseNet, ddim_sample, ddim_vjp,
                         ddpm_sample, forward_corrupt, load_noise_net,
                         make_schedule, save_noise_net, train_noise_net)
 from .discovery import (DiscoveryResult, NotearsConfig, acyclicity,
-                        corrupt_masks, discover_masks,
-                        exhaustive_dag_oracle, notears_fit)
+                        corrupt_masks, discover_masks, notears_fit)
 from .dynamics import (CausalDynamics, do_intervention_joint_grad,
                        fit_dynamics, joint_grad_jacobian, load_dynamics,
-                       reward_logpdf_grad, save_dynamics,
-                       transition_logpdf_grad)
+                       save_dynamics)
 from .envs import EnvSpec, EnvState, Environment, make_env_scm, \
     optimal_reward
 from .guidance import (GuidanceConfig, GuidanceHook, KlAccumulator,
@@ -27,9 +25,9 @@ from .numerics import AdamState, Mlp, mat_expm
 from .rl import (CriticPair, OfflineArtifacts, ReplayBuffer,
                  TrainerConfig, critic_update, offline_stage,
                  online_stage, policy_update)
-from .scm import (CausalMasks, Dag, GroundTruthScm, Transitions,
-                  exact_masks, generate_dataset, load_dataset, random_scm,
-                  save_dataset, scm_step)
+from .scm import (CausalMasks, GroundTruthScm, Transitions,
+                  generate_dataset, load_dataset, random_scm, save_dataset,
+                  scm_step)
 from .verify import (PosteriorSpec, check_lemma1, check_prop1,
                      check_prop2, check_theorem1, gaussian_posterior)
 

@@ -19,7 +19,7 @@ from .rl import TrainerConfig
 __all__ = ["RunConfig", "parse_config", "load_config", "dump_config",
            "CONFIG_SCHEMA"]
 
-_TAGS = {bool: "bool", int: "int", float: "float", str: "str"}
+_TAGS = {int: "int", float: "float", str: "str"}
 
 
 def _widths(text, key):
@@ -104,12 +104,6 @@ def _coerce(key, kind, raw):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return raw
     except ValueError:
         raise ValueError(f"bad value {raw!r} for config key {key!r}")
@@ -118,8 +112,6 @@ def _coerce(key, kind, raw):
 def _render(kind, value):
     if kind == "float":
         return repr(float(value))
-    if kind == "bool":
-        return "true" if value else "false"
     return str(value)
 
 

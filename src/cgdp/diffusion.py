@@ -252,7 +252,7 @@ def load_noise_net(path):
     naming ``file:line``."""
     with open(path) as fh:
         lines = fh.read().splitlines()
-    head = lines[0].split() if lines else [""]
+    head = (lines[0] if lines else "").split() or [""]
     if head[0] != "cgdp-noise-net-v1":
         raise ValueError(f"{path}:1: unrecognized checkpoint header "
                          f"{head[0]!r}")

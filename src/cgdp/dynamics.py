@@ -18,8 +18,6 @@ __all__ = [
     "CausalDynamics",
     "min_fit_rows",
     "fit_dynamics",
-    "transition_logpdf_grad",
-    "reward_logpdf_grad",
     "do_intervention_joint_grad",
     "joint_grad_jacobian",
     "save_dynamics",
@@ -44,18 +42,17 @@ class CausalDynamics:
     a_a: np.ndarray                # (d, n) a -> s_next
     b_s: np.ndarray                # (n,)   s_next -> r
     b_a: np.ndarray                # (d,)   a -> r
-    r_star: float = 0.0            # optimal-reward conditioning target
+    r_star: float = 0.0            # best reward in the fitted rows
     _prec_s: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         self.sigma_s = np.asarray(self.sigma_s, dtype=float)
-        if self.sigma_r <= 0:
-            raise ValueError("sigma_r must be > 0")
+        if not 0 < self.sigma_r < np.inf:
+            raise ValueError(f"sigma_r must be finite and > 0, got "
+                             f"{self.sigma_r!r}")
         if np.any(np.linalg.eigvalsh(self.sigma_s) <= 0):
             raise ValueError("sigma_s must be positive definite")
         self._prec_s = np.linalg.inv(self.sigma_s)
-        sign, logdet = np.linalg.slogdet(self.sigma_s)
-        self._logdet_s = float(logdet)
 
     @property
     def n(self):
@@ -195,31 +192,6 @@ def joint_grad_jacobian(dyn, gamma_t, beta_guid_t, predicted_next):
     return jac
 
 
-def transition_logpdf_grad(dyn, s, a, s_next):
-    """log N(s_next; f(s, a), Sigma) and its exact gradient w.r.t. a, at
-    one state s, action a and next state s_next."""
-    resid = s_next - dyn.transition_mean_batch(s[None], a[None])[0]
-    logp = -0.5 * (float(resid @ dyn._prec_s @ resid) + dyn._logdet_s
-                   + dyn.n * np.log(2 * np.pi))
-    grad = do_intervention_joint_grad(dyn, s[None], a[None], s_next[None],
-                                      0.0, 1.0, 0.0)
-    return logp, grad[0]
-
-
-def reward_logpdf_grad(dyn, s_next, a, r):
-    """log N(r; g(s_next, a), sigma_r) and its exact gradient w.r.t. a, at
-    one next state s_next and action a.
-
-    Pass r = r_star for optimal-reward conditioning.
-    """
-    resid = r - dyn.reward_mean_batch(s_next[None], a[None])[0]
-    logp = -0.5 * (resid * resid / dyn.sigma_r
-                   + np.log(2 * np.pi * dyn.sigma_r))
-    grad = do_intervention_joint_grad(dyn, None, a[None], s_next[None], r,
-                                      0.0, 1.0)
-    return float(logp), grad[0]
-
-
 # ---- checkpoint serialization -------------------------------------------
 
 _CKPT_VERSION = "cgdp-dynamics-v1"
@@ -247,7 +219,7 @@ def load_dynamics(path):
     the line and the array."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    header = lines[0].split() if lines else [""]
+    header = (lines[0] if lines else "").split() or [""]
     if header[0] != _CKPT_VERSION:
         raise ValueError(f"{path}:1: unrecognized checkpoint header "
                          f"{header[0]!r}")
@@ -259,6 +231,9 @@ def load_dynamics(path):
     if kind != "linear" or len(header) != 6 or n < 1 or d < 1:
         raise ValueError(f"{path}:1: expected '{_CKPT_VERSION} linear n d "
                          f"sigma_r r_star', got {lines[0]!r}")
+    if not (0 < sigma_r < np.inf and math.isfinite(r_star)):
+        raise ValueError(f"{path}:1: sigma_r must be finite and > 0 and "
+                         f"r_star finite, got {lines[0]!r}")
     shapes = {"c_ss": (n, n), "c_as": (d, n), "u_sr": (n,), "u_ar": (d,),
               "a_s": (n, n), "a_a": (d, n), "b_s": (n,), "b_a": (d,),
               "sigma_s": (n, n)}

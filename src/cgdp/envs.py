@@ -9,8 +9,8 @@ import numpy as np
 
 from .scm import random_scm, scm_step
 
-__all__ = ["EnvSpec", "EnvState", "make_env_scm", "reset", "step",
-           "optimal_reward", "Environment"]
+__all__ = ["EnvSpec", "EnvState", "make_env_scm", "optimal_reward",
+           "Environment"]
 
 
 @dataclass
@@ -61,29 +61,22 @@ class Environment:
         self.state = None
 
     def reset(self, rng):
-        self.state = reset(self.spec, rng)
+        self.state = EnvState(obs=rng.standard_normal(self.spec.n), t=0,
+                              done=False)
         return self.state
 
     def step(self, a, rng):
-        self.state, r, done = step(self.state, a, self.spec, rng, self.scm)
+        """Advance one environment step; returns (next EnvState, r, done)."""
+        if self.state.done:
+            raise RuntimeError("step() called on a finished episode")
+        a = np.clip(np.asarray(a, dtype=float), -1.0, 1.0)
+        if a.shape[0] != self.spec.d:
+            raise ValueError("action dimension mismatch")
+        s_next, r = scm_step(self.scm, self.state.obs, a, rng)
+        t = self.state.t + 1
+        done = t >= self.spec.horizon
+        self.state = EnvState(obs=s_next, t=t, done=done)
         return self.state, r, done
-
-
-def reset(spec, rng):
-    return EnvState(obs=rng.standard_normal(spec.n), t=0, done=False)
-
-
-def step(state, a, spec, rng, scm):
-    """Advance one environment step; returns (next EnvState, r, done)."""
-    if state.done:
-        raise RuntimeError("step() called on a finished episode")
-    a = np.clip(np.asarray(a, dtype=float), -1.0, 1.0)
-    if a.shape[0] != spec.d:
-        raise ValueError("action dimension mismatch")
-    s_next, r = scm_step(scm, state.obs, a, rng)
-    t = state.t + 1
-    done = t >= spec.horizon
-    return EnvState(obs=s_next, t=t, done=done), r, done
 
 
 def optimal_reward(scm):

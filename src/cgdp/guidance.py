@@ -33,7 +33,6 @@ class GuidanceConfig:
     gamma_t: float = 1.0            # state-guidance coefficient
     beta_guid_t: float = 1.0        # reward-guidance coefficient
     r_star: float = 0.0             # optimal-reward target
-    use_r_star: bool = True         # condition on r_star instead of observed r
 
     def __post_init__(self):
         if np.ndim(self.lam) or not (np.isfinite(self.lam) and self.lam >= 0):
@@ -73,7 +72,6 @@ class KlAccumulator:
 
     def __init__(self):
         self.total = 0.0
-        self.records = []
 
     def add(self, correction, g_t, dt):
         """Add one term, the row mean over the correction rows (B, d)."""
@@ -82,9 +80,7 @@ class KlAccumulator:
         # the row mean of the squared norms, as .mean() computes it
         rows = np.add.reduce(correction * correction, axis=-1)
         sq = float(np.add.reduce(rows)) / rows.shape[0]
-        contrib = sq / (g_t * g_t) * dt
-        self.total += contrib
-        self.records.append(contrib)
+        self.total += sq / (g_t * g_t) * dt
         return self
 
 
@@ -105,8 +101,10 @@ class GuidanceHook:
     At diffusion step k with candidate actions a^k the hook evaluates the
     interventional joint gradient at (s_t, a^k) against either the
     recorded next state (replay) or the model-predicted mean (online
-    acting, where the transition term then vanishes at its own mean), and
-    returns -lam_k sqrt(1-abar_k) * gradient.  Every call also feeds the
+    acting, where the transition term then vanishes at its own mean), with
+    the reward term pulled toward ``r_value`` when one is given (replayed
+    rewards) and toward ``cfg.r_star`` otherwise, and returns
+    -lam_k sqrt(1-abar_k) * gradient.  Every call also feeds the
     KL accumulator; at lam_k = 0 the gradient is skipped and the
     correction and KL term are zero.  ``s_t``, ``s_next`` and the actions
     are rows, as :func:`do_intervention_joint_grad` takes them.
@@ -119,9 +117,7 @@ class GuidanceHook:
         self.schedule = schedule
         self.s_t = s_t
         self.s_next = s_next
-        if r_value is None:
-            r_value = cfg.r_star if cfg.use_r_star else dyn.r_star
-        self.r_value = r_value
+        self.r_value = cfg.r_star if r_value is None else r_value
         self.kl_acc = kl_acc
         self._grad_jac = None
         self._s_term = None

@@ -214,7 +214,6 @@ def policy_update(net, critics, dyn, batch, cfg, schedule, opt, rng,
 class OfflineArtifacts:
     net: NoiseNet
     dyn: object
-    masks: object
     schedule: object
     discovery_w: np.ndarray
 
@@ -239,13 +238,13 @@ def offline_stage(dataset, cfg, rng, masks=None, w0=None):
     opt = AdamState(net.mlp.flat, lr=cfg.lr)
     train_noise_net(net, dataset, schedule, opt, cfg.offline_steps, rng,
                     batch_size=cfg.batch_size)
-    return OfflineArtifacts(net=net, dyn=dyn, masks=masks,
-                            schedule=schedule, discovery_w=w0)
+    return OfflineArtifacts(net=net, dyn=dyn, schedule=schedule,
+                            discovery_w=w0)
 
 
 def with_masks(base, dataset, masks):
     """``base``'s offline artifacts for other ``masks``: a copy of its
-    noise net, and dynamics refit on the masks (base's own for its masks).
+    noise net, and dynamics refit on the masks (base's own for None).
 
     ``offline_stage`` trains the noise net without reading masks or
     guidance, and ``fit_dynamics`` draws no random numbers.  So with a
@@ -253,8 +252,8 @@ def with_masks(base, dataset, masks):
     online stage, a run is exactly the one after its own
     ``offline_stage(dataset, cfg, rng, masks=masks, w0=base.discovery_w)``.
     """
-    dyn = base.dyn if masks is base.masks else fit_dynamics(dataset, masks)
-    return replace(base, net=base.net.copy(), dyn=dyn, masks=masks)
+    dyn = base.dyn if masks is None else fit_dynamics(dataset, masks)
+    return replace(base, net=base.net.copy(), dyn=dyn)
 
 
 def ablation_seed(index, dataset, masks, w0, arms, spec, scm, seed=0):
@@ -271,7 +270,7 @@ def ablation_seed(index, dataset, masks, w0, arms, spec, scm, seed=0):
     base = offline_stage(dataset, arms[0][1], rng, masks=masks, w0=w0)
     out = []
     for flip_prob, cfg in arms:
-        arm_masks = masks if flip_prob == 0 else corrupt_masks(
+        arm_masks = None if flip_prob == 0 else corrupt_masks(
             masks, flip_prob, np.random.default_rng(10 ** 6 + index))
         records, _ = online_stage(Environment(spec, scm=scm),
                                   with_masks(base, dataset, arm_masks), cfg,
@@ -303,14 +302,14 @@ def online_stage(env, artifacts, cfg, rng):
     Per environment step: sample an action through the guided DDIM chain,
     store the transition, run one critic and one policy update; every
     ``mask_refresh`` steps re-estimate masks and refit the dynamics on the
-    recent buffer window (warm-started).  A refresh replaces the masks,
-    the warm start and the dynamics together, or none of them.  Emits one
-    metrics record per episode; its ``refreshes`` lists the outcome of
-    each refresh due in the episode: "applied", "skipped (uninformative
+    recent buffer window (warm-started).  A refresh replaces the warm
+    start and the dynamics (with their masks) together, or neither; the
+    refit's r* is the best reward in its window.  Emits one metrics
+    record per episode; its ``refreshes`` lists the outcome of each
+    refresh due in the episode: "applied", "skipped (uninformative
     actions)", "skipped (window too small)" or "failed (<reason>)".
     """
     net, dyn, schedule = artifacts.net, artifacts.dyn, artifacts.schedule
-    masks = artifacts.masks
     w_warm = artifacts.discovery_w
     guid = cfg.guidance
     critics = CriticPair(dyn.n, dyn.d, hidden=cfg.hidden, rng=rng,
@@ -378,8 +377,7 @@ def online_stage(env, artifacts, cfg, rng):
                         # the current model stays
                         refreshes.append(f"failed ({exc})")
                     else:
-                        new_dyn.r_star = max(new_dyn.r_star, r_star)
-                        masks, w_warm, dyn = result.masks, result.w, new_dyn
+                        w_warm, dyn = result.w, new_dyn
                         refreshes.append("applied")
             ep_return += r
         records.append({
@@ -391,5 +389,5 @@ def online_stage(env, artifacts, cfg, rng):
             "mask_refresh_flag": int("applied" in refreshes),
             "refreshes": refreshes,
         })
-    return records, OfflineArtifacts(net=net, dyn=dyn, masks=masks,
-                                     schedule=schedule, discovery_w=w_warm)
+    return records, OfflineArtifacts(net=net, dyn=dyn, schedule=schedule,
+                                     discovery_w=w_warm)

@@ -11,17 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import acyclicity
-
 __all__ = [
     "CausalMasks",
     "GroundTruthScm",
     "Transitions",
-    "Dag",
     "random_scm",
     "scm_step",
     "generate_dataset",
-    "exact_masks",
     "save_dataset",
     "load_dataset",
 ]
@@ -70,26 +66,6 @@ class Transitions:
         """The rows at ``idx``, as new columns."""
         return Transitions(self.s[idx], self.a[idx], self.r[idx],
                            self.s_next[idx], self.done[idx])
-
-
-@dataclass
-class Dag:
-    """Weighted adjacency with [i, j] = weight of edge i -> j."""
-
-    adjacency: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.adjacency, dtype=float)
-        if np.any(np.diag(w) != 0):
-            raise ValueError("Dag adjacency must have a zero diagonal")
-        h = acyclicity(w)
-        if abs(h) > 1e-8:
-            raise ValueError(f"adjacency is cyclic: h(W) = {h:.3e}")
-        self.adjacency = w
-
-    @property
-    def n_nodes(self):
-        return self.adjacency.shape[0]
 
 
 @dataclass
@@ -223,16 +199,6 @@ def generate_dataset(scm, episodes, horizon, behavior_noise, rng):
         out.s[i], out.a[i], out.r[i], out.s_next[i] = s, a, r, s_next
         s = s_next
     return out
-
-
-def exact_masks(scm):
-    """Ground-truth {0,1} masks read off the operators' sparsity pattern."""
-    return CausalMasks(
-        (scm.f_s != 0).astype(float),
-        (scm.f_a != 0).astype(float),
-        (scm.b_s != 0).astype(float),
-        (scm.b_a != 0).astype(float),
-    )
 
 
 def save_dataset(transitions, path):

@@ -10,23 +10,22 @@ from cgdp.cli import _write_metrics, main
 from cgdp.config import RunConfig, dump_config, parse_config
 from cgdp.diffusion import (NoiseNet, ddim_sample, ddpm_sample, load_noise_net,
                             make_schedule, save_noise_net)
-from cgdp.discovery import (NotearsConfig, discover_masks,
-                            exhaustive_dag_oracle, notears_fit)
+from cgdp.discovery import NotearsConfig, discover_masks, notears_fit
 from cgdp.dynamics import (do_intervention_joint_grad, fit_dynamics,
-                           load_dynamics, reward_logpdf_grad, save_dynamics,
-                           transition_logpdf_grad)
+                           load_dynamics, save_dynamics)
 from cgdp.envs import Environment, EnvSpec, optimal_reward
 from cgdp.guidance import GuidanceConfig, GuidanceHook
 from cgdp.numerics import AdamState, Mlp
 from cgdp.rl import (TrainerConfig, ablation_runs, offline_stage,
                      online_stage, policy_update)
-from cgdp.scm import (exact_masks, generate_dataset, load_dataset, random_scm,
-                      save_dataset)
+from cgdp.scm import generate_dataset, load_dataset, random_scm, save_dataset
 from cgdp.verify import (PosteriorSpec, check_lemma1, check_prop1,
                          check_prop2, check_theorem1,
                          default_linear_instance, stiff_linear_instance)
 
 from conftest import central_fd, rel_err
+from references import (exact_masks, exhaustive_dag_oracle,
+                        reward_logpdf_grad, transition_logpdf_grad)
 
 
 def report(index, ok, detail):

@@ -485,3 +485,20 @@ class TestLoudInputs:
         data.write_text("\n".join(data.read_text().splitlines()[:10]))
         assert run(cfg_path, out, "discover") == 1
         assert capsys.readouterr().err.startswith(f"error: {data}:11:")
+
+    @pytest.mark.parametrize("header", [
+        lambda tokens: "",
+        lambda tokens: " ".join(tokens[:4] + ["nan"] + tokens[5:])])
+    def test_blank_or_non_finite_dynamics_header_exits_1(self, workdir,
+                                                         capsys, header):
+        out, cfg_path = workdir
+        assert run(cfg_path, out, "gen-data") == 0
+        assert run(cfg_path, out, "train") == 0
+        ckpt = out / "dynamics.txt"
+        lines = ckpt.read_text().splitlines()
+        ckpt.write_text("\n".join([header(lines[0].split())] + lines[1:]))
+        capsys.readouterr()
+        assert run(cfg_path, out, "eval") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}:1: ") and err.count("\n") == 1
+        assert not (out / "eval.txt").exists()

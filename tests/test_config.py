@@ -44,14 +44,6 @@ class TestParse:
         with pytest.raises(ValueError, match="seed"):
             parse_config("seed = banana\n")
 
-    def test_bool_coercion(self):
-        for raw, expect in (("true", True), ("1", True), ("yes", True),
-                            ("false", False), ("0", False), ("no", False)):
-            cfg = parse_config(f"guidance.use_r_star = {raw}\n")
-            assert cfg["guidance.use_r_star"] is expect
-        with pytest.raises(ValueError):
-            parse_config("guidance.use_r_star = maybe\n")
-
 
 class TestMinimumCounts:
     @pytest.mark.parametrize("key", ["verify.seeds", "ablate.seeds",
@@ -95,7 +87,8 @@ class TestHiddenWidths:
 @pytest.mark.parametrize("key", ["notears.rho", "notears.rho_growth",
                                  "notears.tol", "notears.max_outer",
                                  "env.kind", "env.goal_x", "env.goal_y",
-                                 "train.dyn_kind", "train.dyn_mlp_steps"])
+                                 "train.dyn_kind", "train.dyn_mlp_steps",
+                                 "guidance.use_r_star"])
 def test_removed_keys_are_unknown(key):
     with pytest.raises(ValueError, match=f"line 2: unknown config key "
                                          f"'{key}'"):
@@ -139,7 +132,6 @@ guidance.lambda = 1.0
 guidance.gamma_t = 1.0
 guidance.beta_guid_t = 1.0
 guidance.r_star = 0.0
-guidance.use_r_star = true
 eval.episodes = 20
 ablate.flip_prob = 0.25
 ablate.seeds = 5
@@ -171,8 +163,7 @@ class TestDerivedSchema:
                 keys = IRREGULAR.get((namespace, f.name))
                 if keys is None:
                     keys = [f"{namespace}.{f.name}"]
-                    tag = {bool: "bool", int: "int", float: "float",
-                           str: "str"}[type(value)]
+                    tag = {int: "int", float: "float", str: "str"}[type(value)]
                     assert CONFIG_SCHEMA[keys[0]] == (tag, value)
                 claimed += keys
         in_sections = [k for k in CONFIG_SCHEMA
@@ -193,7 +184,7 @@ class TestDerivedSchema:
             if namespace not in SECTIONS or key in irregular:
                 continue
             # a valid value other than the default
-            other = {"bool": lambda v: not v, "int": lambda v: v + 1,
+            other = {"int": lambda v: v + 1,
                      "float": lambda v: v / 2 + 0.25}[tag](default)
             built = getattr(RunConfig({key: other}), builders[namespace])()
             assert getattr(built, name) == other, key
@@ -204,8 +195,6 @@ def _value(key, tag):
         return st.integers(min_value=_MINIMUM.get(key), max_value=10 ** 12)
     if tag == "float":
         return st.floats(allow_nan=False)
-    if tag == "bool":
-        return st.booleans()
     if tag == "widths":
         return st.lists(st.integers(1, 4096), max_size=4).map(
             lambda ws: ",".join(map(str, ws)))
@@ -231,7 +220,7 @@ def test_dump_parse_round_trip(values):
 class TestRoundTrip:
     def test_dump_then_parse_reproduces_values(self):
         cfg = parse_config("seed = 3\ntrain.lr = 0.001\n"
-                           "guidance.use_r_star = false\n")
+                           "guidance.r_star = 2.5\n")
         again = parse_config(dump_config(cfg))
         assert again.values == cfg.values
         assert dump_config(again) == dump_config(cfg)

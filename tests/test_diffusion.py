@@ -277,6 +277,7 @@ class TestCheckpoint:
         (lambda lines: lines[:4] + ["nan" + lines[4][3:]] + lines[5:],
          "expected 6 finite"),
         (lambda lines: lines[:3], "file ends inside param block 1"),
+        (lambda lines: [""] + lines, ":1: unrecognized checkpoint header ''"),
     ])
     def test_malformed_checkpoint_names_file_and_line(self, tmp_path, cut,
                                                       message):

@@ -3,11 +3,11 @@ import pytest
 
 from cgdp import discovery
 from cgdp.discovery import (NotearsConfig, acyclicity, corrupt_masks,
-                            discover_masks, exhaustive_dag_oracle,
-                            notears_fit)
-from cgdp.scm import Transitions, exact_masks, generate_dataset, random_scm
+                            discover_masks, notears_fit)
+from cgdp.scm import Transitions, generate_dataset, random_scm
 
 from conftest import rel_err
+from references import exact_masks, exhaustive_dag_oracle
 
 
 class TestAcyclicity:

@@ -3,12 +3,13 @@ import pytest
 
 from cgdp.dynamics import (CausalDynamics, do_intervention_joint_grad,
                            fit_dynamics, joint_grad_jacobian, load_dynamics,
-                           reward_logpdf_grad, save_dynamics,
-                           transition_logpdf_grad)
-from cgdp.scm import (CausalMasks, GroundTruthScm, exact_masks,
-                      generate_dataset, random_scm)
+                           save_dynamics)
+from cgdp.scm import (CausalMasks, GroundTruthScm, generate_dataset,
+                      random_scm)
 
 from conftest import central_fd, rel_err
+from references import (exact_masks, reward_logpdf_grad,
+                        transition_logpdf_grad)
 
 
 def ones_masks(n, d):
@@ -238,6 +239,15 @@ class TestMaskInvariance:
             assert np.array_equal(moved, masks.c_as[j] != 0)
 
 
+def header_with(index, value):
+    """An edit that sets token ``index`` of the header line to ``value``."""
+    def edit(lines):
+        head = lines[0].split()
+        head[index] = value
+        return [" ".join(head)] + lines[1:]
+    return edit
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, small_instance, tmp_path):
         _, dyn, _ = small_instance
@@ -261,6 +271,11 @@ class TestCheckpoint:
         (lambda lines: lines[:-1], ":19: array sigma_s needs 9"),
         (lambda lines: lines[:5], ":6: expected array header 'u_sr 3'"),
         (lambda lines: ["cgdp-dynamics-v1 linear 3"] + lines[1:], ":1: "),
+        (lambda lines: [""] + lines, ":1: unrecognized checkpoint header ''"),
+        (header_with(4, "nan"), ":1: sigma_r must be finite and > 0"),
+        (header_with(4, "inf"), ":1: sigma_r must be finite and > 0"),
+        (header_with(5, "nan"), ":1: .* and r_star finite"),
+        (header_with(5, "-inf"), ":1: .* and r_star finite"),
     ])
     def test_malformed_checkpoint_names_file_line_and_array(
             self, small_instance, tmp_path, edit, message):

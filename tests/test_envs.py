@@ -3,8 +3,15 @@ import pytest
 from scipy import stats
 
 from cgdp.envs import (Environment, EnvSpec, EnvState, make_env_scm,
-                       optimal_reward, reset, step)
+                       optimal_reward)
 from cgdp.scm import GroundTruthScm
+
+
+def step(state, a, spec, rng, scm):
+    """One ``Environment.step`` from ``state``."""
+    env = Environment(spec, scm=scm)
+    env.state = state
+    return env.step(a, rng)
 
 
 class TestSpec:
@@ -35,9 +42,9 @@ class TestSpec:
 
 class TestReset:
     def test_lin_scm_reset_deterministic(self):
-        spec = EnvSpec(n=3, d=2)
-        st1 = reset(spec, np.random.default_rng(5))
-        st2 = reset(spec, np.random.default_rng(5))
+        env = Environment(EnvSpec(n=3, d=2))
+        st1 = env.reset(np.random.default_rng(5))
+        st2 = env.reset(np.random.default_rng(5))
         assert np.array_equal(st1.obs, st2.obs)
         assert st1.t == 0 and not st1.done
 

@@ -115,7 +115,7 @@ class TestGuidanceHook:
         monkeypatch.setattr(hook, "joint_grad", no_grad)
         ddim_sample(net, sched, s, np.random.default_rng(2), hook=hook)
         assert hook.eps_jacobian(3) is None
-        assert acc.total == 0.0 and acc.records == [0.0] * 10
+        assert acc.total == 0.0
 
     def test_batch_matches_per_row(self, small_instance):
         _, dyn, _ = small_instance
@@ -194,7 +194,6 @@ class TestKlAccumulator:
         ddim_sample(net, sched, s, np.random.default_rng(2),
                     hook=GuidanceHook(dyn, cfg2, sched, s, kl_acc=acc2))
         assert acc2.total > 0.0
-        assert all(rec >= 0 for rec in acc2.records)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -3,15 +3,16 @@ import pytest
 
 from cgdp.diffusion import (NoiseNet, ddim_sample, ddim_vjp, forward_corrupt,
                             make_schedule)
-from cgdp.dynamics import CausalDynamics
+from cgdp.dynamics import CausalDynamics, fit_dynamics
 from cgdp.envs import Environment, EnvSpec, make_env_scm
 from cgdp.guidance import GuidanceConfig, GuidanceHook
 from cgdp.numerics import AdamState
 from cgdp.rl import (CriticPair, ReplayBuffer, TrainerConfig, critic_update,
                      offline_stage, online_stage, policy_update)
-from cgdp.scm import CausalMasks, Transitions, exact_masks, generate_dataset
+from cgdp.scm import CausalMasks, Transitions, generate_dataset
 
 from conftest import rel_err
+from references import exact_masks
 
 
 def make_transition(rng, n=2, d=2, done=False):
@@ -392,8 +393,34 @@ class TestStages:
         assert sum(rec["mask_refresh_flag"] for rec in records) == 0
         assert [o for rec in records for o in rec["refreshes"]] == \
             ["failed (refit failed)"]
-        assert final.masks is art.masks and final.dyn is art.dyn
+        assert final.dyn is art.dyn
         assert final.discovery_w is art.discovery_w
+
+    def test_refit_r_star_is_the_window_best_not_the_target(self,
+                                                            monkeypatch):
+        import cgdp.rl
+        spec = EnvSpec(n=3, d=2, horizon=5, seed=0)
+        env = Environment(spec)
+        data = generate_dataset(env.scm, 50, 5, 1.5,
+                                np.random.default_rng(0))
+        cfg = TrainerConfig(offline_steps=20, hidden=(8,), batch_size=8,
+                            online_episodes=12, mask_refresh=60,
+                            refresh_min_action_std=0.0,
+                            guidance=GuidanceConfig(r_star=100.0))
+        art = offline_stage(data, cfg, np.random.default_rng(0),
+                            masks=exact_masks(env.scm))
+        windows = []
+
+        def recording_fit(transitions, masks):
+            windows.append(transitions)
+            return fit_dynamics(transitions, masks)
+
+        monkeypatch.setattr(cgdp.rl, "fit_dynamics", recording_fit)
+        records, final = online_stage(env, art, cfg,
+                                      np.random.default_rng(1))
+        assert [o for rec in records for o in rec["refreshes"]] == \
+            ["applied"]
+        assert final.dyn.r_star == float(windows[0].r.max()) < 100.0
 
     def test_refresh_outcomes_are_recorded(self):
         spec = EnvSpec(n=3, d=2, horizon=5, seed=0)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cgdp.scm import (GroundTruthScm, Transitions, exact_masks,
-                      generate_dataset, load_dataset, random_scm,
-                      save_dataset, scm_step)
+from cgdp.scm import (GroundTruthScm, Transitions, generate_dataset,
+                      load_dataset, random_scm, save_dataset, scm_step)
+
+from references import exact_masks
 
 
 def per_row_dataset(scm, episodes, horizon, behavior_noise, rng):
