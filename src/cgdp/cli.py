@@ -170,8 +170,8 @@ def cmd_eval(cfg, out_dir, guidance_on):
     return 0
 
 
-def _final_return(records, tail_frac=0.1):
-    tail = max(1, int(len(records) * tail_frac))
+def _final_return(records):
+    tail = max(1, int(len(records) * 0.1))
     return float(np.median([r["return"] for r in records[-tail:]]))
 
 
@@ -249,15 +249,21 @@ def _verify_theorem1(cfg, out_dir, schedule):
         scm = make_env_scm(cfg.env_spec())
     else:
         scm, dyn = verify_mod.default_linear_instance(seed=cfg["seed"])
+    guid = cfg.guidance_config()
     report = verify_mod.check_theorem1(
-        scm, dyn, schedule, seeds=range(cfg["verify.seeds"]),
-        lam=cfg["verify.lambda"], gamma_disc=cfg["train.gamma_disc"])
+        scm, dyn, schedule, seeds=range(cfg["verify.seeds"]), lam=guid.lam,
+        gamma_disc=cfg["train.gamma_disc"], gamma_t=guid.gamma_t,
+        beta_guid_t=guid.beta_guid_t)
     with open(os.path.join(out_dir, "theorem1.csv"), "w") as fh:
         fh.write("seed,kl,bound,gap,holds\n")
         for row in report["rows"]:
             fh.write(f"{row['seed']},{_fmt(row['kl'])},"
                      f"{_fmt(row['bound'])},{_fmt(row['gap'])},"
                      f"{int(row['holds'])}\n")
+    # a zero KL bounds only a zero gap: the bound would check nothing
+    if all(row["kl"] == 0.0 for row in report["rows"]):
+        return False, "guidance is zero on every seed; the bound checks " \
+            "nothing"
     return report["passed"], \
         f"holds in {_fmt(report['fraction_holds'])} of seeds"
 
@@ -293,16 +299,12 @@ def _verify_check(name, cfg, out_dir, schedule):
 
 
 def cmd_verify(cfg, out_dir, which):
-    lam = cfg["verify.lambda"]
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"verify.lambda must be finite and >= 0, got "
-                         f"{lam!r}")
     # lemma1's floors, checked here so that no other check writes first
     for key, floor in (("verify.k_steps", verify_mod.LEMMA1_MIN_K_STEPS),
                        ("verify.samples", verify_mod.LEMMA1_MIN_SAMPLES)):
         if cfg[key] < floor:
             raise ValueError(f"{key} must be >= {floor}, got {cfg[key]}")
-    schedule = _train_schedule(cfg)   # rejects bad train.* before any output
+    schedule = _train_schedule(cfg)   # checks train.*, guidance.* first
     names = list(_VERIFY_CHECKS) if which == "all" else [which]
     check = partial(_verify_check, cfg=cfg, out_dir=out_dir,
                     schedule=schedule)

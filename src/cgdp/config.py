@@ -79,7 +79,6 @@ CONFIG_SCHEMA = {
     "verify.samples": ("int", 20000),
     "verify.k_steps": ("int", 1000),
     "verify.seeds": ("int", 20),
-    "verify.lambda": ("float", 1.0),
     "verify.dynamics": ("str", ""),
 }
 

@@ -37,9 +37,10 @@ class NotearsConfig:
 
     def __post_init__(self):
         if not 0 < self.tau < 1:
-            raise ValueError("tau must lie in (0,1)")
-        if self.l1 < 0:
-            raise ValueError("l1 must be >= 0")
+            raise ValueError(f"notears.tau must lie in (0,1), got "
+                             f"{self.tau!r}")
+        if not self.l1 >= 0:
+            raise ValueError(f"notears.l1 must be >= 0, got {self.l1!r}")
         if self.max_inner < 1:
             raise ValueError(f"notears.max_inner must be >= 1, got "
                              f"{self.max_inner}")

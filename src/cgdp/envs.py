@@ -24,8 +24,10 @@ class EnvSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1 or self.horizon < 1:
-            raise ValueError("n, d, horizon must all be >= 1")
+        for key in ("n", "d", "horizon"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"env.{key} must be >= 1, got "
+                                 f"{getattr(self, key)}")
         for key in ("noise_scale", "reward_noise"):
             value = getattr(self, key)
             if not 0 <= value < np.inf:

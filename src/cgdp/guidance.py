@@ -36,10 +36,12 @@ class GuidanceConfig:
 
     def __post_init__(self):
         if np.ndim(self.lam) or not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError("lambda must be one finite value >= 0")
-        for c in (self.gamma_t, self.beta_guid_t, self.r_star):
-            if not np.isfinite(c):
-                raise ValueError("guidance coefficients must be finite")
+            raise ValueError(f"guidance.lambda must be one finite value "
+                             f">= 0, got {self.lam!r}")
+        for key in ("gamma_t", "beta_guid_t", "r_star"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"guidance.{key} must be finite, got "
+                                 f"{getattr(self, key)!r}")
 
     def lam_at(self, k):
         """The guidance scale at diffusion step ``k``."""
@@ -169,17 +171,17 @@ def _spectral_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
-def estimate_lipschitz(dyn, schedule, delta=0.5):
+def estimate_lipschitz(dyn, schedule):
     """Lipschitz constants of the guided drift's ingredients, all exact:
     spectral norms of the dynamics' gradient Jacobians, L_f = beta_max / 2
     of the VP drift, and L_s = 1 for the standard-normal score -a that
-    :func:`euler_maruyama_guided` integrates."""
+    :func:`euler_maruyama_guided` integrates; delta is the default 0.5."""
     beta_max = float(schedule.betas.max())
     return LipschitzBundle(
         l_f=0.5 * beta_max, l_s=1.0,
         l_phi=_spectral_norm(joint_grad_jacobian(dyn, 1.0, 0.0, False)),
         l_omega=_spectral_norm(joint_grad_jacobian(dyn, 0.0, 1.0, False)),
-        delta=delta, g2_max=beta_max)
+        g2_max=beta_max)
 
 
 def euler_maruyama_guided(dyn, schedule, cfg, s, dt, steps, rng):

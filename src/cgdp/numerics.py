@@ -167,17 +167,15 @@ class Mlp:
 
 
 class AdamState:
-    """Adam optimizer state for one flat parameter vector."""
+    """Adam optimizer state for one flat parameter vector, with the
+    usual beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
 
-    def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=3e-4):
         if lr < 0:
             raise ValueError("learning rate must be >= 0")
         if np.ndim(params) != 1:
             raise ValueError("AdamState takes one flat parameter vector")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = np.zeros(np.size(params))
         self.v = np.zeros(np.size(params))
@@ -189,7 +187,7 @@ class AdamState:
         if self.lr == 0.0:
             return
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         m, v = self.m, self.v
         # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g
         m *= b1
@@ -203,6 +201,6 @@ class AdamState:
         m_hat *= self.lr
         denom = v / (1 - b2 ** t)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += 1e-8
         m_hat /= denom
         params -= m_hat

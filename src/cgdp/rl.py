@@ -37,21 +37,20 @@ __all__ = [
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring of transition columns with uniform
-    sampling; the i-th add goes to row i modulo the capacity."""
+    """Append-only store of transition columns with uniform sampling;
+    the i-th add goes to row i, and the store holds ``capacity`` adds."""
 
     def __init__(self, capacity, n, d):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
         self._rows = Transitions.zeros(capacity, n, d)
         self._adds = 0
 
     def __len__(self):
-        return min(self._adds, self.capacity)
+        return self._adds
 
     def add(self, s, a, r, s_next, done):
-        i, rows = self._adds % self.capacity, self._rows
+        i, rows = self._adds, self._rows
         rows.s[i], rows.a[i], rows.r[i] = s, a, r
         rows.s_next[i], rows.done[i] = s_next, done
         self._adds += 1
@@ -62,9 +61,8 @@ class ReplayBuffer:
     def window(self, size):
         """The most recent ``size`` transitions (all if fewer), oldest
         first."""
-        m = min(size, len(self))
-        return self._rows.take((self._adds - m + np.arange(m))
-                               % self.capacity)
+        return self._rows.take(np.arange(max(0, self._adds - size),
+                                         self._adds))
 
 
 class CriticPair:
@@ -102,7 +100,6 @@ class TrainerConfig:
     mask_refresh: int = 1000         # env steps between causal re-estimation
     refresh_window: int = 2000
     refresh_min_action_std: float = 0.4  # skip refresh below this exploration
-    buffer_capacity: int = 100000
     k_steps: int = 10                # diffusion steps (schedule K)
     beta_start: float = 1e-4
     beta_end: float = 2e-2
@@ -118,13 +115,15 @@ class TrainerConfig:
             if not np.isfinite(getattr(self, key)):
                 raise ValueError(f"train.{key} must be finite, got "
                                  f"{getattr(self, key)!r}")
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        for key in ("refresh_window", "buffer_capacity", "k_steps"):
+        for key in ("lr", "eta"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"train.{key} must be >= 0")
+        for key in ("batch_size", "refresh_window", "k_steps"):
             if getattr(self, key) < 1:
                 raise ValueError(f"train.{key} must be >= 1")
+        if not 0 < self.beta_start <= self.beta_end < 1:
+            raise ValueError("train.beta_start and train.beta_end must "
+                             "satisfy 0 < beta_start <= beta_end < 1")
         if not 0 <= self.gamma_disc < 1:
             raise ValueError(f"train.gamma_disc must lie in [0,1), got "
                              f"{self.gamma_disc!r}")
@@ -316,10 +315,9 @@ def online_stage(env, artifacts, cfg, rng):
                          rho_target=cfg.rho_target,
                          gamma_disc=cfg.gamma_disc, lr=cfg.lr)
     opt = AdamState(net.mlp.flat, lr=cfg.lr)
-    # a FIFO that never wraps acts the same whatever its capacity, so
-    # the ring holds no more rows than the run can write
-    rows = max(1, cfg.online_episodes * env.spec.horizon)
-    buffer = ReplayBuffer(min(cfg.buffer_capacity, rows), dyn.n, dyn.d)
+    # lin-scm episodes run the full horizon: the rows the run writes
+    buffer = ReplayBuffer(max(1, cfg.online_episodes * env.spec.horizon),
+                          dyn.n, dyn.d)
     r_star = guid.r_star
     actor_guid = guid   # guid with r_star, rebuilt when r_star rises
     records = []

@@ -349,24 +349,22 @@ def _euler_seeds(dyn, schedule, cfg, seeds, dt, steps):
     return euler_maruyama_guided(dyn, schedule, cfg, states, dt, steps, rngs)
 
 
-def check_prop1(dyn, schedule, seeds, steps=10 ** 4, gamma_t=1.0,
-                beta_guid_t=1.0, stiff_dyn=None):
+def check_prop1(dyn, schedule, seeds, steps=10 ** 4, stiff_dyn=None):
     """Step-size sweep around the sufficient stability bound.
 
     Integrates the guided reverse SDE, whose score is the standard
-    normal's (L_s = 1 exactly), at dt in {0.1, 0.5, 1.0} and {10, 50}
-    times the bound; asserts no divergence at or below it and reports
-    behavior above.  A stiff companion instance at 50x must diverge in at
-    least one seed.  Each step size is one lockstep Euler call with a row
-    per seed.
+    normal's (L_s = 1 exactly), with lambda = gamma_t = beta_guid_t = 1,
+    at dt in {0.1, 0.5, 1.0} and {10, 50} times the bound; asserts no
+    divergence at or below it and reports behavior above.  A stiff
+    companion instance (stiff in the reward term) at 50x must diverge in
+    at least one seed.  Each step size is one lockstep Euler call with a
+    row per seed.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    dt_max = stability_max_step(estimate_lipschitz(dyn, schedule), gamma_t,
-                                beta_guid_t)
-    cfg = GuidanceConfig(lam=1.0, gamma_t=gamma_t, beta_guid_t=beta_guid_t,
-                         r_star=dyn.r_star)
+    dt_max = stability_max_step(estimate_lipschitz(dyn, schedule), 1.0, 1.0)
+    cfg = GuidanceConfig(r_star=dyn.r_star)
     rows = []
     for factor in (0.1, 0.5, 1.0, 10.0, 50.0):
         dt = factor * dt_max
@@ -384,10 +382,8 @@ def check_prop1(dyn, schedule, seeds, steps=10 ** 4, gamma_t=1.0,
     stiff_row = None
     if stiff_dyn is not None:
         s_dt = 50.0 * stability_max_step(
-            estimate_lipschitz(stiff_dyn, schedule), gamma_t, beta_guid_t)
-        s_cfg = GuidanceConfig(lam=1.0, gamma_t=gamma_t,
-                               beta_guid_t=beta_guid_t,
-                               r_star=stiff_dyn.r_star)
+            estimate_lipschitz(stiff_dyn, schedule), 1.0, 1.0)
+        s_cfg = GuidanceConfig(r_star=stiff_dyn.r_star)
         _, diverged = _euler_seeds(stiff_dyn, schedule, s_cfg, seeds, s_dt,
                                    min(steps, 2000))
         stiff_row = {"factor": 50.0, "dt": s_dt,
@@ -401,28 +397,27 @@ def check_prop1(dyn, schedule, seeds, steps=10 ** 4, gamma_t=1.0,
     }
 
 
-def stiff_linear_instance(l_total=100.0, n=2, d=1):
-    """Hand-built linear model whose guidance term is stiff.
+def stiff_linear_instance(l_total=100.0):
+    """Hand-built linear model (n=2, d=1) with a stiff guidance term.
 
     The reward coefficient is scaled so the reward-guidance Lipschitz
     constant alone reaches l_total, which makes explicit Euler far above
     the sufficient step bound visibly unstable.
     """
-    masks = CausalMasks(np.ones((n, n)), np.ones((d, n)),
-                        np.ones(n), np.ones(d))
-    b_a = np.zeros(d)
-    b_a[0] = np.sqrt(l_total)  # l_omega = |b_a|^2 / sigma_r
-    return CausalDynamics(masks=masks, sigma_s=np.eye(n), sigma_r=1.0,
-                          a_s=0.1 * np.eye(n), a_a=np.zeros((d, n)),
-                          b_s=np.zeros(n), b_a=b_a, r_star=1.0)
+    masks = CausalMasks(np.ones((2, 2)), np.ones((1, 2)),
+                        np.ones(2), np.ones(1))
+    b_a = np.array([np.sqrt(l_total)])  # l_omega = |b_a|^2 / sigma_r
+    return CausalDynamics(masks=masks, sigma_s=np.eye(2), sigma_r=1.0,
+                          a_s=0.1 * np.eye(2), a_a=np.zeros((1, 2)),
+                          b_s=np.zeros(2), b_a=b_a, r_star=1.0)
 
 
-def default_linear_instance(n=2, d=1, seed=0, episodes=60, horizon=10):
+def default_linear_instance(n=2, d=1, seed=0):
     """Small fitted linear model plus its generating SCM, for the checks
     that need trained artifacts but not a full pipeline run."""
     rng = np.random.default_rng(seed)
     scm = random_scm(n, d, d, rng=rng)
-    data = generate_dataset(scm, episodes, horizon, 0.5, rng)
+    data = generate_dataset(scm, 60, 10, 0.5, rng)
     masks = discover_masks(data, NotearsConfig()).masks
     dyn = fit_dynamics(data, masks)
     return scm, dyn

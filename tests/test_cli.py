@@ -262,6 +262,20 @@ class TestVerifyCommand:
         summary = (out / "verify_summary.txt").read_text()
         assert summary.startswith("prop2 PASS")
 
+    def test_theorem1_fails_when_the_guidance_is_zero(self, workdir,
+                                                      capsys):
+        out, cfg_path = workdir
+        with open(cfg_path, "a") as fh:
+            fh.write("verify.seeds = 2\nguidance.lambda = 0\n")
+        capsys.readouterr()
+        assert run(cfg_path, out, "verify", "theorem1") == 1
+        note = "guidance is zero on every seed; the bound checks nothing"
+        assert capsys.readouterr().out == f"theorem1 FAIL ({note})\n"
+        rows = (out / "theorem1.csv").read_text().splitlines()
+        assert rows[0] == "seed,kl,bound,gap,holds" and len(rows) == 3
+        assert all(row.split(",")[1:4] == ["0", "0", "0"]
+                   for row in rows[1:])
+
 
 class TestErrors:
     def test_train_without_dataset_is_runtime_error(self, workdir):
@@ -355,7 +369,6 @@ class TestLoudInputs:
             "small);" in capsys.readouterr().out
 
     @pytest.mark.parametrize("key", ["train.refresh_window",
-                                     "train.buffer_capacity",
                                      "train.k_steps"])
     def test_train_rejects_a_count_below_one(self, workdir, capsys, key):
         out, cfg_path = workdir
@@ -411,8 +424,18 @@ class TestLoudInputs:
         ("train", "train.gamma_disc = nan", "metrics.txt"),
         ("train", "train.rho_target = 0", "metrics.txt"),
         ("train", "train.rho_target = 1.5", "metrics.txt"),
-        ("verify", "verify.lambda = nan", "lemma1.csv"),
-        ("verify", "verify.lambda = -1", "lemma1.csv"),
+        ("train", "train.lr = -1", "metrics.txt"),
+        ("train", "train.eta = -1", "metrics.txt"),
+        ("train", "train.batch_size = 0", "metrics.txt"),
+        ("train", "train.beta_start = 0.5", "metrics.txt"),
+        ("train", "notears.tau = 1.5", "metrics.txt"),
+        ("train", "notears.l1 = -1", "metrics.txt"),
+        ("train", "notears.l1 = nan", "metrics.txt"),
+        ("train", "env.n = 0", "metrics.txt"),
+        ("train", "guidance.lambda = -1", "metrics.txt"),
+        ("train", "guidance.gamma_t = nan", "metrics.txt"),
+        ("verify", "guidance.lambda = nan", "lemma1.csv"),
+        ("verify", "guidance.lambda = -1", "lemma1.csv"),
         ("verify", "train.gamma_disc = 1.0", "lemma1.csv"),
         ("verify", "train.k_steps = 0", "lemma1.csv")])
     def test_a_bad_config_float_exits_1_before_any_output(

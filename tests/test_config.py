@@ -88,7 +88,8 @@ class TestHiddenWidths:
                                  "notears.tol", "notears.max_outer",
                                  "env.kind", "env.goal_x", "env.goal_y",
                                  "train.dyn_kind", "train.dyn_mlp_steps",
-                                 "guidance.use_r_star"])
+                                 "guidance.use_r_star",
+                                 "train.buffer_capacity", "verify.lambda"])
 def test_removed_keys_are_unknown(key):
     with pytest.raises(ValueError, match=f"line 2: unknown config key "
                                          f"'{key}'"):
@@ -118,7 +119,6 @@ train.online_episodes = 200
 train.mask_refresh = 1000
 train.refresh_window = 2000
 train.refresh_min_action_std = 0.4
-train.buffer_capacity = 100000
 train.k_steps = 10
 train.beta_start = 0.0001
 train.beta_end = 0.02
@@ -138,7 +138,6 @@ ablate.seeds = 5
 verify.samples = 20000
 verify.k_steps = 1000
 verify.seeds = 20
-verify.lambda = 1.0
 verify.dynamics = \n"""
 
 # the keys whose field differs in name or form
@@ -183,9 +182,10 @@ class TestDerivedSchema:
             namespace, _, name = key.partition(".")
             if namespace not in SECTIONS or key in irregular:
                 continue
-            # a valid value other than the default
+            # a valid value other than the default (halving keeps
+            # train.beta_start <= train.beta_end)
             other = {"int": lambda v: v + 1,
-                     "float": lambda v: v / 2 + 0.25}[tag](default)
+                     "float": lambda v: v / 2 or 0.25}[tag](default)
             built = getattr(RunConfig({key: other}), builders[namespace])()
             assert getattr(built, name) == other, key
 

@@ -51,43 +51,36 @@ def linear_dyn(n=2, d=2):
 
 
 class TestReplayBuffer:
-    def test_fifo_keeps_most_recent(self):
-        buf, items = filled_buffer(3, 5)
-        assert len(buf) == 3
-        assert same_rows(buf.window(3), columns(items[-3:]))
-
     def test_window_before_full(self):
         buf, items = filled_buffer(10, 4)
         assert same_rows(buf.window(2), columns(items[-2:]))
         assert same_rows(buf.window(10), columns(items))
-
-    def test_window_across_the_wrap_seam(self):
-        # 11 adds into 4 rows: the ring holds adds 8, 9, 10, 7
-        buf, items = filled_buffer(4, 11)
-        assert len(buf) == 4
-        for size in (1, 2, 3, 4):
-            assert same_rows(buf.window(size), columns(items[-size:]))
-        assert same_rows(buf.window(9), columns(items[-4:]))
 
     def test_window_larger_than_the_fill(self):
         buf, items = filled_buffer(8, 3)
         assert same_rows(buf.window(5), columns(items))
         assert len(ReplayBuffer(8, 2, 2).window(5)) == 0
 
-    @pytest.mark.parametrize("count", [5, 8, 11])
+    @pytest.mark.parametrize("count", [5, 8])
     def test_sample_gathers_the_drawn_rows(self, count):
-        # row i of the ring holds the latest add whose index is i mod 8
+        # row i of the store holds add i
         buf, items = filled_buffer(8, count)
-        ring = {i % 8: row for i, row in enumerate(items)}
         batch = buf.sample(16, np.random.default_rng(3))
         idx = np.random.default_rng(3).integers(len(buf), size=16)
-        assert same_rows(batch, columns([ring[i] for i in idx]))
+        assert same_rows(batch, columns([items[i] for i in idx]))
 
     def test_sample_determinism(self):
         buf, _ = filled_buffer(8, 8)
         s1 = buf.sample(4, np.random.default_rng(0))
         s2 = buf.sample(4, np.random.default_rng(0))
         assert same_rows(s1, s2)
+
+    def test_a_full_store_refuses_one_more_add(self):
+        buf, items = filled_buffer(4, 4)
+        with pytest.raises(IndexError):
+            buf.add(*make_transition(np.random.default_rng(9)))
+        assert len(buf) == 4
+        assert same_rows(buf.window(4), columns(items))
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
@@ -260,7 +253,7 @@ class TestTrainerConfig:
         with pytest.raises(ValueError):
             TrainerConfig(batch_size=0)
 
-    @pytest.mark.parametrize("key", ["refresh_window", "buffer_capacity",
+    @pytest.mark.parametrize("key", ["batch_size", "refresh_window",
                                      "k_steps"])
     @pytest.mark.parametrize("value", [0, -3])
     def test_rejects_counts_below_one_naming_the_key(self, key, value):
@@ -445,26 +438,3 @@ class TestStages:
                                  (11, "applied")]
         assert outcomes[10.0] == [(5, "skipped (uninformative actions)"),
                                   (11, "skipped (uninformative actions)")]
-
-    def test_records_do_not_depend_on_an_unreached_capacity(self):
-        # 12 episodes x horizon 5 write 60 rows; a refresh at step 30
-        # (window too small) and one at 60 (applied) read the window
-        spec = EnvSpec(n=3, d=2, horizon=5, seed=0)
-        env = Environment(spec)
-        data = generate_dataset(env.scm, 50, 5, 1.5,
-                                np.random.default_rng(0))
-        runs = []
-        for capacity in (60, 10 ** 6):
-            cfg = TrainerConfig(offline_steps=20, hidden=(8,), batch_size=8,
-                                online_episodes=12, mask_refresh=30,
-                                refresh_min_action_std=0.0,
-                                buffer_capacity=capacity)
-            art = offline_stage(data, cfg, np.random.default_rng(0),
-                                masks=exact_masks(env.scm))
-            records, final = online_stage(env, art, cfg,
-                                          np.random.default_rng(1))
-            runs.append((records, final.net.mlp.flat.copy()))
-        assert runs[0][0] == runs[1][0]
-        assert [o for rec in runs[0][0] for o in rec["refreshes"]] == \
-            ["skipped (window too small)", "applied"]
-        assert np.array_equal(runs[0][1], runs[1][1])
