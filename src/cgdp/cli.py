@@ -55,12 +55,18 @@ def _load_data(cfg, out_dir):
     return load_dataset(path)
 
 
-def _write_metrics(records, path):
-    lines = [" ".join(_METRIC_FIELDS)]
-    for rec in records:
-        lines.append(" ".join(_fmt(rec[f]) for f in _METRIC_FIELDS))
+def _metric_rows(records):
+    """The rows of ``metrics.txt``: a header, then one per episode."""
+    return [_METRIC_FIELDS] + [[rec[f] for f in _METRIC_FIELDS]
+                               for rec in records]
+
+
+def _write_rows(path, rows, sep=" "):
+    """Write one line per row, its fields joined by ``sep``: strings as
+    they are, numbers through :func:`_fmt`."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(sep.join(v if isinstance(v, str) else _fmt(v)
+                               for v in row) + "\n" for row in rows)
 
 
 def cmd_gen_data(cfg, out_dir):
@@ -82,18 +88,12 @@ def cmd_discover(cfg, out_dir):
     data = _load_data(cfg, out_dir)
     result = discover_masks(data, cfg.notears_config())
     path = os.path.join(out_dir, "discovery.txt")
-    lines = []
-    for row in result.w:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    lines.append(f"threshold {repr(float(cfg['notears.tau']))}")
-    m = result.masks
-    for name, arr in (("c_ss", m.c_ss), ("c_as", m.c_as),
-                      ("u_sr", m.u_sr[None, :]), ("u_ar", m.u_ar[None, :])):
-        lines.append(name)
-        for row in np.atleast_2d(arr):
-            lines.append(" ".join(_fmt(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [list(map(repr, row)) for row in result.w.tolist()]
+    rows.append(["threshold", repr(float(cfg["notears.tau"]))])
+    for name in ("c_ss", "c_as", "u_sr", "u_ar"):
+        rows.append([name])
+        rows.extend(np.atleast_2d(getattr(result.masks, name)))
+    _write_rows(path, rows)
     print(f"wrote discovery result to {path}")
     return 0
 
@@ -125,11 +125,11 @@ def cmd_train(cfg, out_dir, guidance_on):
     rng = np.random.default_rng(cfg["seed"])
     artifacts = offline_stage(data, tcfg, rng)
     records, artifacts = online_stage(env, artifacts, tcfg, rng)
-    _write_metrics(records, os.path.join(out_dir, "metrics.txt"))
+    _write_rows(os.path.join(out_dir, "metrics.txt"), _metric_rows(records))
     save_noise_net(artifacts.net, os.path.join(out_dir, "noise_net.txt"))
     save_dynamics(artifacts.dyn, os.path.join(out_dir, "dynamics.txt"))
-    with open(os.path.join(out_dir, "effective.cfg"), "w") as fh:
-        fh.write(dump_config(cfg))
+    _write_rows(os.path.join(out_dir, "effective.cfg"),
+                [[line] for line in dump_config(cfg).splitlines()])
     refreshes = Counter(o for rec in records for o in rec["refreshes"])
     summary = ", ".join(f"{n} {o}" for o, n in refreshes.items()) or "none"
     print(f"trained {len(records)} episodes; refreshes: {summary}; "
@@ -163,9 +163,9 @@ def cmd_eval(cfg, out_dir, guidance_on):
         returns.append(total)
     mean = float(np.mean(returns))
     std = float(np.std(returns))
-    with open(os.path.join(out_dir, "eval.txt"), "w") as fh:
-        fh.write(f"episodes {len(returns)}\n"
-                 f"mean_return {_fmt(mean)}\nstd_return {_fmt(std)}\n")
+    _write_rows(os.path.join(out_dir, "eval.txt"),
+                [("episodes", len(returns)), ("mean_return", mean),
+                 ("std_return", std)])
     print(f"eval mean return {_fmt(mean)} over {len(returns)} episodes")
     return 0
 
@@ -193,11 +193,11 @@ def cmd_ablate(cfg, out_dir):
     runs = ablation_runs(cfg["ablate.seeds"], data, result.masks, result.w,
                          list(arms.values()), spec, scm, seed=cfg["seed"])
     path = os.path.join(out_dir, "ablation.csv")
-    with open(path, "w") as fh:
-        fh.write("arm,mean,std\n")
-        for i, arm in enumerate(arms):
-            vals = [_final_return(seed_runs[i]) for seed_runs in runs]
-            fh.write(f"{arm},{_fmt(np.mean(vals))},{_fmt(np.std(vals))}\n")
+    rows = [("arm", "mean", "std")]
+    for i, arm in enumerate(arms):
+        vals = [_final_return(seed_runs[i]) for seed_runs in runs]
+        rows.append((arm, np.mean(vals), np.std(vals)))
+    _write_rows(path, rows, ",")
     print(f"wrote ablation table to {path}")
     return 0
 
@@ -212,14 +212,12 @@ def _verify_lemma1(cfg, out_dir):
     schedule = make_schedule(cfg["verify.k_steps"])
     report = verify_mod.check_lemma1(spec, schedule, cfg["verify.samples"],
                                      rng, lam=1.0)
-    with open(os.path.join(out_dir, "lemma1.csv"), "w") as fh:
-        fh.write("coord,sample_mean,target_mean,mean_err,se\n")
-        for i in range(d):
-            fh.write(f"{i},{_fmt(report['sample_mean'][i])},"
-                     f"{_fmt(report['target_mean'][i])},"
-                     f"{_fmt(report['mean_err'][i])},"
-                     f"{_fmt(report['se'][i])}\n")
-        fh.write(f"cov_rel_err,{_fmt(report['cov_rel_err'])},,,\n")
+    columns = ("sample_mean", "target_mean", "mean_err", "se")
+    _write_rows(os.path.join(out_dir, "lemma1.csv"),
+                [("coord", *columns)]
+                + [(i, *(report[c][i] for c in columns)) for i in range(d)]
+                + [("cov_rel_err", report["cov_rel_err"], "", "", "")],
+                ",")
     return report["passed"], f"cov_rel_err {_fmt(report['cov_rel_err'])}"
 
 
@@ -233,10 +231,8 @@ def _verify_prop2(cfg, out_dir):
         a = rng.uniform(-1, 1, size=dyn.d)
         report = verify_mod.check_prop2(dyn, s, a, 10 ** 4, rng)
         rows.append((seed, report["cosine"], report["passed"]))
-    with open(os.path.join(out_dir, "prop2.csv"), "w") as fh:
-        fh.write("seed,cosine,passed\n")
-        for seed, cosine, ok in rows:
-            fh.write(f"{seed},{_fmt(cosine)},{int(ok)}\n")
+    _write_rows(os.path.join(out_dir, "prop2.csv"),
+                [("seed", "cosine", "passed")] + rows, ",")
     passed = all(ok for _, _, ok in rows)
     worst = min(c for _, c, _ in rows)
     return passed, f"min cosine {_fmt(worst)}"
@@ -254,12 +250,10 @@ def _verify_theorem1(cfg, out_dir, schedule):
         scm, dyn, schedule, seeds=range(cfg["verify.seeds"]), lam=guid.lam,
         gamma_disc=cfg["train.gamma_disc"], gamma_t=guid.gamma_t,
         beta_guid_t=guid.beta_guid_t)
-    with open(os.path.join(out_dir, "theorem1.csv"), "w") as fh:
-        fh.write("seed,kl,bound,gap,holds\n")
-        for row in report["rows"]:
-            fh.write(f"{row['seed']},{_fmt(row['kl'])},"
-                     f"{_fmt(row['bound'])},{_fmt(row['gap'])},"
-                     f"{int(row['holds'])}\n")
+    columns = ("seed", "kl", "bound", "gap", "holds")
+    _write_rows(os.path.join(out_dir, "theorem1.csv"),
+                [columns] + [[row[c] for c in columns]
+                             for row in report["rows"]], ",")
     # a zero KL bounds only a zero gap: the bound would check nothing
     if all(row["kl"] == 0.0 for row in report["rows"]):
         return False, "guidance is zero on every seed; the bound checks " \
@@ -273,11 +267,10 @@ def _verify_prop1(cfg, out_dir, schedule):
     report = verify_mod.check_prop1(
         dyn, schedule, seeds=range(cfg["verify.seeds"]),
         stiff_dyn=verify_mod.stiff_linear_instance())
-    with open(os.path.join(out_dir, "prop1.csv"), "w") as fh:
-        fh.write("dt,diverged,terminal_norm\n")
-        for row in report["rows"]:
-            fh.write(f"{_fmt(row['dt'])},{row['diverged']},"
-                     f"{_fmt(row['terminal_norm'])}\n")
+    columns = ("dt", "diverged", "terminal_norm")
+    _write_rows(os.path.join(out_dir, "prop1.csv"),
+                [columns] + [[row[c] for c in columns]
+                             for row in report["rows"]], ",")
     return report["passed"], f"dt_max {_fmt(report['dt_max'])}"
 
 
@@ -320,8 +313,8 @@ def cmd_verify(cfg, out_dir, which):
             results = [check(names[0])] + [f.result() for f in futures]
     summary = [f"{name} {'PASS' if ok else 'FAIL'} ({note})"
                for name, (ok, note) in zip(names, results)]
-    with open(os.path.join(out_dir, "verify_summary.txt"), "w") as fh:
-        fh.write("\n".join(summary) + "\n")
+    _write_rows(os.path.join(out_dir, "verify_summary.txt"),
+                [[line] for line in summary])
     for line in summary:
         print(line)
     return 0 if all(ok for ok, _ in results) else 1

@@ -82,9 +82,10 @@ CONFIG_SCHEMA = {
     "verify.dynamics": ("str", ""),
 }
 
-# counts that must be at least this: fewer would make a table, a check or
-# an evaluation of nothing
-_MINIMUM = {"ablate.seeds": 1, "verify.seeds": 1, "eval.episodes": 1}
+# counts that must be at least this: fewer is no count, or makes a
+# table, a check or an evaluation of nothing
+_MINIMUM = {"data.episodes": 0, "data.horizon": 1, "ablate.seeds": 1,
+            "verify.seeds": 1, "eval.episodes": 1}
 
 
 def _check(key, value):

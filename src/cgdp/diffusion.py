@@ -16,11 +16,11 @@ one flat vector, ``net.mlp.flat``, and its gradients (``backward``,
 :func:`ddim_vjp`) are flat vectors of the same layout.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import read_arrays, read_header, save_arrays
 from .numerics import Mlp, AdamState
 
 __all__ = [
@@ -220,71 +220,33 @@ def ddim_vjp(net, schedule, tape, cot, hook=None):
     return grad
 
 
+_NET_VERSION = "cgdp-noise-net-v2"
+
+
 def save_noise_net(net, path):
-    """Flat text checkpoint; floats via repr for exact round-trips."""
-    lines = [f"cgdp-noise-net-v1 {net.n_state} {net.d_action} {net.k_steps}"]
-    lines.append(" ".join(str(w) for w in net.mlp.widths))
-    for p in net.mlp.params():
-        arr = np.atleast_2d(p)
-        lines.append(f"param {arr.shape[0]} {arr.shape[1]}")
-        for row in arr:
-            lines.append(" ".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _row_floats(path, index, line, width):
-    """The floats of one checkpoint line, exactly ``width`` finite ones."""
-    try:
-        row = [float(v) for v in line.split()]
-    except ValueError:
-        row = None
-    if row is None or len(row) != width or \
-            not all(math.isfinite(v) for v in row):
-        raise ValueError(f"{path}:{index + 1}: expected {width} finite "
-                         f"values, got {line.strip()[:60]!r}")
-    return row
+    """Checkpoint ``net`` in the :mod:`cgdp.checkpoint` layout: header
+    ``cgdp-noise-net-v2 n d K hidden...`` and one array, ``flat``, the
+    parameter vector ``net.mlp.flat``."""
+    header = [_NET_VERSION, net.n_state, net.d_action, net.k_steps,
+              *net.mlp.widths[1:-1]]
+    save_arrays(path, " ".join(map(str, header)), {"flat": net.mlp.flat})
 
 
 def load_noise_net(path):
-    """Read a :func:`save_noise_net` checkpoint.  A bad header, a missing,
-    short or extra param block and non-finite values raise ValueError
-    naming ``file:line``."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    head = (lines[0] if lines else "").split() or [""]
-    if head[0] != "cgdp-noise-net-v1":
-        raise ValueError(f"{path}:1: unrecognized checkpoint header "
-                         f"{head[0]!r}")
+    """Read a :func:`save_noise_net` checkpoint.  A bad header, a ``flat``
+    array of the wrong size, non-finite values and text after the array
+    raise ValueError naming ``file:line``, before the net is built."""
+    header, lines = read_header(path, _NET_VERSION)
     try:
-        n_state, d_action, k_steps = map(int, head[1:])
-        widths = [int(w) for w in lines[1].split()]
-    except (ValueError, IndexError):
-        raise ValueError(f"{path}:1: expected 'cgdp-noise-net-v1 n d K' "
-                         f"and a line of layer widths") from None
-    if len(widths) < 2 or widths[0] != d_action + n_state + 1 or \
-            widths[-1] != d_action or min(widths) < 1 or k_steps < 1:
-        raise ValueError(f"{path}:2: layer widths {widths} do not fit "
-                         f"n = {n_state}, d = {d_action}")
-    net = NoiseNet(n_state, d_action, k_steps, hidden=tuple(widths[1:-1]))
-    params = net.mlp.params()
-    i = 2
-    for index, p in enumerate(params):
-        rows, cols = np.atleast_2d(p).shape
-        if i >= len(lines) or lines[i].split() != ["param", str(rows),
-                                                   str(cols)]:
-            found = repr(lines[i]) if i < len(lines) else "the end of file"
-            raise ValueError(f"{path}:{i + 1}: expected param block "
-                             f"{index + 1} of {len(params)} as 'param "
-                             f"{rows} {cols}', found {found}")
-        if i + rows >= len(lines):
-            raise ValueError(f"{path}:{len(lines) + 1}: file ends inside "
-                             f"param block {index + 1}")
-        p[...] = np.reshape([_row_floats(path, i + 1 + j, lines[i + 1 + j],
-                                         cols) for j in range(rows)],
-                            p.shape)
-        i += 1 + rows
-    if any(line.strip() for line in lines[i:]):
-        raise ValueError(f"{path}:{i + 1}: more param blocks than the "
-                         f"{len(params)} of the network")
+        n_state, d_action, k_steps, *hidden = map(int, header)
+        ok = min(n_state, d_action, k_steps, *hidden) >= 1
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{path}:1: expected '{_NET_VERSION} n d K "
+                         f"hidden...' with integers >= 1, got {lines[0]!r}")
+    size = Mlp.flat_size([d_action + n_state + 1, *hidden, d_action])
+    flat = read_arrays(path, lines, {"flat": (size,)})["flat"]
+    net = NoiseNet(n_state, d_action, k_steps, tuple(hidden))
+    net.mlp.flat[...] = flat
     return net

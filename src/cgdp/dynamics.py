@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import read_arrays, read_header, save_arrays
 from .scm import CausalMasks
 
 __all__ = [
@@ -195,68 +196,40 @@ def joint_grad_jacobian(dyn, gamma_t, beta_guid_t, predicted_next):
 # ---- checkpoint serialization -------------------------------------------
 
 _CKPT_VERSION = "cgdp-dynamics-v1"
-
-
-def _dump_array(fh, name, arr):
-    arr = np.asarray(arr, dtype=float)
-    fh.write(f"{name} {' '.join(str(x) for x in arr.shape)}\n")
-    fh.write(" ".join(repr(float(v)) for v in arr.ravel()) + "\n")
+_MASK_ARRAYS = ("c_ss", "c_as", "u_sr", "u_ar")
+_MODEL_ARRAYS = ("a_s", "a_a", "b_s", "b_a", "sigma_s")
 
 
 def save_dynamics(dyn, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_CKPT_VERSION} linear {dyn.n} {dyn.d} "
-                 f"{repr(dyn.sigma_r)} {repr(dyn.r_star)}\n")
-        for name in ("c_ss", "c_as", "u_sr", "u_ar"):
-            _dump_array(fh, name, getattr(dyn.masks, name))
-        for name in ("a_s", "a_a", "b_s", "b_a", "sigma_s"):
-            _dump_array(fh, name, getattr(dyn, name))
+    """Checkpoint ``dyn`` in the :mod:`cgdp.checkpoint` layout: header
+    ``cgdp-dynamics-v1 linear n d sigma_r r_star``, then the four masks
+    and the five operators."""
+    arrays = {name: getattr(dyn.masks, name) for name in _MASK_ARRAYS}
+    arrays.update((name, getattr(dyn, name)) for name in _MODEL_ARRAYS)
+    save_arrays(path, f"{_CKPT_VERSION} linear {dyn.n} {dyn.d} "
+                f"{repr(dyn.sigma_r)} {repr(dyn.r_star)}", arrays)
 
 
 def load_dynamics(path):
     """Read a :func:`save_dynamics` checkpoint.  A bad header, a missing
-    or short array and non-finite values raise ValueError naming the file,
-    the line and the array."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    header = (lines[0] if lines else "").split() or [""]
-    if header[0] != _CKPT_VERSION:
-        raise ValueError(f"{path}:1: unrecognized checkpoint header "
-                         f"{header[0]!r}")
+    or short array, non-finite values and text after the last array raise
+    ValueError naming the file, the line and the array."""
+    header, lines = read_header(path, _CKPT_VERSION)
     try:
-        kind, n, d = header[1], int(header[2]), int(header[3])
-        sigma_r, r_star = float(header[4]), float(header[5])
+        kind, n, d = header[0], int(header[1]), int(header[2])
+        sigma_r, r_star = float(header[3]), float(header[4])
     except (ValueError, IndexError):
         kind = None
-    if kind != "linear" or len(header) != 6 or n < 1 or d < 1:
+    if kind != "linear" or len(header) != 5 or n < 1 or d < 1:
         raise ValueError(f"{path}:1: expected '{_CKPT_VERSION} linear n d "
                          f"sigma_r r_star', got {lines[0]!r}")
     if not (0 < sigma_r < np.inf and math.isfinite(r_star)):
         raise ValueError(f"{path}:1: sigma_r must be finite and > 0 and "
                          f"r_star finite, got {lines[0]!r}")
-    shapes = {"c_ss": (n, n), "c_as": (d, n), "u_sr": (n,), "u_ar": (d,),
-              "a_s": (n, n), "a_a": (d, n), "b_s": (n,), "b_a": (d,),
-              "sigma_s": (n, n)}
-    arrays = {}
-    for index, (name, shape) in enumerate(shapes.items()):
-        line = 1 + 2 * index
-        head = " ".join([name, *map(str, shape)])
-        if line >= len(lines) or lines[line].split() != head.split():
-            raise ValueError(f"{path}:{line + 1}: expected array header "
-                             f"{head!r}")
-        text = lines[line + 1] if line + 1 < len(lines) else ""
-        try:
-            vals = np.array([float(x) for x in text.split()])
-        except ValueError:
-            vals = np.array([np.nan])
-        if vals.size != math.prod(shape) or not np.all(np.isfinite(vals)):
-            raise ValueError(f"{path}:{line + 2}: array {name} needs "
-                             f"{math.prod(shape)} finite values, got "
-                             f"{text[:60]!r}")
-        arrays[name] = vals.reshape(shape)
-    masks = CausalMasks(arrays["c_ss"], arrays["c_as"],
-                        arrays["u_sr"], arrays["u_ar"])
-    return CausalDynamics(masks=masks, sigma_s=arrays["sigma_s"],
-                          sigma_r=sigma_r, a_s=arrays["a_s"],
-                          a_a=arrays["a_a"], b_s=arrays["b_s"],
-                          b_a=arrays["b_a"], r_star=r_star)
+    arrays = read_arrays(path, lines, {
+        "c_ss": (n, n), "c_as": (d, n), "u_sr": (n,), "u_ar": (d,),
+        "a_s": (n, n), "a_a": (d, n), "b_s": (n,), "b_a": (d,),
+        "sigma_s": (n, n)})
+    masks = CausalMasks(*(arrays[name] for name in _MASK_ARRAYS))
+    return CausalDynamics(masks=masks, sigma_r=sigma_r, r_star=r_star,
+                          **{name: arrays[name] for name in _MODEL_ARRAYS})

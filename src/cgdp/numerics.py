@@ -71,7 +71,7 @@ class Mlp:
 
     Parameters live in one flat float64 array ``self.flat``;
     ``self.weights`` ((out, in) matrices) and ``self.biases`` are views
-    into it, laid out weights then bias per layer as :meth:`params` lists
+    into it, laid out weights then bias per layer as :meth:`views` lists
     them.  Write parameters in place (``net.weights[0][...] = w``) so the
     flat buffer sees them.  Inputs are rows, shape (B, in); ``backward``
     returns the exact gradient of ``sum(output * cotangent)`` w.r.t. the
@@ -82,16 +82,20 @@ class Mlp:
     def __init__(self, widths, rng=None):
         if len(widths) < 2:
             raise ValueError("need at least an input and an output width")
-        self.__setstate__({
-            "widths": list(widths),
-            "flat": np.zeros(sum(fan_out * (fan_in + 1) for fan_in, fan_out
-                                 in zip(widths[:-1], widths[1:])))})
+        self.__setstate__({"widths": list(widths),
+                           "flat": np.zeros(Mlp.flat_size(widths))})
         if rng is None:
             return
         for w in self.weights:
             fan_out, fan_in = w.shape
             w[...] = rng.standard_normal((fan_out, fan_in)) * \
                 np.sqrt(1.0 / fan_in)
+
+    @staticmethod
+    def flat_size(widths):
+        """The number of parameters of an Mlp with these widths."""
+        return sum(fan_out * (fan_in + 1)
+                   for fan_in, fan_out in zip(widths[:-1], widths[1:]))
 
     def __getstate__(self):
         return {"widths": self.widths, "flat": self.flat}
@@ -106,7 +110,8 @@ class Mlp:
         self.weights, self.biases = views[0::2], views[1::2]
 
     def views(self, flat):
-        """Arrays laid out like :meth:`params`, as views into ``flat``."""
+        """The parameter arrays (weights then bias per layer), as views
+        into ``flat``."""
         out = []
         start = 0
         for fan_in, fan_out in zip(self.widths[:-1], self.widths[1:]):
@@ -115,11 +120,6 @@ class Mlp:
             out.append(flat[stop:stop + fan_out])
             start = stop + fan_out
         return out
-
-    def params(self):
-        """Parameter arrays (weights then bias per layer), views into
-        ``self.flat``."""
-        return self.views(self.flat)
 
     def copy(self):
         clone = Mlp(self.widths)

@@ -115,7 +115,7 @@ class TrainerConfig:
             if not np.isfinite(getattr(self, key)):
                 raise ValueError(f"train.{key} must be finite, got "
                                  f"{getattr(self, key)!r}")
-        for key in ("lr", "eta"):
+        for key in ("lr", "eta", "offline_steps", "online_episodes"):
             if getattr(self, key) < 0:
                 raise ValueError(f"train.{key} must be >= 0")
         for key in ("batch_size", "refresh_window", "k_steps"):

@@ -6,7 +6,7 @@ desktop core; every run is deterministic in its stated seeds.
 import numpy as np
 import pytest
 
-from cgdp.cli import _write_metrics, main
+from cgdp.cli import _metric_rows, _write_rows, main
 from cgdp.config import RunConfig, dump_config, parse_config
 from cgdp.diffusion import (NoiseNet, ddim_sample, ddpm_sample, load_noise_net,
                             make_schedule, save_noise_net)
@@ -279,7 +279,7 @@ def test_07_zero_guidance_equivalence(tmp_path, small_instance):
         records, _ = online_stage(Environment(spec, scm=env.scm), art,
                                   run_cfg, np.random.default_rng(8))
         path = tmp_path / f"metrics_{rep}.txt"
-        _write_metrics(records, str(path))
+        _write_rows(str(path), _metric_rows(records))
         streams.append((records, path.read_bytes()))
     metrics_ok = streams[0][1] == streams[1][1] and \
         all(rec["kl_integral"] == 0.0 for rec in streams[0][0])

@@ -368,19 +368,22 @@ class TestLoudInputs:
         assert "trained 2 episodes; refreshes: 2 skipped (window too " \
             "small);" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("key", ["train.refresh_window",
-                                     "train.k_steps"])
-    def test_train_rejects_a_count_below_one(self, workdir, capsys, key):
+    @pytest.mark.parametrize("key, value", [
+        ("train.refresh_window", 0), ("train.k_steps", 0),
+        ("train.online_episodes", -1), ("train.offline_steps", -1)])
+    def test_train_rejects_a_count_below_its_minimum(self, workdir, capsys,
+                                                     key, value):
         out, cfg_path = workdir
         assert run(cfg_path, out, "gen-data") == 0
         with open(cfg_path, "a") as fh:
-            fh.write(f"{key} = 0\n")
+            fh.write(f"{key} = {value}\n")
+        before = sorted(os.listdir(out))
         capsys.readouterr()
         assert run(cfg_path, out, "train") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert "Traceback" not in err
-        assert not (out / "metrics.txt").exists()
+        assert sorted(os.listdir(out)) == before
 
     @pytest.mark.parametrize("raw", ["0,64", "64,x", "-3"])
     def test_train_rejects_bad_hidden_widths(self, workdir, capsys, raw):
@@ -509,19 +512,27 @@ class TestLoudInputs:
         assert run(cfg_path, out, "discover") == 1
         assert capsys.readouterr().err.startswith(f"error: {data}:11:")
 
-    @pytest.mark.parametrize("header", [
-        lambda tokens: "",
-        lambda tokens: " ".join(tokens[:4] + ["nan"] + tokens[5:])])
-    def test_blank_or_non_finite_dynamics_header_exits_1(self, workdir,
-                                                         capsys, header):
+    @pytest.mark.parametrize("name, header, line", [
+        ("dynamics.txt", lambda tokens: "", 1),
+        ("dynamics.txt",
+         lambda tokens: " ".join(tokens[:4] + ["nan"] + tokens[5:]), 1),
+        ("noise_net.txt",
+         lambda tokens: " ".join(tokens[:4] + ["1000000", "1000000"]), 2),
+        ("noise_net.txt",
+         lambda tokens: " ".join(["cgdp-noise-net-v1"] + tokens[1:4]), 1)],
+        ids=["blank-dynamics", "nan-sigma_r-dynamics", "huge-widths-net",
+             "v1-net"])
+    def test_bad_checkpoint_header_exits_1(self, workdir, capsys, name,
+                                           header, line):
         out, cfg_path = workdir
         assert run(cfg_path, out, "gen-data") == 0
         assert run(cfg_path, out, "train") == 0
-        ckpt = out / "dynamics.txt"
+        ckpt = out / name
         lines = ckpt.read_text().splitlines()
         ckpt.write_text("\n".join([header(lines[0].split())] + lines[1:]))
         capsys.readouterr()
         assert run(cfg_path, out, "eval") == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {ckpt}:1: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {ckpt}:{line}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not (out / "eval.txt").exists()

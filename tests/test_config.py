@@ -47,10 +47,12 @@ class TestParse:
 
 class TestMinimumCounts:
     @pytest.mark.parametrize("key", ["verify.seeds", "ablate.seeds",
-                                     "eval.episodes"])
-    @pytest.mark.parametrize("value", [0, -3])
-    def test_seed_counts_below_one_rejected(self, key, value):
-        with pytest.raises(ValueError, match=f"{key}.*>= 1"):
+                                     "eval.episodes", "data.episodes",
+                                     "data.horizon"])
+    @pytest.mark.parametrize("below", [1, 4])
+    def test_counts_below_their_minimum_rejected(self, key, below):
+        value = _MINIMUM[key] - below
+        with pytest.raises(ValueError, match=f"{key}.*>= {_MINIMUM[key]}"):
             parse_config(f"{key} = {value}\n")
         with pytest.raises(ValueError, match=key):
             RunConfig({key: value})

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -263,20 +265,25 @@ class TestCheckpoint:
         save_noise_net(net, str(p1))
         loaded = load_noise_net(str(p1))
         assert (loaded.n_state, loaded.d_action, loaded.k_steps) == (3, 2, 15)
-        for a, b in zip(net.mlp.params(), loaded.mlp.params()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(net.mlp.flat, loaded.mlp.flat)
         save_noise_net(loaded, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("cut, message", [
-        (lambda lines: lines[:5] + [lines[5][:7]] + lines[6:],
-         "expected 6 finite"),
-        (lambda lines: lines[:8], "file ends inside param block 1"),
-        (lambda lines: lines[:-2], "expected param block 4 of 4"),
-        (lambda lines: lines + ["param 1 1", "0.5"], "more param blocks"),
-        (lambda lines: lines[:4] + ["nan" + lines[4][3:]] + lines[5:],
-         "expected 6 finite"),
-        (lambda lines: lines[:3], "file ends inside param block 1"),
+        (lambda lines: lines[:2] + [lines[2][:7]],
+         ":3: array flat needs 74 finite"),
+        (lambda lines: lines[:2], ":3: array flat needs 74 finite"),
+        (lambda lines: lines[:1], ":2: expected array header 'flat 74'"),
+        (lambda lines: lines + ["flat 1", "0.5"],
+         ":4: text after the last array"),
+        (lambda lines: lines[:2] + ["nan" + lines[2][3:]],
+         ":3: array flat needs 74 finite"),
+        (lambda lines: [lines[0].replace(" 8", " 1000000 1000000")]
+         + lines[1:], ":2: expected array header 'flat 1000010000002'"),
+        (lambda lines: [lines[0] + " 0"] + lines[1:],
+         ":1: expected 'cgdp-noise-net-v2 n d K hidden...'"),
+        (lambda lines: ["cgdp-noise-net-v1 3 2 15", "6 8 2"] + lines[2:],
+         ":1: unrecognized checkpoint header 'cgdp-noise-net-v1'"),
         (lambda lines: [""] + lines, ":1: unrecognized checkpoint header ''"),
     ])
     def test_malformed_checkpoint_names_file_and_line(self, tmp_path, cut,
@@ -286,6 +293,13 @@ class TestCheckpoint:
         save_noise_net(net, str(path))
         lines = cut(path.read_text().splitlines())
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=message) as exc:
-            load_noise_net(str(path))
+        # the header's sizes allocate nothing before the values check out
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message) as exc:
+                load_noise_net(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert f"{path}:" in str(exc.value)
+        assert peak < 2 ** 20

@@ -270,6 +270,8 @@ class TestCheckpoint:
          + lines[13:], ":13: array a_a needs 6 finite values"),
         (lambda lines: lines[:-1], ":19: array sigma_s needs 9"),
         (lambda lines: lines[:5], ":6: expected array header 'u_sr 3'"),
+        (lambda lines: lines + ["extra 1", "0.5"],
+         ":20: text after the last array"),
         (lambda lines: ["cgdp-dynamics-v1 linear 3"] + lines[1:], ":1: "),
         (lambda lines: [""] + lines, ":1: unrecognized checkpoint header ''"),
         (header_with(4, "nan"), ":1: sigma_r must be finite and > 0"),

@@ -67,3 +67,36 @@ def test_every_config_key_is_read_in_the_package():
               if (field_of[key] not in loaded if key in field_of
                   else key not in strings)]
     assert unread == []
+
+
+def _file_writers(tree):
+    """The names of the functions of ``tree`` that call ``open`` with a
+    mode that writes, or with a mode that is not a constant."""
+    writers = set()
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and \
+                    isinstance(child.func, ast.Name) and \
+                    child.func.id == "open":
+                modes = child.args[1:2] + [k.value for k in child.keywords
+                                           if k.arg == "mode"]
+                if any(not isinstance(m, ast.Constant)
+                       or set(str(m.value)) & set("wax+") for m in modes):
+                    writers.add(func)
+            visit(child, func)
+
+    visit(tree, None)
+    return writers
+
+
+def test_every_file_is_written_by_one_of_three_writers():
+    """Checkpoints, the dataset and the tables each have one writer, so
+    that a file format lives in one place."""
+    writers = {f"{name}.{func}" for name, tree in _module_trees()
+               for func in _file_writers(tree)}
+    assert writers == {"checkpoint.save_arrays", "scm.save_dataset",
+                       "cli._write_rows"}

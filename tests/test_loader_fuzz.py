@@ -2,11 +2,13 @@
 ``load_dataset``, ``load_noise_net`` and ``load_dynamics`` either raise
 ValueError or return a valid object.  The inputs are arbitrary text and
 small valid files with one line dropped or one token replaced by ``nan``,
-``inf`` or a blank."""
+``inf`` or a blank.  Random checkpoints, extreme floats among their
+values, round-trip bit-exactly."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cgdp.diffusion import NoiseNet, load_noise_net, save_noise_net
 from cgdp.dynamics import CausalDynamics, load_dynamics, save_dynamics
@@ -107,3 +109,80 @@ def test_loader_raises_value_error_or_returns_a_valid_object(
         assert str(exc).startswith(f"{path}")
     else:
         assert valid(obj)
+
+
+EDGES = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+         -1.7976931348623157e308]
+
+
+def floats(min_value=None, max_value=None):
+    """Finite floats in the range, the edge values in it among them."""
+    edges = [v for v in EDGES if (min_value is None or v >= min_value)
+             and (max_value is None or v <= max_value)]
+    return st.one_of(st.sampled_from(edges), st.floats(
+        min_value, max_value, allow_nan=False, allow_infinity=False))
+
+
+def arrays(shape, **bounds):
+    return hnp.arrays(float, shape, elements=floats(**bounds))
+
+
+@st.composite
+def noise_nets(draw):
+    net = NoiseNet(draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+                   draw(st.integers(1, 20)),
+                   tuple(draw(st.lists(st.integers(1, 5), max_size=2))))
+    net.mlp.flat[...] = draw(arrays(net.mlp.flat.size))
+    return net
+
+
+@st.composite
+def causal_dynamics(draw):
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    masks = CausalMasks(*(draw(arrays(shape, min_value=0.0, max_value=1.0))
+                          for shape in ((n, n), (d, n), (n,), (d,))))
+    # one scale: eigvalsh finds a diagonal of 5e-324 and 1e308 singular
+    sigma_s = draw(floats(min_value=5e-324)) * np.eye(n)
+    return CausalDynamics(
+        masks=masks, sigma_s=sigma_s,
+        sigma_r=draw(floats(min_value=5e-324)), a_s=draw(arrays((n, n))),
+        a_a=draw(arrays((d, n))), b_s=draw(arrays(n)), b_a=draw(arrays(d)),
+        r_star=draw(floats()))
+
+
+def net_bits(net):
+    return (net.n_state, net.d_action, net.k_steps, net.mlp.widths,
+            net.mlp.flat.tobytes())
+
+
+def dynamics_bits(dyn):
+    return [np.asarray(getattr(obj, name), dtype=float).tobytes()
+            for obj, names in ((dyn.masks, ("c_ss", "c_as", "u_sr", "u_ar")),
+                               (dyn, ("sigma_s", "sigma_r", "a_s", "a_a",
+                                      "b_s", "b_a", "r_star")))
+            for name in names]
+
+
+# kind -> (strategy, writer, loader, the object's exact bits)
+ROUND_TRIPS = {
+    "noise_net": (noise_nets(), save_noise_net, load_noise_net, net_bits),
+    "dynamics": (causal_dynamics(), save_dynamics, load_dynamics,
+                 dynamics_bits),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUND_TRIPS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_checkpoint_round_trip_is_bit_exact(kind, tmp_path_factory, data):
+    """save -> load gives the object's exact bits back, and save -> load ->
+    save writes the same bytes."""
+    strategy, save, load, bits = ROUND_TRIPS[kind]
+    obj = data.draw(strategy)
+    first = tmp_path_factory.getbasetemp() / f"round_trip_{kind}.txt"
+    again = first.with_suffix(".again")
+    save(obj, str(first))
+    loaded = load(str(first))
+    save(loaded, str(again))
+    assert bits(loaded) == bits(obj)
+    assert again.read_bytes() == first.read_bytes()

@@ -143,9 +143,9 @@ class TestMlp:
 
     def test_parameters_and_gradients_view_one_flat_buffer(self):
         net = Mlp([3, 5, 2], rng=np.random.default_rng(0))
-        assert all(p.base is net.flat for p in net.params())
+        assert all(p.base is net.flat for p in net.views(net.flat))
         assert np.array_equal(
-            np.concatenate([p.ravel() for p in net.params()]), net.flat)
+            np.concatenate([p.ravel() for p in net.views(net.flat)]), net.flat)
         _, cache = net.forward_cache(np.ones((4, 3)))
         grad, _ = net.backward(cache, np.ones((4, 2)))
         again, _ = net.backward(cache, np.ones((4, 2)))
@@ -163,12 +163,12 @@ class TestMlp:
         orig = Mlp([3, 5, 2], rng=np.random.default_rng(0))
         net = round_trip(orig)
         assert np.array_equal(net.flat, orig.flat)
-        assert all(p.base is net.flat for p in net.params())
+        assert all(p.base is net.flat for p in net.views(net.flat))
         _, cache = net.forward_cache(np.ones((4, 3)))
         grad, _ = net.backward(cache, np.ones((4, 2)))
         AdamState(net.flat, lr=1e-2).step(net.flat, grad)
         assert np.array_equal(
-            np.concatenate([p.ravel() for p in net.params()]), net.flat)
+            np.concatenate([p.ravel() for p in net.views(net.flat)]), net.flat)
         assert np.array_equal(net.copy().flat, net.flat)
 
 
@@ -192,7 +192,7 @@ class TestAdam:
         rng = np.random.default_rng(5)
         nets = [Mlp([7, 16, 16, 3], rng=np.random.default_rng(6)),
                 Mlp([7, 8, 1], rng=np.random.default_rng(7))]
-        refs = [[p.copy() for p in net.params()] for net in nets]
+        refs = [[p.copy() for p in net.views(net.flat)] for net in nets]
         opts = [AdamState(net.flat, lr=1e-2) for net in nets]
         grads_seqs = [[], []]
         for _ in range(50):
@@ -206,7 +206,7 @@ class TestAdam:
         for net, ref, grads_seq in zip(nets, refs, grads_seqs):
             reference_adam(ref, grads_seq, lr=1e-2)
             assert all(np.array_equal(a, b)
-                       for a, b in zip(net.params(), ref))
+                       for a, b in zip(net.views(net.flat), ref))
 
     def test_soft_update_matches_per_array_polyak_bitwise(self):
         from cgdp.rl import CriticPair
@@ -217,17 +217,17 @@ class TestAdam:
         for online, target in ((critics.q1, critics.q1_target),
                                (critics.q2, critics.q2_target)):
             online.flat[...] = rng.standard_normal(online.flat.size)
-            refs.append([p.copy() for p in target.params()])
+            refs.append([p.copy() for p in target.views(target.flat)])
         for _ in range(50):
             critics.soft_update()
             for ref, online in zip(refs, (critics.q1, critics.q2)):
-                for p_t, p_o in zip(ref, online.params()):
+                for p_t, p_o in zip(ref, online.views(online.flat)):
                     p_t *= 1.0 - 0.3
                     p_t += 0.3 * p_o
         for ref, target in zip(refs, (critics.q1_target,
                                       critics.q2_target)):
             assert all(np.array_equal(a, b)
-                       for a, b in zip(ref, target.params()))
+                       for a, b in zip(ref, target.views(target.flat)))
 
     def test_zero_learning_rate_is_noop(self):
         net = Mlp([2, 3, 1], rng=np.random.default_rng(0))

@@ -126,11 +126,12 @@ class TestCritics:
 
     def test_soft_update_moves_by_rho(self):
         critics = CriticPair(2, 2, hidden=(4,), rho_target=0.01)
-        for p in critics.q1.params():
+        for p in critics.q1.views(critics.q1.flat):
             p[:] = 1.0
-        before = [p.copy() for p in critics.q1_target.params()]
+        target = critics.q1_target
+        before = [p.copy() for p in target.views(target.flat)]
         critics.soft_update()
-        for b, t in zip(before, critics.q1_target.params()):
+        for b, t in zip(before, target.views(target.flat)):
             assert np.allclose(t, 0.99 * b + 0.01, rtol=1e-12)
 
     def test_empty_batch_rejected(self):
@@ -287,8 +288,7 @@ class TestStages:
                              masks=masks.copy())
         art2 = offline_stage(data, cfg, np.random.default_rng(0),
                              masks=masks.copy())
-        for a, b in zip(art1.net.mlp.params(), art2.net.mlp.params()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(art1.net.mlp.flat, art2.net.mlp.flat)
         assert np.array_equal(art1.dyn.a_s, art2.dyn.a_s)
         assert np.array_equal(art1.dyn.a_a, art2.dyn.a_a)
 
