@@ -12,7 +12,6 @@ import os
 import sys
 from collections import Counter
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
@@ -30,9 +29,6 @@ from . import verify as verify_mod
 
 __all__ = ["main", "cmd_gen_data", "cmd_discover", "cmd_train",
            "cmd_eval", "cmd_ablate", "cmd_verify"]
-
-# the checks of ``cgdp verify``, in the order of its summary
-_VERIFY_CHECKS = ("lemma1", "prop1", "prop2", "theorem1")
 
 _METRIC_FIELDS = ("episode", "return", "denoise_loss", "q_loss",
                   "kl_integral", "mask_refresh_flag")
@@ -98,16 +94,14 @@ def cmd_discover(cfg, out_dir):
     return 0
 
 
-def _guidance_config(cfg, scm, guidance_on=True):
+def _guidance_config(cfg, scm):
     """The guidance settings train, eval and ablate all run with.
 
     The target r* is ``guidance.r_star`` raised to the environment's
     optimal one-step reward, read off the ground-truth SCM (``scm``).
-    ``guidance_on = False`` sets lambda to 0.
     """
     r_star = max(cfg["guidance.r_star"], optimal_reward(scm))
-    guid = replace(cfg.guidance_config(), r_star=r_star)
-    return guid if guidance_on else replace(guid, lam=0.0)
+    return replace(cfg.guidance_config(), r_star=r_star)
 
 
 def _train_schedule(cfg):
@@ -117,11 +111,11 @@ def _train_schedule(cfg):
     return make_schedule(tcfg.k_steps, tcfg.beta_start, tcfg.beta_end)
 
 
-def cmd_train(cfg, out_dir, guidance_on):
+def cmd_train(cfg, out_dir):
     data = _load_data(cfg, out_dir)
     env = Environment(cfg.env_spec())
     tcfg = replace(cfg.trainer_config(),
-                   guidance=_guidance_config(cfg, env.scm, guidance_on))
+                   guidance=_guidance_config(cfg, env.scm))
     rng = np.random.default_rng(cfg["seed"])
     artifacts = offline_stage(data, tcfg, rng)
     records, artifacts = online_stage(env, artifacts, tcfg, rng)
@@ -137,8 +131,9 @@ def cmd_train(cfg, out_dir, guidance_on):
     return 0
 
 
-def cmd_eval(cfg, out_dir, guidance_on):
-    net = load_noise_net(os.path.join(out_dir, "noise_net.txt"))
+def cmd_eval(cfg, out_dir):
+    net_path = os.path.join(out_dir, "noise_net.txt")
+    net = load_noise_net(net_path)
     dyn_path = os.path.join(out_dir, "dynamics.txt")
     if not os.path.exists(dyn_path):
         raise FileNotFoundError(
@@ -147,7 +142,12 @@ def cmd_eval(cfg, out_dir, guidance_on):
     dyn = load_dynamics(dyn_path)
     env = Environment(cfg.env_spec())
     schedule = _train_schedule(cfg)
-    guid = _guidance_config(cfg, env.scm, guidance_on)
+    # the checkpoint holds K but not the betas, which cannot be checked
+    if net.k_steps != schedule.k_steps:
+        raise ValueError(f"{net_path}: the noise net has K = {net.k_steps} "
+                         f"diffusion steps, but train.k_steps = "
+                         f"{schedule.k_steps}")
+    guid = _guidance_config(cfg, env.scm)
     rng = np.random.default_rng(cfg["seed"])
     returns = []
     for _ in range(cfg["eval.episodes"]):
@@ -202,16 +202,16 @@ def cmd_ablate(cfg, out_dir):
     return 0
 
 
-def _verify_lemma1(cfg, out_dir):
+def _verify_lemma1(cfg, out_dir, schedule):
     rng = np.random.default_rng(cfg["seed"])
     d, p = 2, 4  # 2-D action; 3-D next state stacked with the reward
     m = rng.standard_normal((p, d))
     spec = verify_mod.PosteriorSpec(
         mu_bar=np.zeros(d), sigma_bar=np.eye(d), m=m,
         sigma_y=0.5 * np.eye(p), y=rng.standard_normal(p))
-    schedule = make_schedule(cfg["verify.k_steps"])
-    report = verify_mod.check_lemma1(spec, schedule, cfg["verify.samples"],
-                                     rng, lam=1.0)
+    report = verify_mod.check_lemma1(
+        spec, make_schedule(cfg["verify.k_steps"]), cfg["verify.samples"],
+        rng, lam=1.0)
     columns = ("sample_mean", "target_mean", "mean_err", "se")
     _write_rows(os.path.join(out_dir, "lemma1.csv"),
                 [("coord", *columns)]
@@ -221,7 +221,7 @@ def _verify_lemma1(cfg, out_dir):
     return report["passed"], f"cov_rel_err {_fmt(report['cov_rel_err'])}"
 
 
-def _verify_prop2(cfg, out_dir):
+def _verify_prop2(cfg, out_dir, schedule):
     _, dyn = verify_mod.default_linear_instance(n=3, d=2,
                                                 seed=cfg["seed"])
     rows = []
@@ -274,21 +274,12 @@ def _verify_prop1(cfg, out_dir, schedule):
     return report["passed"], f"dt_max {_fmt(report['dt_max'])}"
 
 
-def _verify_check(name, cfg, out_dir, schedule):
-    """Run the check ``name`` and write its CSV; returns (passed, note).
-
-    A module-level function, so that a process pool can pickle it.
-    ``schedule`` is the ``train.*`` schedule prop1 and theorem1 use.
-    """
-    if name == "lemma1":
-        return _verify_lemma1(cfg, out_dir)
-    if name == "prop1":
-        return _verify_prop1(cfg, out_dir, schedule)
-    if name == "prop2":
-        return _verify_prop2(cfg, out_dir)
-    if name == "theorem1":
-        return _verify_theorem1(cfg, out_dir, schedule)
-    raise ValueError(f"unknown check {name!r}")
+# the checks of ``cgdp verify``, in the order of its summary.  Each takes
+# (cfg, out_dir, schedule), writes its CSV and returns (passed, note);
+# ``schedule`` is the ``train.*`` schedule prop1 and theorem1 use.  They
+# are module-level functions, so that a process pool can pickle them.
+_VERIFY_CHECKS = {"lemma1": _verify_lemma1, "prop1": _verify_prop1,
+                  "prop2": _verify_prop2, "theorem1": _verify_theorem1}
 
 
 def cmd_verify(cfg, out_dir, which):
@@ -299,18 +290,18 @@ def cmd_verify(cfg, out_dir, which):
             raise ValueError(f"{key} must be >= {floor}, got {cfg[key]}")
     schedule = _train_schedule(cfg)   # checks train.*, guidance.* first
     names = list(_VERIFY_CHECKS) if which == "all" else [which]
-    check = partial(_verify_check, cfg=cfg, out_dir=out_dir,
-                    schedule=schedule)
+    checks = [_VERIFY_CHECKS[name] for name in names]
+    args = (cfg, out_dir, schedule)
     # the first check, lemma1, the longest, runs in this process, where a
     # tracer of this process sees it; the others run meanwhile in forked
     # workers, on the CPUs this process leaves free
     workers = min(len(names) - 1, len(os.sched_getaffinity(0)) - 1)
     if workers < 1:
-        results = [check(name) for name in names]
+        results = [check(*args) for check in checks]
     else:
         with fork_pool(workers) as pool:
-            futures = [pool.submit(check, name) for name in names[1:]]
-            results = [check(names[0])] + [f.result() for f in futures]
+            futures = [pool.submit(check, *args) for check in checks[1:]]
+            results = [checks[0](*args)] + [f.result() for f in futures]
     summary = [f"{name} {'PASS' if ok else 'FAIL'} ({note})"
                for name, (ok, note) in zip(names, results)]
     _write_rows(os.path.join(out_dir, "verify_summary.txt"),
@@ -326,7 +317,8 @@ def _build_parser():
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--guidance", choices=("on", "off"), default="on")
+    common.add_argument("--guidance", choices=("on", "off"), default="on",
+                        help="off sets guidance.lambda = 0")
     parser = argparse.ArgumentParser(
         prog="cgdp",
         description="causality-guided diffusion policy laboratory")
@@ -346,16 +338,17 @@ def main(argv=None):
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.seed is not None:
             cfg.set("seed", args.seed)
+        if args.guidance == "off":
+            cfg.set("guidance.lambda", 0.0)
         os.makedirs(args.out, exist_ok=True)
-        guidance_on = args.guidance == "on"
         if args.command == "gen-data":
             return cmd_gen_data(cfg, args.out)
         if args.command == "discover":
             return cmd_discover(cfg, args.out)
         if args.command == "train":
-            return cmd_train(cfg, args.out, guidance_on)
+            return cmd_train(cfg, args.out)
         if args.command == "eval":
-            return cmd_eval(cfg, args.out, guidance_on)
+            return cmd_eval(cfg, args.out)
         if args.command == "ablate":
             return cmd_ablate(cfg, args.out)
         if args.command == "verify":

@@ -131,17 +131,21 @@ def forward_corrupt(schedule, a0, k, rng):
 
 
 def train_noise_net(net, dataset, schedule, opt, steps, rng, batch_size=64):
-    """Minibatch noise-prediction training; returns the per-step losses."""
+    """Minibatch noise-prediction training; returns the per-step losses.
+    A loss that is not finite raises ValueError naming its step."""
     if not dataset:
         raise ValueError("empty dataset")
     losses = []
-    for _ in range(steps):
+    for step in range(steps):
         idx = rng.integers(len(dataset), size=batch_size)
         k = int(rng.integers(1, schedule.k_steps + 1))
         ak, eps = forward_corrupt(schedule, dataset.a[idx], k, rng)
         pred, cache = net.forward_cache(ak, dataset.s[idx], k)
         err = pred - eps
         loss = float((err ** 2).sum(axis=1).mean())
+        if not np.isfinite(loss):
+            raise ValueError(f"offline step {step}: the denoising loss is "
+                             f"{loss!r}, not finite")
         grad, _ = net.backward(cache, (2.0 / batch_size) * err)
         opt.step(net.mlp.flat, grad)
         losses.append(loss)

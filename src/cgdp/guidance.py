@@ -1,6 +1,6 @@
-"""Causal guidance injection: the guided noise predictor, the sampler
-hook, the path-KL accumulator behind the performance-difference bound,
-and the explicit-Euler step-size stability machinery.
+"""Causal guidance injection: the sampler hook that corrects the noise
+prediction, the path-KL accumulator behind the performance-difference
+bound, and the explicit-Euler step-size stability machinery.
 
 Time convention for the SDE view: one unit of process time per diffusion
 schedule traversal, g(t)^2 = beta(t) with beta linearly interpolated over
@@ -19,7 +19,6 @@ __all__ = [
     "GuidanceConfig",
     "LipschitzBundle",
     "KlAccumulator",
-    "guided_noise",
     "GuidanceHook",
     "stability_max_step",
     "estimate_lipschitz",
@@ -86,17 +85,6 @@ class KlAccumulator:
         return self
 
 
-def guided_noise(eps_raw, causal_grad, lam_k, abar_k):
-    """eps_cg = eps_raw - lam_k sqrt(1-abar_k) causal_grad.
-
-    In score space this is exactly base score + lam_k * causal_grad.
-    """
-    if not 0 < abar_k < 1:
-        raise ValueError("abar_k must lie in (0,1)")
-    return np.asarray(eps_raw, dtype=float) - \
-        lam_k * np.sqrt(1.0 - abar_k) * np.asarray(causal_grad, dtype=float)
-
-
 class GuidanceHook:
     """Sampler hook computing the epsilon-space guidance correction.
 
@@ -106,7 +94,9 @@ class GuidanceHook:
     acting, where the transition term then vanishes at its own mean), with
     the reward term pulled toward ``r_value`` when one is given (replayed
     rewards) and toward ``cfg.r_star`` otherwise, and returns
-    -lam_k sqrt(1-abar_k) * gradient.  Every call also feeds the
+    -lam_k sqrt(1-abar_k) * gradient: the guided noise is the base noise
+    plus this correction, which in score space is exactly the base score
+    plus lam_k * gradient.  Every call also feeds the
     KL accumulator; at lam_k = 0 the gradient is skipped and the
     correction and KL term are zero.  ``s_t``, ``s_next`` and the actions
     are rows, as :func:`do_intervention_joint_grad` takes them.

@@ -16,7 +16,7 @@ from .diffusion import (NoiseNet, ddim_sample, ddim_vjp, forward_corrupt,
 from .discovery import NotearsConfig, corrupt_masks, discover_masks
 from .dynamics import fit_dynamics, min_fit_rows
 from .envs import Environment
-from .guidance import GuidanceConfig, GuidanceHook, KlAccumulator, guided_noise
+from .guidance import GuidanceConfig, GuidanceHook, KlAccumulator
 from .numerics import AdamState, Mlp
 from .pool import fork_pool
 from .scm import Transitions
@@ -97,7 +97,7 @@ class TrainerConfig:
     batch_size: int = 64
     offline_steps: int = 2000        # noise-net training steps, offline stage
     online_episodes: int = 200
-    mask_refresh: int = 1000         # env steps between causal re-estimation
+    mask_refresh: int = 1000         # env steps between refreshes, 0: none
     refresh_window: int = 2000
     refresh_min_action_std: float = 0.4  # skip refresh below this exploration
     k_steps: int = 10                # diffusion steps (schedule K)
@@ -115,7 +115,8 @@ class TrainerConfig:
             if not np.isfinite(getattr(self, key)):
                 raise ValueError(f"train.{key} must be finite, got "
                                  f"{getattr(self, key)!r}")
-        for key in ("lr", "eta", "offline_steps", "online_episodes"):
+        for key in ("lr", "eta", "offline_steps", "online_episodes",
+                    "mask_refresh"):
             if getattr(self, key) < 0:
                 raise ValueError(f"train.{key} must be >= 0")
         for key in ("batch_size", "refresh_window", "k_steps"):
@@ -181,11 +182,9 @@ def policy_update(net, critics, dyn, batch, cfg, schedule, opt, rng,
 
     k = int(rng.integers(1, schedule.k_steps + 1))
     ak, eps = forward_corrupt(schedule, a0, k, rng)
-    abar_k = schedule.abar_at(k)
     replay_hook = GuidanceHook(dyn, guid, schedule, s, s_next=batch.s_next,
                                r_value=batch.r)
-    target = guided_noise(eps, replay_hook.joint_grad(ak),
-                          guid.lam_at(k), abar_k)
+    target = eps + replay_hook(ak, k)
     pred, cache = net.forward_cache(ak, s, k)
     err = pred - target
     denoise_loss = float((err ** 2).sum(axis=1).mean())
@@ -306,7 +305,9 @@ def online_stage(env, artifacts, cfg, rng):
     refit's r* is the best reward in its window.  Emits one metrics
     record per episode; its ``refreshes`` lists the outcome of each
     refresh due in the episode: "applied", "skipped (uninformative
-    actions)", "skipped (window too small)" or "failed (<reason>)".
+    actions)", "skipped (window too small)" or "failed (<reason>)".  An
+    episode whose return, mean losses or KL integral are not finite
+    raises ValueError naming it.
     """
     net, dyn, schedule = artifacts.net, artifacts.dyn, artifacts.schedule
     w_warm = artifacts.discovery_w
@@ -318,13 +319,13 @@ def online_stage(env, artifacts, cfg, rng):
     # lin-scm episodes run the full horizon: the rows the run writes
     buffer = ReplayBuffer(max(1, cfg.online_episodes * env.spec.horizon),
                           dyn.n, dyn.d)
-    r_star = guid.r_star
-    actor_guid = guid   # guid with r_star, rebuilt when r_star rises
+    r_star = guid.r_star   # raised to the best reward seen
     records = []
     step_count = 0
 
     def actor_hook_factory(states, kl_acc=None):
-        return GuidanceHook(dyn, actor_guid, schedule, states, kl_acc=kl_acc)
+        return GuidanceHook(dyn, guid, schedule, states, r_value=r_star,
+                            kl_acc=kl_acc)
 
     def policy_sampler(states, sampler_rng, kl_acc=None):
         hook = actor_hook_factory(states, kl_acc)
@@ -343,9 +344,7 @@ def online_stage(env, artifacts, cfg, rng):
             s_prev = state.obs
             state, r, done = env.step(a, rng)
             buffer.add(s_prev, a, r, state.obs, done)
-            if r > r_star:
-                r_star = r
-                actor_guid = replace(guid, r_star=r_star)
+            r_star = max(r_star, r)
             step_count += 1
 
             if len(buffer) >= cfg.batch_size:
@@ -378,7 +377,7 @@ def online_stage(env, artifacts, cfg, rng):
                         w_warm, dyn = result.w, new_dyn
                         refreshes.append("applied")
             ep_return += r
-        records.append({
+        record = {
             "episode": episode,
             "return": ep_return,
             "denoise_loss": denoise_loss / max(n_updates, 1),
@@ -386,6 +385,13 @@ def online_stage(env, artifacts, cfg, rng):
             "kl_integral": kl_acc.total,
             "mask_refresh_flag": int("applied" in refreshes),
             "refreshes": refreshes,
-        })
+        }
+        bad = [f"{key} {record[key]}" for key in
+               ("return", "denoise_loss", "q_loss", "kl_integral")
+               if not np.isfinite(record[key])]
+        if bad:
+            raise ValueError(f"online episode {episode}: not finite: "
+                             f"{', '.join(bad)}")
+        records.append(record)
     return records, OfflineArtifacts(net=net, dyn=dyn, schedule=schedule,
                                      discovery_w=w_warm)

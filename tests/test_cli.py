@@ -87,6 +87,19 @@ class TestPipeline:
         rows = (out / "metrics.txt").read_text().splitlines()[1:]
         assert any(float(row.split()[4]) > 0 for row in rows)
 
+    def test_guidance_off_reruns_from_its_effective_config(self, workdir):
+        out, cfg_path = workdir
+        names = ("metrics.txt", "noise_net.txt", "dynamics.txt",
+                 "effective.cfg")
+        assert run(cfg_path, out, "gen-data") == 0
+        assert run(cfg_path, out, "train", "--guidance", "off",
+                   "--seed", "5") == 0
+        first = {name: (out / name).read_bytes() for name in names}
+        effective = out / "effective.cfg"
+        assert "guidance.lambda = 0.0\n" in effective.read_text()
+        assert run(str(effective), out, "train") == 0
+        assert {name: (out / name).read_bytes() for name in names} == first
+
     def test_seed_flag_changes_dataset(self, workdir):
         out, cfg_path = workdir
         assert run(cfg_path, out, "gen-data") == 0
@@ -370,7 +383,8 @@ class TestLoudInputs:
 
     @pytest.mark.parametrize("key, value", [
         ("train.refresh_window", 0), ("train.k_steps", 0),
-        ("train.online_episodes", -1), ("train.offline_steps", -1)])
+        ("train.online_episodes", -1), ("train.offline_steps", -1),
+        ("train.mask_refresh", -5)])
     def test_train_rejects_a_count_below_its_minimum(self, workdir, capsys,
                                                      key, value):
         out, cfg_path = workdir
@@ -383,6 +397,25 @@ class TestLoudInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert "Traceback" not in err
+        assert sorted(os.listdir(out)) == before
+
+    @pytest.mark.parametrize("extra, where", [
+        ("", "offline step 1: "),
+        ("train.offline_steps = 0\n", "online episode 1: not finite: ")],
+        ids=["offline", "online"])
+    def test_train_stops_on_a_non_finite_value(self, workdir, capsys, extra,
+                                               where):
+        out, cfg_path = workdir
+        assert run(cfg_path, out, "gen-data") == 0
+        with open(cfg_path, "a") as fh:
+            fh.write("train.lr = 1e300\n" + extra)
+        before = sorted(os.listdir(out))
+        capsys.readouterr()
+        # the overflow that makes the values non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(cfg_path, out, "train") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}") and err.count("\n") == 1
         assert sorted(os.listdir(out)) == before
 
     @pytest.mark.parametrize("raw", ["0,64", "64,x", "-3"])
@@ -495,6 +528,20 @@ class TestLoudInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out / "dynamics.txt") in err
+        assert not (out / "eval.txt").exists()
+
+    def test_eval_rejects_a_net_of_another_step_count(self, workdir, capsys):
+        out, cfg_path = workdir
+        assert run(cfg_path, out, "gen-data") == 0
+        assert run(cfg_path, out, "train") == 0
+        with open(cfg_path, "a") as fh:
+            fh.write("train.k_steps = 40\n")
+        capsys.readouterr()
+        assert run(cfg_path, out, "eval") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'noise_net.txt'}: ")
+        assert "K = 10 " in err and "train.k_steps = 40" in err
+        assert err.count("\n") == 1
         assert not (out / "eval.txt").exists()
 
     def test_truncated_checkpoint_and_dataset_exit_1(self, workdir, capsys):

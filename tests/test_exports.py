@@ -36,6 +36,16 @@ def test_every_exported_name_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+def test_the_package_root_holds_only_its_docstring():
+    """Public names are imported from their modules: a re-export list in
+    ``__init__`` would be a second list of them, which drifts."""
+    with open(os.path.join(cgdp.__path__[0], "__init__.py"),
+              encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert ast.get_docstring(tree)
+    assert [type(node).__name__ for node in tree.body] == ["Expr"]
+
+
 def test_every_exported_name_is_used_in_the_package():
     """A public name that no module outside ``__init__`` reads is code no
     command reaches: delete it, wire it in or move it under ``tests``."""

@@ -4,20 +4,29 @@ import pytest
 from cgdp.diffusion import ddim_sample, make_schedule
 from cgdp.guidance import (GuidanceConfig, GuidanceHook, KlAccumulator,
                            LipschitzBundle, estimate_lipschitz,
-                           euler_maruyama_guided, guided_noise,
-                           stability_max_step)
+                           euler_maruyama_guided, stability_max_step)
 from cgdp.diffusion import NoiseNet
 from cgdp.dynamics import do_intervention_joint_grad
+
+
+def guided(eps, grad, lam, abar):
+    """eps plus the hook's correction, for a hook whose joint gradient is
+    ``grad``, on a one-step schedule with abar_1 = ``abar``."""
+    beta = 1.0 - abar
+    hook = GuidanceHook(None, GuidanceConfig(lam=lam),
+                        make_schedule(1, beta, beta), None)
+    hook.joint_grad = lambda a: np.asarray(grad, dtype=float)
+    return eps + hook(np.zeros_like(eps), 1)
 
 
 class TestGuidedNoise:
     def test_lambda_zero_identity(self):
         eps = np.array([0.3, -0.2])
-        out = guided_noise(eps, np.ones(2), 0.0, 0.5)
+        out = guided(eps, np.ones(2), 0.0, 0.5)
         assert np.array_equal(out, eps)
 
     def test_example_value(self):
-        out = guided_noise(np.zeros(2), np.array([2.0, 0.0]), 1.0, 0.75)
+        out = guided(np.zeros(2), np.array([2.0, 0.0]), 1.0, 0.75)
         assert np.allclose(out, [-1.0, 0.0], rtol=1e-14)
 
     def test_score_space_additivity(self):
@@ -29,9 +38,24 @@ class TestGuidedNoise:
             eps = rng.standard_normal(3)
             grad = rng.standard_normal(3)
             lam, abar = rng.uniform(0.1, 2.0), rng.uniform(0.05, 0.95)
-            lhs = score_from_noise(guided_noise(eps, grad, lam, abar), abar)
+            lhs = score_from_noise(guided(eps, grad, lam, abar), abar)
             rhs = score_from_noise(eps, abar) + lam * grad
             assert np.allclose(lhs, rhs, rtol=1e-12)
+
+    def test_hook_gives_the_guided_noise_bitwise(self, small_instance):
+        _, dyn, _ = small_instance
+        sched = make_schedule(10)
+        cfg = GuidanceConfig(lam=0.7, gamma_t=0.9, beta_guid_t=1.1)
+        rng = np.random.default_rng(8)
+        s, s_next = rng.standard_normal((2, 6, dyn.n))
+        r = rng.standard_normal(6)
+        a, eps = rng.standard_normal((2, 6, dyn.d))
+        hook = GuidanceHook(dyn, cfg, sched, s, s_next=s_next, r_value=r)
+        for k in (1, 4, 10):
+            grad = do_intervention_joint_grad(dyn, s, a, s_next, r,
+                                              cfg.gamma_t, cfg.beta_guid_t)
+            want = eps - cfg.lam * np.sqrt(1.0 - sched.abar_at(k)) * grad
+            assert np.array_equal(eps + hook(a, k), want)
 
 
 @pytest.mark.parametrize("lam", [-0.5, np.nan, np.inf, np.ones(10)])

@@ -262,6 +262,13 @@ class TestTrainerConfig:
             TrainerConfig(**{key: value})
         TrainerConfig(**{key: 1})
 
+    @pytest.mark.parametrize("key", ["offline_steps", "online_episodes",
+                                     "mask_refresh"])
+    def test_rejects_negative_counts_naming_the_key(self, key):
+        with pytest.raises(ValueError, match=f"train.{key} must be >= 0"):
+            TrainerConfig(**{key: -5})
+        TrainerConfig(**{key: 0})
+
     @pytest.mark.parametrize("key", ["lr", "eta", "refresh_min_action_std",
                                      "beta_start", "beta_end"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
