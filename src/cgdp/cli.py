@@ -16,14 +16,13 @@ from dataclasses import replace
 import numpy as np
 
 from .config import dump_config, load_config, RunConfig
-from .diffusion import load_noise_net, make_schedule, save_noise_net, \
-    ddim_sample
+from .diffusion import load_noise_net, make_schedule, save_noise_net
 from .discovery import discover_masks
 from .dynamics import load_dynamics, save_dynamics
 from .envs import Environment, make_env_scm, optimal_reward
 from .guidance import GuidanceHook
 from .pool import fork_pool
-from .rl import ablation_runs, offline_stage, online_stage
+from .rl import ablation_runs, act, offline_stage, online_stage
 from .scm import generate_dataset, load_dataset, save_dataset
 from . import verify as verify_mod
 
@@ -150,14 +149,12 @@ def cmd_eval(cfg, out_dir):
     guid = _guidance_config(cfg, env.scm)
     rng = np.random.default_rng(cfg["seed"])
     returns = []
-    for _ in range(cfg["eval.episodes"]):
+    for episode in range(cfg["eval.episodes"]):
         state = env.reset(rng)
         total = 0.0
         while not state.done:
-            s = state.obs[None]
-            hook = GuidanceHook(dyn, guid, schedule, s)
-            a = np.clip(ddim_sample(net, schedule, s, rng, hook=hook)[0],
-                        -1.0, 1.0)
+            hook = GuidanceHook(dyn, guid, schedule, state.obs[None])
+            a = act(net, schedule, state, rng, hook, f"eval episode {episode}")
             state, r, _ = env.step(a, rng)
             total += r
         returns.append(total)
@@ -311,6 +308,11 @@ def cmd_verify(cfg, out_dir, which):
     return 0 if all(ok for ok, _ in results) else 1
 
 
+# the commands but verify, which also takes the name of its check
+_COMMANDS = {"gen-data": cmd_gen_data, "discover": cmd_discover,
+             "train": cmd_train, "eval": cmd_eval, "ablate": cmd_ablate}
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="config file path")
@@ -323,7 +325,7 @@ def _build_parser():
         prog="cgdp",
         description="causality-guided diffusion policy laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("gen-data", "discover", "train", "eval", "ablate"):
+    for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
     verify_p = sub.add_parser("verify", parents=[common])
     verify_p.add_argument("which", nargs="?", default="all",
@@ -341,23 +343,14 @@ def main(argv=None):
         if args.guidance == "off":
             cfg.set("guidance.lambda", 0.0)
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "gen-data":
-            return cmd_gen_data(cfg, args.out)
-        if args.command == "discover":
-            return cmd_discover(cfg, args.out)
-        if args.command == "train":
-            return cmd_train(cfg, args.out)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.out)
-        if args.command == "ablate":
-            return cmd_ablate(cfg, args.out)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.out, args.which)
-        parser.error(f"unknown command {args.command!r}")
+        # a run that overflows prints its one error line and no warnings
+        with np.errstate(all="ignore"):
+            if args.command == "verify":
+                return cmd_verify(cfg, args.out, args.which)
+            return _COMMANDS[args.command](cfg, args.out)
     except (ValueError, OSError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -3,17 +3,18 @@ training, and DDPM (stochastic) / DDIM (deterministic) reverse samplers.
 
 Diffusion steps are indexed k = 1..K; schedule arrays use index k-1.
 Samplers accept an optional guidance hook ``hook(a_k, k) -> correction``
-returning an epsilon-space additive correction; a hook returning zeros is
-bit-identical to no hook under the same seed, because hooks never touch
-the random stream.  A noise predictor is anything with ``d_action``,
-``forward(a, s, k, x=None)`` and ``chain_inputs(s)``: ``forward`` maps
-action rows (B, d) and state rows (B, n) to noise rows (B, d), and
-``chain_inputs`` returns an input buffer that ``forward`` may reuse as
-``x`` along one reverse chain over the state rows ``s`` (or None, for a
-predictor without one).  The samplers take state rows and return action
-rows.  A trained predictor (:class:`NoiseNet`) keeps its parameters in
-one flat vector, ``net.mlp.flat``, and its gradients (``backward``,
-:func:`ddim_vjp`) are flat vectors of the same layout.
+returning an epsilon-space additive correction, affine in a_k with the
+slope ``hook.eps_jacobian(k)`` that :func:`ddim_vjp` reads; a hook
+returning zeros is bit-identical to no hook under the same seed, because
+hooks never touch the random stream.  A noise predictor is anything with
+``d_action``, ``forward(a, s, k, x=None)`` and ``chain_inputs(s)``:
+``forward`` maps action rows (B, d) and state rows (B, n) to noise rows
+(B, d), and ``chain_inputs`` returns an input buffer that ``forward`` may
+reuse as ``x`` along one reverse chain over the state rows ``s`` (or
+None, for a predictor without one).  The samplers take state rows and
+return action rows.  A trained predictor (:class:`NoiseNet`) keeps its
+parameters in one flat vector, ``net.mlp.flat``, and its gradients
+(``backward``, :func:`ddim_vjp`) are flat vectors of the same layout.
 """
 
 from dataclasses import dataclass
@@ -207,8 +208,9 @@ def ddim_vjp(net, schedule, tape, cot, hook=None):
     """Exact VJP of a taped :func:`ddim_sample` with respect to the noise
     net's parameters, for the cotangent ``cot`` of a^0.
 
-    The hook's dependence on a^k enters through ``hook.eps_jacobian(k)``,
-    a (d, d) matrix, or is treated as locally constant where that is None.
+    The hook's correction is affine in a^k, so its slope
+    ``hook.eps_jacobian(k)``, a (d, d) matrix, carries the cotangent
+    through it exactly; None (at lambda_k = 0) marks a zero correction.
     Returns one flat gradient laid out like ``net.mlp.flat``.
     """
     grad = np.zeros(net.mlp.flat.size)

@@ -93,8 +93,8 @@ def notears_fit(data, cfg, forbidden=None, w0=None):
     def smooth_and_grad(w, rho, alpha):
         resid_op = np.eye(dim) - w
         # 0.5/n ||X - XW||_F^2 expressed through the Gram matrix
-        val = 0.5 * float(np.sum(resid_op * (gram @ resid_op)))
-        grad = -gram @ resid_op
+        grad = -(gram @ resid_op)
+        val = -0.5 * float(np.sum(resid_op * grad))
         h = 0.0
         if not acyclic_support:
             with np.errstate(over="ignore", invalid="ignore"):

@@ -65,12 +65,8 @@ class CausalDynamics:
 
     # ---- means (rows of s / s_next (B, n) and a (B, d)) -----------------
 
-    def transition_mean_batch(self, s, a, s_term=None):
-        """Predicted next states; ``s_term``, ``s @ a_s``, may be passed
-        in by a caller that already has it."""
-        if s_term is None:
-            s_term = s @ self.a_s
-        return s_term + a @ self.a_a
+    def transition_mean_batch(self, s, a):
+        return s @ self.a_s + a @ self.a_a
 
     def reward_mean_batch(self, s_next, a):
         return s_next @ self.b_s + a @ self.b_a
@@ -144,28 +140,24 @@ def fit_dynamics(transitions, masks):
 
 
 def do_intervention_joint_grad(dyn, s, a, s_next, r_target, gamma_t,
-                               beta_guid_t, s_term=None):
+                               beta_guid_t):
     """gamma_t * grad_a log p(s_next | s, do(a))
     + beta_guid_t * grad_a log p(r_target | s_next, do(a)), row by row.
 
-    ``a`` holds one action row per row of the batch, (B, d); ``s`` and
-    ``s_next`` are state rows, (B, n) or one row (1, n) that serves every
-    row, and ``r_target`` a scalar or one value per row.  ``s_next = None``
-    evaluates at the model's predicted mean, where the transition term
-    vanishes.  The reward term holds s_next fixed.  Returns one gradient
-    row per action row.  The do-semantics hold by construction: a enters
-    only through its structural-equation role in the two masked models.
-    ``s_term`` is ``s @ a_s``, for a caller that evaluates many actions at
-    the same states.  ``s`` and ``a`` may also be stacks (P, 1, n) and
-    (P, 1, d) of single rows, with a scalar ``r_target`` and no
+    ``a``, ``s`` and ``s_next`` hold rows, (B, d) and (B, n), or one row
+    that serves every row, and ``r_target`` a scalar or one value per
+    row.  ``s_next = None`` evaluates at the model's predicted mean, where
+    the transition term vanishes.  The reward term holds s_next fixed.
+    Returns one gradient row per row.  The do-semantics hold by
+    construction: a enters only through its structural-equation role in
+    the two masked models.  ``s`` and ``a`` may also be stacks (P, 1, n)
+    and (P, 1, d) of single rows, with a scalar ``r_target`` and no
     ``s_next``; the result is then a (P, 1, d) stack, each row bitwise its
     one-row result.
     """
-    if not (math.isfinite(gamma_t) and math.isfinite(beta_guid_t)):
-        raise ValueError("guidance coefficients must be finite")
     with_trans = gamma_t != 0.0 and s_next is not None
     if s_next is None or with_trans:
-        mean_next = dyn.transition_mean_batch(s, a, s_term)
+        mean_next = dyn.transition_mean_batch(s, a)
     grad = None
     if with_trans:
         grad = gamma_t * (s_next - mean_next) @ dyn._prec_s @ dyn.a_a.T

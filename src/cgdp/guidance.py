@@ -9,11 +9,12 @@ g^2 dt = beta_k.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import do_intervention_joint_grad, joint_grad_jacobian
+from .numerics import affine_rows
 
 __all__ = [
     "GuidanceConfig",
@@ -88,64 +89,63 @@ class KlAccumulator:
 class GuidanceHook:
     """Sampler hook computing the epsilon-space guidance correction.
 
-    At diffusion step k with candidate actions a^k the hook evaluates the
-    interventional joint gradient at (s_t, a^k) against either the
-    recorded next state (replay) or the model-predicted mean (online
-    acting, where the transition term then vanishes at its own mean), with
-    the reward term pulled toward ``r_value`` when one is given (replayed
-    rewards) and toward ``cfg.r_star`` otherwise, and returns
-    -lam_k sqrt(1-abar_k) * gradient: the guided noise is the base noise
-    plus this correction, which in score space is exactly the base score
-    plus lam_k * gradient.  Every call also feeds the
-    KL accumulator; at lam_k = 0 the gradient is skipped and the
-    correction and KL term are zero.  ``s_t``, ``s_next`` and the actions
-    are rows, as :func:`do_intervention_joint_grad` takes them.
+    It holds the guidance gradient as one affine map per diffusion step,
+    g_k(a) = const[k-1] + a @ jac[k-1].T, and at step k returns
+    -lam_k sqrt(1-abar_k) g_k(a^k), which adds lam_k g_k to the base
+    score, feeding the KL accumulator.  Built from the dynamics, every
+    step shares one map: the joint gradient
+    (:func:`do_intervention_joint_grad`) is affine in the action, so it is
+    evaluated once, at a = 0, for the state rows ``s_t`` against the next
+    states ``s_next`` (replay) or the predicted mean (acting), the reward
+    pulled toward ``r_value`` if given, else ``cfg.r_star``; jac is
+    :func:`joint_grad_jacobian`.  At lam = 0 no map is built.
     """
 
     def __init__(self, dyn, cfg, schedule, s_t, s_next=None, r_value=None,
                  kl_acc=None):
-        self.dyn = dyn
-        self.cfg = cfg
-        self.schedule = schedule
-        self.s_t = s_t
-        self.s_next = s_next
-        self.r_value = cfg.r_star if r_value is None else r_value
-        self.kl_acc = kl_acc
-        self._grad_jac = None
-        self._s_term = None
+        self.cfg, self.schedule, self.kl_acc = cfg, schedule, kl_acc
+        self.const = self.jac = None
+        if cfg.lam != 0.0:
+            self.const = [do_intervention_joint_grad(
+                dyn, s_t, np.zeros((1, dyn.d)), s_next,
+                cfg.r_star if r_value is None else r_value, cfg.gamma_t,
+                cfg.beta_guid_t)] * schedule.k_steps
+            self.jac = [joint_grad_jacobian(
+                dyn, cfg.gamma_t, cfg.beta_guid_t,
+                predicted_next=s_next is None)] * schedule.k_steps
 
-    def joint_grad(self, a):
-        """Interventional gradient rows for candidate actions."""
-        if self._s_term is None:
-            self._s_term = self.s_t @ self.dyn.a_s   # the same every step
-        return do_intervention_joint_grad(
-            self.dyn, self.s_t, a, self.s_next, self.r_value,
-            self.cfg.gamma_t, self.cfg.beta_guid_t, s_term=self._s_term)
+    @classmethod
+    def from_maps(cls, cfg, schedule, const, jac):
+        """A hook over the maps ``const`` (K, d), one row for every action
+        row, and ``jac`` (K, d, d), without a KL accumulator."""
+        hook = cls.__new__(cls)
+        hook.cfg, hook.schedule, hook.kl_acc = cfg, schedule, None
+        hook.const, hook.jac = const, jac
+        return hook
+
+    def joint_grad(self, a, k=1):
+        """Gradient rows g_k(a) for candidate action rows ``a``."""
+        return affine_rows(a, self.jac[k - 1].T, self.const[k - 1])
+
+    def _scale(self, k):
+        """The correction per unit of gradient at step k."""
+        return -self.cfg.lam_at(k) * np.sqrt(1.0 - self.schedule.abar_at(k))
 
     def __call__(self, a, k):
         lam_k = self.cfg.lam_at(k)
-        beta_k = self.schedule.betas[k - 1]
         if lam_k == 0.0:
-            corr = np.zeros(np.shape(a))
-            if self.kl_acc is not None:
-                self.kl_acc.add(corr, np.sqrt(beta_k), 1.0)
-            return corr
-        grad = self.joint_grad(a)
+            return np.zeros(np.shape(a))
+        grad = self.joint_grad(a, k)
         if self.kl_acc is not None:
+            beta_k = self.schedule.betas[k - 1]
             self.kl_acc.add(beta_k * lam_k * grad, np.sqrt(beta_k), 1.0)
-        return -lam_k * np.sqrt(1.0 - self.schedule.abar_at(k)) * grad
+        return np.multiply(self._scale(k), grad, out=grad)  # in place
 
     def eps_jacobian(self, k):
         """d(correction)/da at step k; None at lam_k = 0."""
-        lam_k = self.cfg.lam_at(k)
-        if lam_k == 0.0:
+        if self.cfg.lam_at(k) == 0.0:
             return None
-        if self._grad_jac is None:
-            self._grad_jac = joint_grad_jacobian(
-                self.dyn, self.cfg.gamma_t, self.cfg.beta_guid_t,
-                predicted_next=self.s_next is None)
-        return -lam_k * np.sqrt(1.0 - self.schedule.abar_at(k)) * \
-            self._grad_jac
+        return self._scale(k) * self.jac[k - 1]
 
 
 def stability_max_step(bundle, gamma_t, beta_guid_t):
@@ -209,6 +209,7 @@ def euler_maruyama_guided(dyn, schedule, cfg, s, dt, steps, rng):
     traj[0] = a = noise[0]
     diverged = np.zeros(len(s), dtype=bool)
     live = slice(None)                 # the rows still integrating
+    cfg = replace(cfg, lam=1.0)  # not in the drift; at 0 no map is built
     hook = GuidanceHook(dyn, cfg, schedule, s)
     beta_start = float(schedule.betas.min())
     beta_end = float(schedule.betas.max())

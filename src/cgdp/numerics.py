@@ -1,6 +1,6 @@
 """Dense numerical substrate: matrix exponential, the NOTEARS acyclicity
-function, a small feed-forward network with exact manual backprop, and
-Adam.
+function, a small feed-forward network with exact manual backprop, Adam,
+and the affine map of many action rows.
 
 Everything operates on plain numpy float64 arrays and takes an explicit
 ``numpy.random.Generator`` wherever randomness is involved, so that any
@@ -14,6 +14,7 @@ __all__ = [
     "acyclicity",
     "Mlp",
     "AdamState",
+    "affine_rows",
 ]
 
 
@@ -204,3 +205,16 @@ class AdamState:
         denom += 1e-8
         m_hat /= denom
         params -= m_hat
+
+
+def affine_rows(a, lin, const):
+    """``a @ lin + const`` for action rows ``a``, bit for bit.  A 1-D
+    ``const`` is added a column at a time: NumPy adds a short vector to
+    many rows several times slower than one strided pass per column."""
+    out = np.asarray(a, dtype=float) @ lin
+    if np.ndim(const) > 1:
+        out += const
+        return out
+    for j, c in enumerate(const):
+        out[..., j] += c
+    return out

@@ -26,6 +26,7 @@ __all__ = [
     "CriticPair",
     "TrainerConfig",
     "critic_update",
+    "act",
     "policy_update",
     "offline_stage",
     "online_stage",
@@ -162,6 +163,16 @@ def critic_update(critics, batch, policy_sampler, rng):
     critics.opt2.step(critics.q2.flat, g2)
     critics.soft_update()
     return loss
+
+
+def act(net, schedule, state, rng, hook, where):
+    """The guided action for the env state ``state``, clipped to the box;
+    a non-finite draw raises ValueError naming ``where`` and its step."""
+    a = ddim_sample(net, schedule, state.obs[None], rng, hook=hook)[0]
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{where}, step {state.t}: the sampler drew the "
+                         f"non-finite action {a}")
+    return np.clip(a, -1.0, 1.0)
 
 
 def policy_update(net, critics, dyn, batch, cfg, schedule, opt, rng,
@@ -305,9 +316,9 @@ def online_stage(env, artifacts, cfg, rng):
     refit's r* is the best reward in its window.  Emits one metrics
     record per episode; its ``refreshes`` lists the outcome of each
     refresh due in the episode: "applied", "skipped (uninformative
-    actions)", "skipped (window too small)" or "failed (<reason>)".  An
-    episode whose return, mean losses or KL integral are not finite
-    raises ValueError naming it.
+    actions)", "skipped (window too small)" or "failed (<reason>)".  A
+    non-finite action or an episode's non-finite return, mean losses or
+    KL integral raises ValueError naming the episode (and step).
     """
     net, dyn, schedule = artifacts.net, artifacts.dyn, artifacts.schedule
     w_warm = artifacts.discovery_w
@@ -327,9 +338,9 @@ def online_stage(env, artifacts, cfg, rng):
         return GuidanceHook(dyn, guid, schedule, states, r_value=r_star,
                             kl_acc=kl_acc)
 
-    def policy_sampler(states, sampler_rng, kl_acc=None):
-        hook = actor_hook_factory(states, kl_acc)
-        a = ddim_sample(net, schedule, states, sampler_rng, hook=hook)
+    def policy_sampler(states, sampler_rng):
+        a = ddim_sample(net, schedule, states, sampler_rng,
+                        hook=actor_hook_factory(states))
         return np.clip(a, -1.0, 1.0)
 
     for episode in range(cfg.online_episodes):
@@ -340,7 +351,8 @@ def online_stage(env, artifacts, cfg, rng):
         n_updates = 0
         refreshes = []
         while not state.done:
-            a = policy_sampler(state.obs[None], rng, kl_acc)[0]
+            a = act(net, schedule, state, rng, actor_hook_factory(
+                state.obs[None], kl_acc), f"online episode {episode}")
             s_prev = state.obs
             state, r, done = env.step(a, rng)
             buffer.add(s_prev, a, r, state.obs, done)

@@ -17,6 +17,7 @@ from .dynamics import (CausalDynamics, do_intervention_joint_grad,
 from .guidance import (GuidanceConfig, GuidanceHook, KlAccumulator,
                        estimate_lipschitz, euler_maruyama_guided,
                        stability_max_step)
+from .numerics import affine_rows
 from .scm import CausalMasks, generate_dataset, random_scm, scm_step
 from .discovery import NotearsConfig, discover_masks
 
@@ -85,17 +86,6 @@ def gaussian_posterior(spec):
     return mean, cov
 
 
-def _affine_rows(a, lin, const):
-    """``a @ lin + const`` for action rows ``a`` (or one 1-D action),
-    bit for bit, with ``const`` added one column at a time: NumPy adds a
-    short vector to many rows a few elements per inner loop, several
-    times slower than one strided pass per column."""
-    out = np.asarray(a, dtype=float) @ lin
-    for j, c in enumerate(const):
-        out[..., j] += c
-    return out
-
-
 class GaussianPriorNet:
     """Analytic noise predictor for a Gaussian action prior.
 
@@ -125,39 +115,33 @@ class GaussianPriorNet:
 
     def forward(self, a, s, k, x=None):
         # + (-off) is the IEEE operation - off
-        return _affine_rows(a, self.lin[k - 1], -self.off[k - 1])
+        return affine_rows(a, self.lin[k - 1], -self.off[k - 1])
 
 
-def _exact_guidance_hook(spec, prior, lam):
-    """Epsilon-space hook with the marginalized observation likelihood.
+def _exact_guidance_maps(spec, prior):
+    """The exact observation guidance of every step, as the affine maps
+    (const (K, d), jac (K, d, d)) of :meth:`GuidanceHook.from_maps`.
 
     At step k the clean action given a^k is Gaussian with mean
     m(a^k) = mu + (a^k - sqrt(abar) mu) J' and covariance C, so
     log p(y | a^k) is available exactly; its action gradient is
-    X' (y - M m(a^k)) with X = inv(sigma_y + M C M') M J.  The
-    correction -lam sqrt(1-abar) times that gradient is affine in a^k:
-    a^k @ L_k + c_k with L_k = lam sqrt(1-abar) J' M' X and
-    c_k = -lam sqrt(1-abar) (y - M m(0)) X.  ``prior`` is the
+    X' (y - M m(a^k)) with X = inv(sigma_y + M C M') M J, the affine map
+    const_k = (y - M m(0)) X and jac_k = -X' M J.  ``prior`` is the
     :class:`GaussianPriorNet` of the same prior, whose precision at k
-    gives J.  With this form the guided chain terminates at the
-    conditioned posterior.
+    gives J.  With this guidance the chain terminates at the conditioned
+    posterior.
     """
-    schedule = prior.schedule
-
-    def hook(a, k):
-        abar = schedule.abar_at(k)
-        p_k = prior.prec[k - 1]
-        jac = np.sqrt(abar) * spec.sigma_bar @ p_k
-        cov0 = spec.sigma_bar - abar * spec.sigma_bar @ p_k @ spec.sigma_bar
-        innov = spec.sigma_y + spec.m @ cov0 @ spec.m.T
-        x = np.linalg.solve(innov, spec.m @ jac)
-        scale = lam * np.sqrt(1.0 - abar)
-        lin = scale * jac.T @ spec.m.T @ x
-        m0 = spec.mu_bar - np.sqrt(abar) * spec.mu_bar @ jac.T
-        const = -scale * (spec.y - spec.m @ m0) @ x
-        return _affine_rows(a, lin, const)
-
-    return hook
+    abar = prior.schedule.abar[:, None, None]
+    jac = np.sqrt(abar) * spec.sigma_bar @ prior.prec
+    cov0 = spec.sigma_bar - abar * spec.sigma_bar @ prior.prec @ \
+        spec.sigma_bar
+    innov = spec.sigma_y + spec.m @ cov0 @ spec.m.T
+    x = np.linalg.solve(innov, spec.m @ jac)
+    m0 = spec.mu_bar - np.sqrt(abar[:, 0]) * (jac @ spec.mu_bar)
+    const = ((spec.y - m0 @ spec.m.T)[:, None, :] @ x)[:, 0]
+    # the hook multiplies by jac_k.T: kept contiguous, it is a BLAS operand
+    jac_t = -np.swapaxes(jac, 1, 2) @ spec.m.T @ x
+    return const, np.swapaxes(jac_t, 1, 2)
 
 
 def check_lemma1(spec, schedule, samples, rng, lam=1.0):
@@ -175,7 +159,8 @@ def check_lemma1(spec, schedule, samples, rng, lam=1.0):
     if samples < LEMMA1_MIN_SAMPLES:
         raise ValueError(f"need at least {LEMMA1_MIN_SAMPLES} samples")
     net = GaussianPriorNet(spec.mu_bar, spec.sigma_bar, schedule)
-    hook = _exact_guidance_hook(spec, net, lam) if lam != 0.0 else None
+    hook = None if lam == 0.0 else GuidanceHook.from_maps(
+        GuidanceConfig(lam=lam), schedule, *_exact_guidance_maps(spec, net))
     d = spec.mu_bar.shape[0]
     dummy_s = np.zeros((samples, 1))
     out = ddpm_sample(net, schedule, dummy_s, rng, hook=hook)
@@ -287,20 +272,20 @@ def check_theorem1(scm, dyn, schedule, seeds, lam=1.0, gamma_disc=0.99,
     """
     d = dyn.d
     net = GaussianPriorNet(np.zeros(d), np.eye(d), schedule)
+    cfg = GuidanceConfig(lam=lam, gamma_t=gamma_t, beta_guid_t=beta_guid_t,
+                         r_star=dyn.r_star)
+
+    def base_policy(states, p_rng):
+        return ddim_sample(net, schedule, states, p_rng)
+
     rows = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         guided_rng = np.random.default_rng(seed)
-        cfg = GuidanceConfig(lam=lam, gamma_t=gamma_t,
-                             beta_guid_t=beta_guid_t, r_star=dyn.r_star)
-
-        def base_policy(states, p_rng):
-            return ddim_sample(net, schedule, states, p_rng)
-
         kl_acc = KlAccumulator()
 
-        def guided_policy(states, p_rng, acc=None):
-            hook = GuidanceHook(dyn, cfg, schedule, states, kl_acc=acc)
+        def guided_policy(states, p_rng):
+            hook = GuidanceHook(dyn, cfg, schedule, states, kl_acc=kl_acc)
             return ddim_sample(net, schedule, states, p_rng, hook=hook)
 
         j_base, states = _rollout_returns(
@@ -310,7 +295,7 @@ def check_theorem1(scm, dyn, schedule, seeds, lam=1.0, gamma_disc=0.99,
         probe_states = [states[i * per_step][0]
                         for i in range(min(n_adv_states, len(states)))]
         j_guided, _ = _rollout_returns(
-            scm, lambda st, r: guided_policy(st, r, acc=kl_acc),
+            scm, guided_policy,
             guided_rng.standard_normal((n_rollouts, scm.n)), horizon,
             gamma_disc, guided_rng)
         kl = kl_acc.total  # batch-averaged per-trajectory path KL

@@ -1,5 +1,7 @@
 import multiprocessing
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -399,10 +401,16 @@ class TestLoudInputs:
         assert "Traceback" not in err
         assert sorted(os.listdir(out)) == before
 
-    @pytest.mark.parametrize("extra, where", [
+    # train.lr = 1e300 overflows the first update: offline, or with no
+    # offline steps online, where the next action drawn is not finite
+    OVERFLOW = [
         ("", "offline step 1: "),
-        ("train.offline_steps = 0\n", "online episode 1: not finite: ")],
-        ids=["offline", "online"])
+        ("train.offline_steps = 0\n",
+         "online episode 1, step 3: the sampler drew the non-finite "
+         "action ")]
+
+    @pytest.mark.parametrize("extra, where", OVERFLOW,
+                             ids=["offline", "online"])
     def test_train_stops_on_a_non_finite_value(self, workdir, capsys, extra,
                                                where):
         out, cfg_path = workdir
@@ -411,12 +419,49 @@ class TestLoudInputs:
             fh.write("train.lr = 1e300\n" + extra)
         before = sorted(os.listdir(out))
         capsys.readouterr()
-        # the overflow that makes the values non-finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run(cfg_path, out, "train") == 1
+        assert run(cfg_path, out, "train") == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}") and err.count("\n") == 1
         assert sorted(os.listdir(out)) == before
+
+    @pytest.mark.parametrize("extra, where", OVERFLOW,
+                             ids=["offline", "online"])
+    def test_an_overflow_prints_only_its_error_line(self, workdir, extra,
+                                                    where):
+        out, cfg_path = workdir
+        assert run(cfg_path, out, "gen-data") == 0
+        with open(cfg_path, "a") as fh:
+            fh.write("train.lr = 1e300\n" + extra)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cgdp.cli", "train", "--config", cfg_path,
+             "--out", str(out)], capture_output=True, text=True, env=env,
+            timeout=300)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {where}")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command, where", [
+        ("train", "online episode 0, step 0: "),
+        ("eval", "eval episode 0, step 0: ")], ids=["train", "eval"])
+    def test_a_non_finite_action_stops_the_run(self, workdir, capsys,
+                                               command, where):
+        out, cfg_path = workdir
+        assert run(cfg_path, out, "gen-data") == 0
+        assert run(cfg_path, out, "train") == 0
+        (out / "metrics.txt").unlink()
+        with open(cfg_path, "a") as fh:
+            fh.write("guidance.r_star = 1e308\n")
+        capsys.readouterr()
+        assert run(cfg_path, out, command) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {where}the sampler drew the non-finite " \
+            f"action [nan nan]\n"
+        assert not (out / "eval.txt").exists()
+        assert not (out / "metrics.txt").exists()
 
     @pytest.mark.parametrize("raw", ["0,64", "64,x", "-3"])
     def test_train_rejects_bad_hidden_widths(self, workdir, capsys, raw):

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cgdp.diffusion import ddim_sample, make_schedule
+from cgdp import guidance
+from cgdp.diffusion import ddim_sample, ddim_vjp, make_schedule
 from cgdp.guidance import (GuidanceConfig, GuidanceHook, KlAccumulator,
                            LipschitzBundle, estimate_lipschitz,
                            euler_maruyama_guided, stability_max_step)
@@ -13,9 +16,11 @@ def guided(eps, grad, lam, abar):
     """eps plus the hook's correction, for a hook whose joint gradient is
     ``grad``, on a one-step schedule with abar_1 = ``abar``."""
     beta = 1.0 - abar
-    hook = GuidanceHook(None, GuidanceConfig(lam=lam),
-                        make_schedule(1, beta, beta), None)
-    hook.joint_grad = lambda a: np.asarray(grad, dtype=float)
+    d = len(eps)
+    hook = GuidanceHook.from_maps(GuidanceConfig(lam=lam),
+                                  make_schedule(1, beta, beta),
+                                  np.asarray(grad, dtype=float)[None],
+                                  np.zeros((1, d, d)))
     return eps + hook(np.zeros_like(eps), 1)
 
 
@@ -42,20 +47,73 @@ class TestGuidedNoise:
             rhs = score_from_noise(eps, abar) + lam * grad
             assert np.allclose(lhs, rhs, rtol=1e-12)
 
-    def test_hook_gives_the_guided_noise_bitwise(self, small_instance):
+
+def close_rel(got, want, rtol=1e-12):
+    """Every entry within ``rtol`` of the largest entry of ``want``."""
+    return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestAffineHook:
+    """The hook's map const + a @ jac.T against the joint gradient."""
+
+    @pytest.mark.parametrize("rows", [1, 64])
+    @pytest.mark.parametrize("gamma_t, beta_guid_t",
+                             [(0.7, 1.3), (0.0, 1.3), (0.7, 0.0), (0.0, 0.0)])
+    def test_joint_grad_matches_the_reference(self, small_instance, rows,
+                                              gamma_t, beta_guid_t):
         _, dyn, _ = small_instance
         sched = make_schedule(10)
-        cfg = GuidanceConfig(lam=0.7, gamma_t=0.9, beta_guid_t=1.1)
-        rng = np.random.default_rng(8)
-        s, s_next = rng.standard_normal((2, 6, dyn.n))
-        r = rng.standard_normal(6)
-        a, eps = rng.standard_normal((2, 6, dyn.d))
-        hook = GuidanceHook(dyn, cfg, sched, s, s_next=s_next, r_value=r)
-        for k in (1, 4, 10):
-            grad = do_intervention_joint_grad(dyn, s, a, s_next, r,
-                                              cfg.gamma_t, cfg.beta_guid_t)
-            want = eps - cfg.lam * np.sqrt(1.0 - sched.abar_at(k)) * grad
-            assert np.array_equal(eps + hook(a, k), want)
+        cfg = GuidanceConfig(lam=0.7, gamma_t=gamma_t,
+                             beta_guid_t=beta_guid_t, r_star=dyn.r_star + 1)
+        rng = np.random.default_rng(rows)
+        s, s_next = rng.standard_normal((2, rows, dyn.n))
+        r = rng.standard_normal(rows)
+        # the replay form (next states, one reward per row) and the
+        # predicted form (the model's mean, cfg.r_star)
+        for nexts, r_value, r_target in ((s_next, r, r),
+                                         (None, None, cfg.r_star)):
+            hook = GuidanceHook(dyn, cfg, sched, s, s_next=nexts,
+                                r_value=r_value)
+            for k in (1, 4, 10):
+                a = rng.uniform(-1, 1, (rows, dyn.d))
+                want = do_intervention_joint_grad(dyn, s, a, nexts, r_target,
+                                                  gamma_t, beta_guid_t)
+                got = hook.joint_grad(a)
+                assert got.shape == want.shape == (rows, dyn.d)
+                assert close_rel(got, want)
+                scale = -cfg.lam * np.sqrt(1.0 - sched.abar_at(k))
+                assert close_rel(hook(a, k), scale * want)
+
+    def test_one_state_row_serves_every_action_row(self, small_instance):
+        _, dyn, _ = small_instance
+        cfg = GuidanceConfig(lam=1.0, r_star=dyn.r_star + 1.0)
+        rng = np.random.default_rng(7)
+        s = rng.standard_normal((1, dyn.n))
+        a = rng.uniform(-1, 1, (64, dyn.d))
+        hook = GuidanceHook(dyn, cfg, make_schedule(10), s)
+        want = do_intervention_joint_grad(dyn, s, a, None, cfg.r_star, 1.0,
+                                          1.0)
+        assert close_rel(hook.joint_grad(a), want)
+
+    def test_a_chain_builds_the_map_once(self, small_instance, monkeypatch):
+        _, dyn, _ = small_instance
+        sched = make_schedule(10)
+        net = NoiseNet(dyn.n, dyn.d, 10, hidden=(8,),
+                       rng=np.random.default_rng(0))
+        s = np.random.default_rng(1).standard_normal((4, dyn.n))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return do_intervention_joint_grad(*args)
+
+        monkeypatch.setattr(guidance, "do_intervention_joint_grad", counted)
+        hook = GuidanceHook(dyn, GuidanceConfig(r_star=dyn.r_star), sched, s)
+        tape = []
+        a0 = ddim_sample(net, sched, s, np.random.default_rng(2), hook=hook,
+                         tape=tape)
+        ddim_vjp(net, sched, tape, np.ones_like(a0), hook=hook)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("lam", [-0.5, np.nan, np.inf, np.ones(10)])
@@ -154,26 +212,6 @@ class TestGuidanceHook:
             single = GuidanceHook(dyn, cfg, sched, s[i:i + 1])(a[i:i + 1], 3)
             assert np.allclose(batched[i], single[0], rtol=1e-12)
 
-
-    def test_hoisted_state_term_matches_the_joint_gradient_bitwise(
-            self, small_instance):
-        _, dyn, _ = small_instance
-        sched = make_schedule(10)
-        rng = np.random.default_rng(7)
-        cfg = GuidanceConfig(lam=1.0, gamma_t=0.7, beta_guid_t=1.3,
-                             r_star=dyn.r_star + 1.0)
-        for rows in (1, 64):
-            s = rng.standard_normal((rows, dyn.n))
-            s_next = rng.standard_normal((rows, dyn.n))
-            for states, nexts in ((s, None), (s, s_next), (s[:1], None)):
-                hook = GuidanceHook(dyn, cfg, sched, states, s_next=nexts)
-                for _ in range(3):   # later calls reuse the state term
-                    a = rng.uniform(-1, 1, (rows, dyn.d))
-                    direct = do_intervention_joint_grad(
-                        dyn, states, a, nexts, hook.r_value, 0.7, 1.3)
-                    hooked = hook.joint_grad(a)
-                    assert hooked.shape == direct.shape == (rows, dyn.d)
-                    assert np.array_equal(hooked, direct)
 
     def test_kl_row_mean_matches_numpy_mean_bitwise(self):
         rng = np.random.default_rng(8)
@@ -429,3 +467,12 @@ class TestEulerRows:
         with pytest.raises(ValueError, match="at least one state row"):
             euler_maruyama_guided(dyn, sched, cfg, np.zeros((0, dyn.n)),
                                   0.01, 5, [])
+
+    def test_the_guidance_scale_is_not_read(self, small_instance):
+        dyn, sched, cfg = self.instance(small_instance)
+        s = np.random.default_rng(3).standard_normal((2, dyn.n))
+        runs = [euler_maruyama_guided(dyn, sched, replace(cfg, lam=lam), s,
+                                      0.01, 20, [np.random.default_rng(i)
+                                                 for i in range(2)])[0]
+                for lam in (0.0, 2.5)]
+        assert np.array_equal(runs[0], runs[1])
