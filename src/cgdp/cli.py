@@ -19,7 +19,7 @@ from .config import dump_config, load_config, RunConfig
 from .diffusion import load_noise_net, make_schedule, save_noise_net
 from .discovery import discover_masks
 from .dynamics import load_dynamics, save_dynamics
-from .envs import Environment, make_env_scm, optimal_reward
+from .envs import Environment, make_env_scm
 from .guidance import GuidanceHook
 from .pool import fork_pool
 from .rl import ablation_runs, act, offline_stage, online_stage
@@ -43,11 +43,20 @@ def _resolve(out_dir, path):
     return path if os.path.isabs(path) else os.path.join(out_dir, path)
 
 
+def _check_sizes(path, n, d, spec):
+    """Fail unless the sizes n and d read from ``path`` are ``spec``'s."""
+    if (n, d) != (spec.n, spec.d):
+        raise ValueError(f"{path}: n = {n}, d = {d} do not match env.n = "
+                         f"{spec.n}, env.d = {spec.d}")
+
+
 def _load_data(cfg, out_dir):
     path = _resolve(out_dir, cfg["data.path"])
     if not os.path.exists(path):
         raise FileNotFoundError(f"dataset not found: {path}")
-    return load_dataset(path)
+    data = load_dataset(path)
+    _check_sizes(path, data.s.shape[1], data.a.shape[1], cfg.env_spec())
+    return data
 
 
 def _metric_rows(records):
@@ -93,16 +102,6 @@ def cmd_discover(cfg, out_dir):
     return 0
 
 
-def _guidance_config(cfg, scm):
-    """The guidance settings train, eval and ablate all run with.
-
-    The target r* is ``guidance.r_star`` raised to the environment's
-    optimal one-step reward, read off the ground-truth SCM (``scm``).
-    """
-    r_star = max(cfg["guidance.r_star"], optimal_reward(scm))
-    return replace(cfg.guidance_config(), r_star=r_star)
-
-
 def _train_schedule(cfg):
     """The diffusion schedule of the ``train.*`` keys, which
     ``TrainerConfig`` checks first."""
@@ -113,8 +112,7 @@ def _train_schedule(cfg):
 def cmd_train(cfg, out_dir):
     data = _load_data(cfg, out_dir)
     env = Environment(cfg.env_spec())
-    tcfg = replace(cfg.trainer_config(),
-                   guidance=_guidance_config(cfg, env.scm))
+    tcfg = cfg.trainer_config()
     rng = np.random.default_rng(cfg["seed"])
     artifacts = offline_stage(data, tcfg, rng)
     records, artifacts = online_stage(env, artifacts, tcfg, rng)
@@ -133,20 +131,23 @@ def cmd_train(cfg, out_dir):
 def cmd_eval(cfg, out_dir):
     net_path = os.path.join(out_dir, "noise_net.txt")
     net = load_noise_net(net_path)
+    spec = cfg.env_spec()
+    _check_sizes(net_path, net.n_state, net.d_action, spec)
     dyn_path = os.path.join(out_dir, "dynamics.txt")
     if not os.path.exists(dyn_path):
         raise FileNotFoundError(
             f"dynamics checkpoint not found: {dyn_path} (cgdp train "
             f"writes it)")
     dyn = load_dynamics(dyn_path)
-    env = Environment(cfg.env_spec())
+    _check_sizes(dyn_path, dyn.n, dyn.d, spec)
+    env = Environment(spec)
     schedule = _train_schedule(cfg)
     # the checkpoint holds K but not the betas, which cannot be checked
     if net.k_steps != schedule.k_steps:
         raise ValueError(f"{net_path}: the noise net has K = {net.k_steps} "
                          f"diffusion steps, but train.k_steps = "
                          f"{schedule.k_steps}")
-    guid = _guidance_config(cfg, env.scm)
+    guid = cfg.guidance_config()
     rng = np.random.default_rng(cfg["seed"])
     returns = []
     for episode in range(cfg["eval.episodes"]):
@@ -181,9 +182,8 @@ def cmd_ablate(cfg, out_dir):
     spec = cfg.env_spec()
     scm = make_env_scm(spec)
     result = discover_masks(data, cfg.notears_config())
-    guid = _guidance_config(cfg, scm)
-    tcfg = replace(cfg.trainer_config(), guidance=guid)
-    unguided_cfg = replace(tcfg, guidance=replace(guid, lam=0.0))
+    tcfg = cfg.trainer_config()
+    unguided_cfg = replace(tcfg, guidance=replace(tcfg.guidance, lam=0.0))
 
     arms = {"notears": (0.0, tcfg), "corrupted": (flip_prob, tcfg),
             "unguided": (0.0, unguided_cfg)}
@@ -239,14 +239,14 @@ def _verify_theorem1(cfg, out_dir, schedule):
     ckpt = cfg["verify.dynamics"]
     if ckpt:
         dyn = load_dynamics(ckpt)
-        scm = make_env_scm(cfg.env_spec())
+        spec = cfg.env_spec()
+        _check_sizes(ckpt, dyn.n, dyn.d, spec)
+        scm = make_env_scm(spec)
     else:
         scm, dyn = verify_mod.default_linear_instance(seed=cfg["seed"])
-    guid = cfg.guidance_config()
     report = verify_mod.check_theorem1(
-        scm, dyn, schedule, seeds=range(cfg["verify.seeds"]), lam=guid.lam,
-        gamma_disc=cfg["train.gamma_disc"], gamma_t=guid.gamma_t,
-        beta_guid_t=guid.beta_guid_t)
+        scm, dyn, schedule, range(cfg["verify.seeds"]),
+        cfg.guidance_config(), gamma_disc=cfg["train.gamma_disc"])
     columns = ("seed", "kl", "bound", "gap", "holds")
     _write_rows(os.path.join(out_dir, "theorem1.csv"),
                 [columns] + [[row[c] for c in columns]

@@ -43,7 +43,9 @@ class CausalDynamics:
     a_a: np.ndarray                # (d, n) a -> s_next
     b_s: np.ndarray                # (n,)   s_next -> r
     b_a: np.ndarray                # (d,)   a -> r
-    r_star: float = 0.0            # best reward in the fitted rows
+    # the guidance target: the best reward in the fitted rows, or the
+    # target online training ended on (``online_stage``)
+    r_star: float = 0.0
     _prec_s: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):

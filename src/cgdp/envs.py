@@ -9,8 +9,7 @@ import numpy as np
 
 from .scm import random_scm, scm_step
 
-__all__ = ["EnvSpec", "EnvState", "make_env_scm", "optimal_reward",
-           "Environment"]
+__all__ = ["EnvSpec", "EnvState", "make_env_scm", "Environment"]
 
 
 @dataclass
@@ -79,14 +78,3 @@ class Environment:
         done = t >= self.spec.horizon
         self.state = EnvState(obs=s_next, t=t, done=done)
         return self.state, r, done
-
-
-def optimal_reward(scm):
-    """Best expected one-step reward r* of an SCM.
-
-    The reward is linear in the action with coefficient F_a B_s + B_a,
-    so the box-constrained maximum (at s = 0) is attained at a corner and
-    equals sum |c_i|.
-    """
-    coef = scm.f_a @ scm.b_s + scm.b_a
-    return float(np.abs(coef).sum())

@@ -32,13 +32,12 @@ class GuidanceConfig:
     lam: float = 1.0                # guidance scale, the same at every step
     gamma_t: float = 1.0            # state-guidance coefficient
     beta_guid_t: float = 1.0        # reward-guidance coefficient
-    r_star: float = 0.0             # optimal-reward target
 
     def __post_init__(self):
         if np.ndim(self.lam) or not (np.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"guidance.lambda must be one finite value "
                              f">= 0, got {self.lam!r}")
-        for key in ("gamma_t", "beta_guid_t", "r_star"):
+        for key in ("gamma_t", "beta_guid_t"):
             if not np.isfinite(getattr(self, key)):
                 raise ValueError(f"guidance.{key} must be finite, got "
                                  f"{getattr(self, key)!r}")
@@ -97,8 +96,9 @@ class GuidanceHook:
     (:func:`do_intervention_joint_grad`) is affine in the action, so it is
     evaluated once, at a = 0, for the state rows ``s_t`` against the next
     states ``s_next`` (replay) or the predicted mean (acting), the reward
-    pulled toward ``r_value`` if given, else ``cfg.r_star``; jac is
-    :func:`joint_grad_jacobian`.  At lam = 0 no map is built.
+    pulled toward ``r_value`` if given, else toward the model's own
+    target ``dyn.r_star``; jac is :func:`joint_grad_jacobian`.  At
+    lam = 0 no map is built.
     """
 
     def __init__(self, dyn, cfg, schedule, s_t, s_next=None, r_value=None,
@@ -108,7 +108,7 @@ class GuidanceHook:
         if cfg.lam != 0.0:
             self.const = [do_intervention_joint_grad(
                 dyn, s_t, np.zeros((1, dyn.d)), s_next,
-                cfg.r_star if r_value is None else r_value, cfg.gamma_t,
+                dyn.r_star if r_value is None else r_value, cfg.gamma_t,
                 cfg.beta_guid_t)] * schedule.k_steps
             self.jac = [joint_grad_jacobian(
                 dyn, cfg.gamma_t, cfg.beta_guid_t,

@@ -312,13 +312,16 @@ def online_stage(env, artifacts, cfg, rng):
     store the transition, run one critic and one policy update; every
     ``mask_refresh`` steps re-estimate masks and refit the dynamics on the
     recent buffer window (warm-started).  A refresh replaces the warm
-    start and the dynamics (with their masks) together, or neither; the
-    refit's r* is the best reward in its window.  Emits one metrics
-    record per episode; its ``refreshes`` lists the outcome of each
-    refresh due in the episode: "applied", "skipped (uninformative
-    actions)", "skipped (window too small)" or "failed (<reason>)".  A
-    non-finite action or an episode's non-finite return, mean losses or
-    KL integral raises ValueError naming the episode (and step).
+    start and the dynamics (with their masks) together, or neither.  The
+    guidance target r* starts at the offline model's ``r_star``, the best
+    reward in its fitted rows, and rises to the best reward seen; the
+    returned dynamics carry the final target as their ``r_star``.  Emits
+    one metrics record per episode; its ``refreshes`` lists the outcome
+    of each refresh due in the episode: "applied", "skipped
+    (uninformative actions)", "skipped (window too small)" or "failed
+    (<reason>)".  A non-finite action or an episode's non-finite return,
+    mean losses or KL integral raises ValueError naming the episode (and
+    step).
     """
     net, dyn, schedule = artifacts.net, artifacts.dyn, artifacts.schedule
     w_warm = artifacts.discovery_w
@@ -330,7 +333,7 @@ def online_stage(env, artifacts, cfg, rng):
     # lin-scm episodes run the full horizon: the rows the run writes
     buffer = ReplayBuffer(max(1, cfg.online_episodes * env.spec.horizon),
                           dyn.n, dyn.d)
-    r_star = guid.r_star   # raised to the best reward seen
+    r_star = dyn.r_star   # raised to the best reward seen
     records = []
     step_count = 0
 
@@ -405,5 +408,6 @@ def online_stage(env, artifacts, cfg, rng):
             raise ValueError(f"online episode {episode}: not finite: "
                              f"{', '.join(bad)}")
         records.append(record)
-    return records, OfflineArtifacts(net=net, dyn=dyn, schedule=schedule,
-                                     discovery_w=w_warm)
+    # a copy: ``with_masks`` shares the offline dynamics between arms
+    return records, OfflineArtifacts(net=net, dyn=replace(dyn, r_star=r_star),
+                                     schedule=schedule, discovery_w=w_warm)

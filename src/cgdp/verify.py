@@ -257,11 +257,11 @@ def _q_grid_advantage(scm, policy, state, grid, m_rollouts, horizon,
     return float(np.max((q_vals - v_val) ** 2))
 
 
-def check_theorem1(scm, dyn, schedule, seeds, lam=1.0, gamma_disc=0.99,
+def check_theorem1(scm, dyn, schedule, seeds, cfg, gamma_disc=0.99,
                    horizon=50, n_rollouts=1000, n_adv_states=6,
-                   m_rollouts=12, grid_res=0.05, gamma_t=1.0,
-                   beta_guid_t=1.0):
-    """Performance-difference bound per seed.
+                   m_rollouts=12, grid_res=0.05):
+    """Performance-difference bound per seed, for the guidance settings
+    ``cfg`` (a :class:`GuidanceConfig`) and the target ``dyn.r_star``.
 
     Measures |J(guided) - J(base)| by Monte Carlo over LinSCM episodes and
     compares against (1/(1-gamma)) sqrt(E sup_a A^2) sqrt(KL/2), with the
@@ -272,8 +272,6 @@ def check_theorem1(scm, dyn, schedule, seeds, lam=1.0, gamma_disc=0.99,
     """
     d = dyn.d
     net = GaussianPriorNet(np.zeros(d), np.eye(d), schedule)
-    cfg = GuidanceConfig(lam=lam, gamma_t=gamma_t, beta_guid_t=beta_guid_t,
-                         r_star=dyn.r_star)
 
     def base_policy(states, p_rng):
         return ddim_sample(net, schedule, states, p_rng)
@@ -349,7 +347,7 @@ def check_prop1(dyn, schedule, seeds, steps=10 ** 4, stiff_dyn=None):
     if not seeds:
         raise ValueError("need at least one seed")
     dt_max = stability_max_step(estimate_lipschitz(dyn, schedule), 1.0, 1.0)
-    cfg = GuidanceConfig(r_star=dyn.r_star)
+    cfg = GuidanceConfig()
     rows = []
     for factor in (0.1, 0.5, 1.0, 10.0, 50.0):
         dt = factor * dt_max
@@ -368,8 +366,7 @@ def check_prop1(dyn, schedule, seeds, steps=10 ** 4, stiff_dyn=None):
     if stiff_dyn is not None:
         s_dt = 50.0 * stability_max_step(
             estimate_lipschitz(stiff_dyn, schedule), 1.0, 1.0)
-        s_cfg = GuidanceConfig(r_star=stiff_dyn.r_star)
-        _, diverged = _euler_seeds(stiff_dyn, schedule, s_cfg, seeds, s_dt,
+        _, diverged = _euler_seeds(stiff_dyn, schedule, cfg, seeds, s_dt,
                                    min(steps, 2000))
         stiff_row = {"factor": 50.0, "dt": s_dt,
                      "diverged": int(diverged.sum())}

@@ -1,7 +1,8 @@
 """Independent references the tests compare the package against: an
 exhaustive DAG search that validates NOTEARS, the one-row log-densities of
 the masked dynamics with their exact action gradients, and the true masks
-of a ground-truth SCM.  No ``cgdp`` command runs any of them.
+and the optimal one-step reward of a ground-truth SCM.  No ``cgdp``
+command runs any of them.
 """
 
 from dataclasses import dataclass
@@ -119,3 +120,14 @@ def exact_masks(scm):
         (scm.b_s != 0).astype(float),
         (scm.b_a != 0).astype(float),
     )
+
+
+def optimal_reward(scm):
+    """Best expected one-step reward r* of an SCM.
+
+    The reward is linear in the action with coefficient F_a B_s + B_a,
+    so the box-constrained maximum (at s = 0) is attained at a corner and
+    equals sum |c_i|.
+    """
+    coef = scm.f_a @ scm.b_s + scm.b_a
+    return float(np.abs(coef).sum())

@@ -13,7 +13,7 @@ from cgdp.diffusion import (NoiseNet, ddim_sample, ddpm_sample, load_noise_net,
 from cgdp.discovery import NotearsConfig, discover_masks, notears_fit
 from cgdp.dynamics import (do_intervention_joint_grad, fit_dynamics,
                            load_dynamics, save_dynamics)
-from cgdp.envs import Environment, EnvSpec, optimal_reward
+from cgdp.envs import Environment, EnvSpec
 from cgdp.guidance import GuidanceConfig, GuidanceHook
 from cgdp.numerics import AdamState, Mlp
 from cgdp.rl import (TrainerConfig, ablation_runs, offline_stage,
@@ -71,11 +71,11 @@ def bench_spec():
                    n_causal_actions=2, seed=0)
 
 
-def bench_cfg(lam, r_star):
+def bench_cfg(lam):
     return TrainerConfig(offline_steps=1000, k_steps=10, hidden=(64, 64),
                          batch_size=64, online_episodes=200,
                          mask_refresh=1000, refresh_window=2000,
-                         guidance=GuidanceConfig(lam=lam, r_star=r_star))
+                         guidance=GuidanceConfig(lam=lam))
 
 
 @pytest.fixture(scope="module")
@@ -95,9 +95,8 @@ def arm_runs(bench_setup):
     ``cgdp ablate`` runs them (``rl.ablation_runs``), and the seeds run
     in worker processes."""
     spec, env, data, result = bench_setup
-    r_star = optimal_reward(env.scm)
     keys = ((1.0, 0.0), (1.0, 0.25), (0.0, 0.0))
-    arms = [(flip, bench_cfg(lam, r_star)) for lam, flip in keys]
+    arms = [(flip, bench_cfg(lam)) for lam, flip in keys]
     per_seed = ablation_runs(5, data, result.masks, result.w, arms, spec,
                              env.scm)
     runs = {(lam, seed, flip): [rec["return"] for rec in records]
@@ -224,7 +223,8 @@ def test_06_path_kl_performance_bound():
     schedule = make_schedule(30)
     fractions = {}
     for lam in (0.1, 1.0):
-        rep = check_theorem1(scm, dyn, schedule, range(20), lam=lam)
+        rep = check_theorem1(scm, dyn, schedule, range(20),
+                             GuidanceConfig(lam=lam))
         fractions[lam] = rep["fraction_holds"]
     ok = all(frac >= 0.95 for frac in fractions.values())
     report(6, ok, "performance gap within the KL bound in "
@@ -237,7 +237,7 @@ def test_07_zero_guidance_equivalence(tmp_path, small_instance):
     schedule = make_schedule(10)
     net = NoiseNet(dyn.n, dyn.d, 10, hidden=(16,),
                    rng=np.random.default_rng(0))
-    cfg0 = GuidanceConfig(lam=0.0, r_star=dyn.r_star)
+    cfg0 = GuidanceConfig(lam=0.0)
     s = np.random.default_rng(1).standard_normal((4, dyn.n))
     samplers_ok = True
     for sampler in (ddpm_sample, ddim_sample):

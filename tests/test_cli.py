@@ -7,12 +7,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cgdp.cli import _final_return, _fmt, _guidance_config, main
+from cgdp.cli import _final_return, _fmt, main
 from cgdp.config import load_config, parse_config
 from cgdp.discovery import corrupt_masks, discover_masks
-from cgdp.envs import Environment, make_env_scm, optimal_reward
+from cgdp.dynamics import load_dynamics, save_dynamics
+from cgdp.envs import Environment, make_env_scm
+from cgdp.guidance import GuidanceHook
 from cgdp.rl import offline_stage, online_stage
 from cgdp.scm import load_dataset
+from cgdp.verify import default_linear_instance
 
 SMALL_CFG = """
 seed = 0
@@ -238,33 +241,34 @@ class TestVerifyPool:
 
 
 class TestGuidanceTarget:
-    def test_train_eval_and_ablate_resolve_the_same_r_star(self, workdir,
-                                                            monkeypatch):
+    def test_eval_guides_toward_the_target_training_ended_on(self, workdir,
+                                                             monkeypatch):
         import cgdp.cli as cli
         import cgdp.rl as rl
         out, cfg_path = workdir
-        targets = {}
+        targets = {"train": [], "eval": []}
 
-        def recording_online_stage(env, artifacts, cfg, rng):
-            targets.setdefault(command, set()).add(cfg.guidance.r_star)
-            return online_stage(env, artifacts, cfg, rng)
+        class RecordingHook(GuidanceHook):
+            def __init__(self, dyn, cfg, schedule, s_t, s_next=None,
+                         r_value=None, kl_acc=None):
+                if s_next is None:   # an acting hook, not a replay one
+                    targets[command].append(
+                        dyn.r_star if r_value is None else r_value)
+                super().__init__(dyn, cfg, schedule, s_t, s_next, r_value,
+                                 kl_acc)
 
-        class RecordingHook(cli.GuidanceHook):
-            def __init__(self, dyn, cfg, *args, **kwargs):
-                targets.setdefault(command, set()).add(cfg.r_star)
-                super().__init__(dyn, cfg, *args, **kwargs)
-
-        online_stage = cli.online_stage
-        # train calls it from cli, ablate from rl.ablation_seed
-        monkeypatch.setattr(cli, "online_stage", recording_online_stage)
-        monkeypatch.setattr(rl, "online_stage", recording_online_stage)
+        monkeypatch.setattr(rl, "GuidanceHook", RecordingHook)
         monkeypatch.setattr(cli, "GuidanceHook", RecordingHook)
         assert run(cfg_path, out, "gen-data") == 0
-        for command in ("train", "eval", "ablate"):
+        for command in ("train", "eval"):
             assert run(cfg_path, out, command) == 0
-        spec = parse_config(SMALL_CFG).env_spec()
-        assert targets == {c: {optimal_reward(make_env_scm(spec))}
-                           for c in ("train", "eval", "ablate")}
+        saved = load_dynamics(str(out / "dynamics.txt")).r_star
+        data = load_dataset(str(out / "dataset.txt"))
+        # training starts at the best reward of the dataset and ends on
+        # the target dynamics.txt holds, which every eval hook pulls to
+        assert targets["train"][0] == float(data.r.max())
+        assert targets["train"][-1] == max(targets["train"]) == saved
+        assert set(targets["eval"]) == {saved}
 
 
 class TestVerifyCommand:
@@ -348,18 +352,18 @@ class TestAblationReuse:
         spec = cfg.env_spec()
         scm = make_env_scm(spec)
         result = discover_masks(data, cfg.notears_config())
-        guid = _guidance_config(cfg, scm)
         lines = ["arm,mean,std"]
         for arm in ("notears", "corrupted", "unguided"):
             finals = []
             for seed in range(2):
-                tcfg = replace(cfg.trainer_config(), guidance=guid)
+                tcfg = cfg.trainer_config()
                 masks = result.masks
                 if arm == "corrupted":
                     masks = corrupt_masks(result.masks, 0.3,
                                           np.random.default_rng(10 ** 6 + seed))
                 if arm == "unguided":
-                    tcfg = replace(tcfg, guidance=replace(guid, lam=0.0))
+                    tcfg = replace(tcfg, guidance=replace(tcfg.guidance,
+                                                          lam=0.0))
                 rng = np.random.default_rng(cfg["seed"] + seed)
                 art = offline_stage(data, tcfg, rng, masks=masks,
                                     w0=result.w)
@@ -448,13 +452,24 @@ class TestLoudInputs:
         ("train", "online episode 0, step 0: "),
         ("eval", "eval episode 0, step 0: ")], ids=["train", "eval"])
     def test_a_non_finite_action_stops_the_run(self, workdir, capsys,
-                                               command, where):
+                                               monkeypatch, command, where):
+        import cgdp.cli as cli
         out, cfg_path = workdir
         assert run(cfg_path, out, "gen-data") == 0
         assert run(cfg_path, out, "train") == 0
         (out / "metrics.txt").unlink()
-        with open(cfg_path, "a") as fh:
-            fh.write("guidance.r_star = 1e308\n")
+        # a target r* of 1e308 overflows the guidance: eval reads it from
+        # the header of dynamics.txt, train from its offline model
+        path = out / "dynamics.txt"
+        header, rest = path.read_text().split("\n", 1)
+        path.write_text(header.rsplit(" ", 1)[0] + " 1e308\n" + rest)
+
+        def far_target(*args, **kwargs):
+            artifacts = offline_stage(*args, **kwargs)
+            return replace(artifacts, dyn=replace(artifacts.dyn,
+                                                  r_star=1e308))
+
+        monkeypatch.setattr(cli, "offline_stage", far_target)
         capsys.readouterr()
         assert run(cfg_path, out, command) == 1
         err = capsys.readouterr().err
@@ -587,6 +602,44 @@ class TestLoudInputs:
         assert err.startswith(f"error: {out / 'noise_net.txt'}: ")
         assert "K = 10 " in err and "train.k_steps = 40" in err
         assert err.count("\n") == 1
+        assert not (out / "eval.txt").exists()
+
+    # the run's files are made with env.n = 3, env.d = 2
+    SIZES = "n = 3, d = 2 do not match env.n = {}, env.d = {}"
+
+    @pytest.mark.parametrize("command, line, name, sizes", [
+        ("discover", "env.n = 4", "dataset.txt", (4, 2)),
+        ("train", "env.n = 4", "dataset.txt", (4, 2)),
+        ("ablate", "env.n = 4", "dataset.txt", (4, 2)),
+        ("eval", "env.n = 4", "noise_net.txt", (4, 2)),
+        ("eval", "env.d = 3", "noise_net.txt", (3, 3)),
+        ("verify theorem1", "env.n = 4", "dynamics.txt", (4, 2))],
+        ids=["discover", "train", "ablate", "eval-n", "eval-d", "verify-theorem1"])
+    def test_a_file_of_other_sizes_exits_1_naming_both(
+            self, workdir, capsys, command, line, name, sizes):
+        out, cfg_path = workdir
+        assert run(cfg_path, out, "gen-data") == 0
+        assert run(cfg_path, out, "train") == 0
+        with open(cfg_path, "a") as fh:
+            fh.write(f"{line}\nverify.dynamics = {out / 'dynamics.txt'}\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert run(cfg_path, out, *command.split()) == 1
+        assert capsys.readouterr().err == \
+            f"error: {out / name}: {self.SIZES.format(*sizes)}\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_eval_rejects_dynamics_of_other_sizes(self, workdir, capsys):
+        out, cfg_path = workdir
+        assert run(cfg_path, out, "gen-data") == 0
+        assert run(cfg_path, out, "train") == 0
+        _, dyn = default_linear_instance(n=3, d=3)
+        save_dynamics(dyn, str(out / "dynamics.txt"))
+        capsys.readouterr()
+        assert run(cfg_path, out, "eval") == 1
+        assert capsys.readouterr().err == \
+            "error: {}: n = 3, d = 3 do not match env.n = 3, env.d = 2\n" \
+            .format(out / "dynamics.txt")
         assert not (out / "eval.txt").exists()
 
     def test_truncated_checkpoint_and_dataset_exit_1(self, workdir, capsys):

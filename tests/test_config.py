@@ -90,7 +90,7 @@ class TestHiddenWidths:
                                  "notears.tol", "notears.max_outer",
                                  "env.kind", "env.goal_x", "env.goal_y",
                                  "train.dyn_kind", "train.dyn_mlp_steps",
-                                 "guidance.use_r_star",
+                                 "guidance.use_r_star", "guidance.r_star",
                                  "train.buffer_capacity", "verify.lambda"])
 def test_removed_keys_are_unknown(key):
     with pytest.raises(ValueError, match=f"line 2: unknown config key "
@@ -133,7 +133,6 @@ notears.tau = 0.3
 guidance.lambda = 1.0
 guidance.gamma_t = 1.0
 guidance.beta_guid_t = 1.0
-guidance.r_star = 0.0
 eval.episodes = 20
 ablate.flip_prob = 0.25
 ablate.seeds = 5
@@ -222,7 +221,7 @@ def test_dump_parse_round_trip(values):
 class TestRoundTrip:
     def test_dump_then_parse_reproduces_values(self):
         cfg = parse_config("seed = 3\ntrain.lr = 0.001\n"
-                           "guidance.r_star = 2.5\n")
+                           "guidance.gamma_t = 2.5\n")
         again = parse_config(dump_config(cfg))
         assert again.values == cfg.values
         assert dump_config(again) == dump_config(cfg)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cgdp.envs import (Environment, EnvSpec, EnvState, make_env_scm,
-                       optimal_reward)
+from cgdp.envs import Environment, EnvSpec, EnvState, make_env_scm
 from cgdp.scm import GroundTruthScm
+
+from references import optimal_reward
 
 
 def step(state, a, spec, rng, scm):

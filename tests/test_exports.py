@@ -110,3 +110,15 @@ def test_every_file_is_written_by_one_of_three_writers():
                for func in _file_writers(tree)}
     assert writers == {"checkpoint.save_arrays", "scm.save_dataset",
                        "cli._write_rows"}
+
+
+def test_only_the_scm_reads_the_ground_truth():
+    """Guidance and training learn from data: the oracle r* is a test
+    reference (``references.optimal_reward``), and no module but ``scm``,
+    which steps the ground truth, reads its operators F_s and F_a."""
+    for name, tree in _module_trees():
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert "optimal_reward" not in _loaded_names(tree) | defined, name
+        if name != "scm":
+            assert not {"f_s", "f_a"} & _loaded_names(tree), name

@@ -62,16 +62,17 @@ class TestAffineHook:
     def test_joint_grad_matches_the_reference(self, small_instance, rows,
                                               gamma_t, beta_guid_t):
         _, dyn, _ = small_instance
+        dyn = replace(dyn, r_star=dyn.r_star + 1)
         sched = make_schedule(10)
         cfg = GuidanceConfig(lam=0.7, gamma_t=gamma_t,
-                             beta_guid_t=beta_guid_t, r_star=dyn.r_star + 1)
+                             beta_guid_t=beta_guid_t)
         rng = np.random.default_rng(rows)
         s, s_next = rng.standard_normal((2, rows, dyn.n))
         r = rng.standard_normal(rows)
         # the replay form (next states, one reward per row) and the
-        # predicted form (the model's mean, cfg.r_star)
+        # predicted form (the model's mean, dyn.r_star)
         for nexts, r_value, r_target in ((s_next, r, r),
-                                         (None, None, cfg.r_star)):
+                                         (None, None, dyn.r_star)):
             hook = GuidanceHook(dyn, cfg, sched, s, s_next=nexts,
                                 r_value=r_value)
             for k in (1, 4, 10):
@@ -86,12 +87,13 @@ class TestAffineHook:
 
     def test_one_state_row_serves_every_action_row(self, small_instance):
         _, dyn, _ = small_instance
-        cfg = GuidanceConfig(lam=1.0, r_star=dyn.r_star + 1.0)
+        dyn = replace(dyn, r_star=dyn.r_star + 1.0)
+        cfg = GuidanceConfig(lam=1.0)
         rng = np.random.default_rng(7)
         s = rng.standard_normal((1, dyn.n))
         a = rng.uniform(-1, 1, (64, dyn.d))
         hook = GuidanceHook(dyn, cfg, make_schedule(10), s)
-        want = do_intervention_joint_grad(dyn, s, a, None, cfg.r_star, 1.0,
+        want = do_intervention_joint_grad(dyn, s, a, None, dyn.r_star, 1.0,
                                           1.0)
         assert close_rel(hook.joint_grad(a), want)
 
@@ -108,7 +110,7 @@ class TestAffineHook:
             return do_intervention_joint_grad(*args)
 
         monkeypatch.setattr(guidance, "do_intervention_joint_grad", counted)
-        hook = GuidanceHook(dyn, GuidanceConfig(r_star=dyn.r_star), sched, s)
+        hook = GuidanceHook(dyn, GuidanceConfig(), sched, s)
         tape = []
         a0 = ddim_sample(net, sched, s, np.random.default_rng(2), hook=hook,
                          tape=tape)
@@ -141,7 +143,7 @@ class TestGuidanceHook:
         sched = make_schedule(15)
         net = NoiseNet(dyn.n, dyn.d, 15, hidden=(8,),
                        rng=np.random.default_rng(1))
-        cfg = GuidanceConfig(lam=0.0, r_star=dyn.r_star)
+        cfg = GuidanceConfig(lam=0.0)
         s = np.random.default_rng(2).standard_normal((3, dyn.n))
         hook = GuidanceHook(dyn, cfg, sched, s)
         base = ddim_sample(net, sched, s, np.random.default_rng(3))
@@ -152,7 +154,7 @@ class TestGuidanceHook:
     def test_correction_linear_in_action_with_known_slope(self, small_instance):
         _, dyn, _ = small_instance
         sched = make_schedule(15)
-        cfg = GuidanceConfig(lam=1.3, r_star=dyn.r_star)
+        cfg = GuidanceConfig(lam=1.3)
         rng = np.random.default_rng(4)
         s = rng.standard_normal((1, dyn.n))
         s_next = rng.standard_normal((1, dyn.n))
@@ -166,10 +168,9 @@ class TestGuidanceHook:
 
     def test_r_star_correction_aligns_with_reward_gradient(self, small_instance):
         _, dyn, _ = small_instance
+        dyn = replace(dyn, r_star=dyn.r_star + 5.0)
         sched = make_schedule(15)
-        r_star = dyn.r_star + 5.0
-        cfg = GuidanceConfig(lam=1.0, gamma_t=0.0, beta_guid_t=1.0,
-                             r_star=r_star)
+        cfg = GuidanceConfig(lam=1.0, gamma_t=0.0, beta_guid_t=1.0)
         rng = np.random.default_rng(5)
         hits = 0
         probes = 100
@@ -188,8 +189,8 @@ class TestGuidanceHook:
                        rng=np.random.default_rng(0))
         s = np.random.default_rng(1).standard_normal((3, dyn.n))
         acc = KlAccumulator()
-        hook = GuidanceHook(dyn, GuidanceConfig(lam=0.0, r_star=5.0), sched,
-                            s, kl_acc=acc)
+        hook = GuidanceHook(dyn, GuidanceConfig(lam=0.0), sched, s,
+                            kl_acc=acc)
 
         def no_grad(a):
             raise AssertionError("gradient evaluated at lambda = 0")
@@ -202,7 +203,7 @@ class TestGuidanceHook:
     def test_batch_matches_per_row(self, small_instance):
         _, dyn, _ = small_instance
         sched = make_schedule(15)
-        cfg = GuidanceConfig(lam=1.0, r_star=dyn.r_star)
+        cfg = GuidanceConfig(lam=1.0)
         rng = np.random.default_rng(6)
         s = rng.standard_normal((4, dyn.n))
         hook = GuidanceHook(dyn, cfg, sched, s)
@@ -247,14 +248,15 @@ class TestKlAccumulator:
                        rng=np.random.default_rng(0))
         s = np.random.default_rng(1).standard_normal((2, dyn.n))
         acc = KlAccumulator()
-        cfg = GuidanceConfig(lam=0.0, r_star=dyn.r_star)
+        cfg = GuidanceConfig(lam=0.0)
         ddim_sample(net, sched, s, np.random.default_rng(2),
                     hook=GuidanceHook(dyn, cfg, sched, s, kl_acc=acc))
         assert acc.total == 0.0
         acc2 = KlAccumulator()
-        cfg2 = GuidanceConfig(lam=1.0, r_star=dyn.r_star + 3.0)
+        cfg2 = GuidanceConfig(lam=1.0)
+        dyn2 = replace(dyn, r_star=dyn.r_star + 3.0)
         ddim_sample(net, sched, s, np.random.default_rng(2),
-                    hook=GuidanceHook(dyn, cfg2, sched, s, kl_acc=acc2))
+                    hook=GuidanceHook(dyn2, cfg2, sched, s, kl_acc=acc2))
         assert acc2.total > 0.0
 
     def test_rejects_bad_arguments(self):
@@ -323,7 +325,7 @@ class TestEulerIntegration:
         _, dyn, _ = small_instance
         sched = make_schedule(20)
         dt_max = stability_max_step(estimate_lipschitz(dyn, sched), 1.0, 1.0)
-        cfg = GuidanceConfig(lam=1.0, r_star=dyn.r_star)
+        cfg = GuidanceConfig(lam=1.0)
         for seed in range(5):
             rng = np.random.default_rng(seed)
             _, diverged = euler_maruyama_guided(
@@ -335,7 +337,7 @@ class TestEulerIntegration:
         from cgdp.verify import stiff_linear_instance
         dyn = stiff_linear_instance(l_total=400.0)
         sched = make_schedule(20)
-        cfg = GuidanceConfig(lam=1.0, r_star=dyn.r_star)
+        cfg = GuidanceConfig(lam=1.0)
         traj, diverged = euler_maruyama_guided(
             dyn, sched, cfg, np.zeros((1, dyn.n)), 50.0, 2000,
             [np.random.default_rng(0)])
@@ -377,7 +379,7 @@ class TestEulerRows:
     def instance(small_instance):
         _, dyn, _ = small_instance
         sched = make_schedule(20)
-        return dyn, sched, GuidanceConfig(lam=1.0, r_star=dyn.r_star)
+        return dyn, sched, GuidanceConfig(lam=1.0)
 
     @pytest.mark.parametrize("dt,steps", [(0.01, 300), (2.0, 400)])
     def test_one_state_equals_reference_loop(self, small_instance, dt,
@@ -397,7 +399,7 @@ class TestEulerRows:
         from cgdp.verify import stiff_linear_instance
         dyn = stiff_linear_instance(l_total=400.0)
         sched = make_schedule(20)
-        cfg = GuidanceConfig(lam=1.0, r_star=dyn.r_star)
+        cfg = GuidanceConfig(lam=1.0)
         gen = np.random.default_rng(0)
         traj, diverged = euler_maruyama_guided(dyn, sched, cfg,
                                                np.zeros((1, dyn.n)), 50.0,
@@ -436,7 +438,7 @@ class TestEulerRows:
         from cgdp.verify import stiff_linear_instance
         dyn = stiff_linear_instance(l_total=400.0)
         sched = make_schedule(20)
-        cfg = GuidanceConfig(lam=1.0, r_star=dyn.r_star)
+        cfg = GuidanceConfig(lam=1.0)
         states = np.zeros((3, dyn.n))
         traj, diverged = euler_maruyama_guided(
             dyn, sched, cfg, states, 50.0, 2000,

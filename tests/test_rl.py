@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -162,8 +164,8 @@ class TestGuidedChain:
     def test_backward_matches_finite_differences(self):
         sched = make_schedule(3)
         net = NoiseNet(2, 2, 3, hidden=(8,), rng=np.random.default_rng(3))
-        dyn = linear_dyn()
-        cfg = GuidanceConfig(lam=0.7, r_star=1.0)
+        dyn = replace(linear_dyn(), r_star=1.0)
+        cfg = GuidanceConfig(lam=0.7)
         s = np.random.default_rng(4).standard_normal((2, 2))
         hook = GuidanceHook(dyn, cfg, sched, s)
 
@@ -344,7 +346,7 @@ class TestStages:
         cfg = TrainerConfig(offline_steps=50, k_steps=10, hidden=(16,),
                             online_episodes=1, batch_size=8,
                             mask_refresh=0,
-                            guidance=GuidanceConfig(lam=1.0, r_star=5.0))
+                            guidance=GuidanceConfig(lam=1.0))
         art = offline_stage(data, cfg, np.random.default_rng(0),
                             masks=exact_masks(env.scm))
         records, _ = online_stage(env, art, cfg, np.random.default_rng(1))
@@ -393,11 +395,12 @@ class TestStages:
         assert sum(rec["mask_refresh_flag"] for rec in records) == 0
         assert [o for rec in records for o in rec["refreshes"]] == \
             ["failed (refit failed)"]
-        assert final.dyn is art.dyn
+        assert final.dyn.masks is art.dyn.masks
+        assert all(getattr(final.dyn, name) is getattr(art.dyn, name)
+                   for name in ("a_s", "a_a", "b_s", "b_a", "sigma_s"))
         assert final.discovery_w is art.discovery_w
 
-    def test_refit_r_star_is_the_window_best_not_the_target(self,
-                                                            monkeypatch):
+    def test_returned_r_star_is_the_final_target(self, monkeypatch):
         import cgdp.rl
         spec = EnvSpec(n=3, d=2, horizon=5, seed=0)
         env = Environment(spec)
@@ -405,22 +408,42 @@ class TestStages:
                                 np.random.default_rng(0))
         cfg = TrainerConfig(offline_steps=20, hidden=(8,), batch_size=8,
                             online_episodes=12, mask_refresh=60,
-                            refresh_min_action_std=0.0,
-                            guidance=GuidanceConfig(r_star=100.0))
+                            refresh_min_action_std=0.0)
         art = offline_stage(data, cfg, np.random.default_rng(0),
                             masks=exact_masks(env.scm))
-        windows = []
+        windows, refits, rewards, targets = [], [], [], []
 
         def recording_fit(transitions, masks):
             windows.append(transitions)
-            return fit_dynamics(transitions, masks)
+            refits.append(fit_dynamics(transitions, masks))
+            return refits[-1]
+
+        def recording_step(a, rng, step=env.step):
+            state, r, done = step(a, rng)
+            rewards.append(r)
+            return state, r, done
+
+        class RecordingHook(GuidanceHook):
+            def __init__(self, *args, r_value=None, **kwargs):
+                targets.append(r_value)
+                super().__init__(*args, r_value=r_value, **kwargs)
 
         monkeypatch.setattr(cgdp.rl, "fit_dynamics", recording_fit)
+        monkeypatch.setattr(cgdp.rl, "GuidanceHook", RecordingHook)
+        monkeypatch.setattr(env, "step", recording_step)
         records, final = online_stage(env, art, cfg,
                                       np.random.default_rng(1))
         assert [o for rec in records for o in rec["refreshes"]] == \
             ["applied"]
-        assert final.dyn.r_star == float(windows[0].r.max()) < 100.0
+        # the target starts at the offline model's r* and rises to the
+        # best reward seen; the refit's own r* is its window's best
+        assert art.dyn.r_star == float(data.r.max())
+        assert targets[0] == art.dyn.r_star
+        assert final.dyn.r_star == targets[-1] == max(art.dyn.r_star,
+                                                      *rewards)
+        assert final.dyn.r_star >= refits[0].r_star == \
+            float(windows[0].r.max())
+        assert final.dyn.masks is refits[0].masks
 
     def test_refresh_outcomes_are_recorded(self):
         spec = EnvSpec(n=3, d=2, horizon=5, seed=0)

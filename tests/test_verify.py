@@ -312,8 +312,7 @@ def per_seed_prop1(dyn, schedule, seeds, steps=10 ** 4, gamma_t=1.0,
 
     dt_max = stability_max_step(estimate_lipschitz(dyn, schedule), gamma_t,
                                 beta_guid_t)
-    cfg = GuidanceConfig(lam=1.0, gamma_t=gamma_t, beta_guid_t=beta_guid_t,
-                         r_star=dyn.r_star)
+    cfg = GuidanceConfig(lam=1.0, gamma_t=gamma_t, beta_guid_t=beta_guid_t)
     rows = []
     for factor in (0.1, 0.5, 1.0, 10.0, 50.0):
         dt = factor * dt_max
@@ -333,8 +332,7 @@ def per_seed_prop1(dyn, schedule, seeds, steps=10 ** 4, gamma_t=1.0,
         s_dt_max = stability_max_step(estimate_lipschitz(stiff_dyn, schedule),
                                       gamma_t, beta_guid_t)
         s_cfg = GuidanceConfig(lam=1.0, gamma_t=gamma_t,
-                               beta_guid_t=beta_guid_t,
-                               r_star=stiff_dyn.r_star)
+                               beta_guid_t=beta_guid_t)
         n_div = 0
         for seed in seeds:
             _, diverged = one_row_run(stiff_dyn, s_cfg, seed,
@@ -373,10 +371,12 @@ class TestCheckTheorem1:
     def test_rows_and_determinism(self):
         scm, dyn = default_linear_instance()
         sched = make_schedule(30)
-        kwargs = dict(lam=1.0, horizon=10, n_rollouts=100, n_adv_states=2,
+        kwargs = dict(horizon=10, n_rollouts=100, n_adv_states=2,
                       m_rollouts=4, grid_res=0.5)
-        r1 = check_theorem1(scm, dyn, sched, [0, 1], **kwargs)
-        r2 = check_theorem1(scm, dyn, sched, [0, 1], **kwargs)
+        r1 = check_theorem1(scm, dyn, sched, [0, 1], GuidanceConfig(),
+                            **kwargs)
+        r2 = check_theorem1(scm, dyn, sched, [0, 1], GuidanceConfig(),
+                            **kwargs)
         assert r1 == r2
         assert 0.0 <= r1["fraction_holds"] <= 1.0
         for row in r1["rows"]:
@@ -393,17 +393,18 @@ class TestCheckTheorem1:
         kwargs = dict(horizon=10, n_rollouts=100, n_adv_states=2,
                       m_rollouts=4, grid_res=0.5)
         rep = check_theorem1(scm, dyn, make_schedule(30), [0, 1, 2],
-                             lam=0.0, **kwargs)
+                             GuidanceConfig(lam=0.0), **kwargs)
         for row in rep["rows"]:
             assert row["kl"] == row["bound"] == row["gap"] == 0.0
             assert row["j_guided"] == row["j_base"] and row["holds"]
         assert rep["passed"]
         guided = check_theorem1(scm, dyn, make_schedule(30), [0, 1, 2],
-                                lam=1.0, **kwargs)
+                                GuidanceConfig(lam=1.0), **kwargs)
         assert [row["j_base"] for row in guided["rows"]] == \
             [row["j_base"] for row in rep["rows"]]
 
     def test_empty_seed_list(self):
         scm, dyn = default_linear_instance()
-        rep = check_theorem1(scm, dyn, make_schedule(30), [])
+        rep = check_theorem1(scm, dyn, make_schedule(30), [],
+                             GuidanceConfig())
         assert rep["rows"] == [] and rep["passed"]
