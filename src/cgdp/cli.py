@@ -236,8 +236,8 @@ def _verify_prop2(cfg, out_dir, schedule):
 
 
 def _verify_theorem1(cfg, out_dir, schedule):
-    ckpt = cfg["verify.dynamics"]
-    if ckpt:
+    if cfg["verify.dynamics"]:
+        ckpt = _resolve(out_dir, cfg["verify.dynamics"])
         dyn = load_dynamics(ckpt)
         spec = cfg.env_spec()
         _check_sizes(ckpt, dyn.n, dyn.d, spec)

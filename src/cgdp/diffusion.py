@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import read_arrays, read_header, save_arrays
-from .numerics import Mlp, AdamState
+from .numerics import Mlp
 
 __all__ = [
     "DiffusionSchedule",

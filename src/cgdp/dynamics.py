@@ -17,7 +17,6 @@ from .scm import CausalMasks
 
 __all__ = [
     "CausalDynamics",
-    "min_fit_rows",
     "fit_dynamics",
     "do_intervention_joint_grad",
     "joint_grad_jacobian",
@@ -74,11 +73,6 @@ class CausalDynamics:
         return s_next @ self.b_s + a @ self.b_a
 
 
-def min_fit_rows(n, d):
-    """Fewest transitions :func:`fit_dynamics` accepts."""
-    return 10 * (n + d)
-
-
 def _masked_ols(features, targets, gate):
     """OLS restricted to gated features; returns dense coefficients with
     exact zeros where the gate is zero.  Falls back to a 1e-6 ridge when
@@ -103,16 +97,13 @@ def _masked_ols(features, targets, gate):
 def fit_dynamics(transitions, masks):
     """Fit the masked transition and reward models from transitions:
     per-coordinate masked least squares with residual covariance
-    estimates.  Draws no random numbers."""
-    if not transitions:
-        raise ValueError("fit_dynamics needs transitions")
+    estimates, from at least 10 (n + d) rows.  Draws no random numbers."""
     s, a, r, s_next = (transitions.s, transitions.a, transitions.r,
                        transitions.s_next)
     n, d = s.shape[1], a.shape[1]
-    if len(transitions) < min_fit_rows(n, d):
-        raise ValueError(
-            f"linear fit needs >= {min_fit_rows(n, d)} transitions, "
-            f"got {len(transitions)}")
+    if len(transitions) < 10 * (n + d):
+        raise ValueError(f"linear fit needs >= {10 * (n + d)} transitions, "
+                         f"got {len(transitions)}")
     r_star = float(r.max())
 
     a_s = np.zeros((n, n))

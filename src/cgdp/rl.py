@@ -6,7 +6,7 @@ ablation's per-seed runs.
 
 import copy
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -14,7 +14,7 @@ import numpy as np
 from .diffusion import (NoiseNet, ddim_sample, ddim_vjp, forward_corrupt,
                         make_schedule, train_noise_net)
 from .discovery import NotearsConfig, corrupt_masks, discover_masks
-from .dynamics import fit_dynamics, min_fit_rows
+from .dynamics import fit_dynamics
 from .envs import Environment
 from .guidance import GuidanceConfig, GuidanceHook, KlAccumulator
 from .numerics import AdamState, Mlp
@@ -59,11 +59,12 @@ class ReplayBuffer:
     def sample(self, batch_size, rng):
         return self._rows.take(rng.integers(len(self), size=batch_size))
 
-    def window(self, size):
-        """The most recent ``size`` transitions (all if fewer), oldest
-        first."""
-        return self._rows.take(np.arange(max(0, self._adds - size),
-                                         self._adds))
+    def stacked_on(self, rows):
+        """``rows`` followed by every added transition, as new columns."""
+        return Transitions(*(
+            np.concatenate([getattr(rows, f.name),
+                            getattr(self._rows, f.name)[:self._adds]])
+            for f in fields(Transitions)))
 
 
 class CriticPair:
@@ -99,7 +100,6 @@ class TrainerConfig:
     offline_steps: int = 2000        # noise-net training steps, offline stage
     online_episodes: int = 200
     mask_refresh: int = 1000         # env steps between refreshes, 0: none
-    refresh_window: int = 2000
     refresh_min_action_std: float = 0.4  # skip refresh below this exploration
     k_steps: int = 10                # diffusion steps (schedule K)
     beta_start: float = 1e-4
@@ -120,7 +120,7 @@ class TrainerConfig:
                     "mask_refresh"):
             if getattr(self, key) < 0:
                 raise ValueError(f"train.{key} must be >= 0")
-        for key in ("batch_size", "refresh_window", "k_steps"):
+        for key in ("batch_size", "k_steps"):
             if getattr(self, key) < 1:
                 raise ValueError(f"train.{key} must be >= 1")
         if not 0 < self.beta_start <= self.beta_end < 1:
@@ -221,10 +221,13 @@ def policy_update(net, critics, dyn, batch, cfg, schedule, opt, rng,
 
 @dataclass
 class OfflineArtifacts:
+    """The offline stage's outputs; ``rows`` are the offline rows ``dyn``
+    was fitted on, and every refresh stacks the online rows on them."""
     net: NoiseNet
     dyn: object
     schedule: object
     discovery_w: np.ndarray
+    rows: Transitions
 
 
 def offline_stage(dataset, cfg, rng, masks=None, w0=None):
@@ -248,10 +251,10 @@ def offline_stage(dataset, cfg, rng, masks=None, w0=None):
     train_noise_net(net, dataset, schedule, opt, cfg.offline_steps, rng,
                     batch_size=cfg.batch_size)
     return OfflineArtifacts(net=net, dyn=dyn, schedule=schedule,
-                            discovery_w=w0)
+                            discovery_w=w0, rows=dataset)
 
 
-def with_masks(base, dataset, masks):
+def with_masks(base, masks):
     """``base``'s offline artifacts for other ``masks``: a copy of its
     noise net, and dynamics refit on the masks (base's own for None).
 
@@ -259,9 +262,10 @@ def with_masks(base, dataset, masks):
     guidance, and ``fit_dynamics`` draws no random numbers.  So with a
     copy of the generator ``base``'s ``offline_stage`` call left for the
     online stage, a run is exactly the one after its own
-    ``offline_stage(dataset, cfg, rng, masks=masks, w0=base.discovery_w)``.
+    ``offline_stage(base.rows, cfg, rng, masks=masks,
+    w0=base.discovery_w)``.
     """
-    dyn = base.dyn if masks is None else fit_dynamics(dataset, masks)
+    dyn = base.dyn if masks is None else fit_dynamics(base.rows, masks)
     return replace(base, net=base.net.copy(), dyn=dyn)
 
 
@@ -282,7 +286,7 @@ def ablation_seed(index, dataset, masks, w0, arms, spec, scm, seed=0):
         arm_masks = None if flip_prob == 0 else corrupt_masks(
             masks, flip_prob, np.random.default_rng(10 ** 6 + index))
         records, _ = online_stage(Environment(spec, scm=scm),
-                                  with_masks(base, dataset, arm_masks), cfg,
+                                  with_masks(base, arm_masks), cfg,
                                   copy.deepcopy(rng))
         out.append(records)
     return out
@@ -310,18 +314,17 @@ def online_stage(env, artifacts, cfg, rng):
 
     Per environment step: sample an action through the guided DDIM chain,
     store the transition, run one critic and one policy update; every
-    ``mask_refresh`` steps re-estimate masks and refit the dynamics on the
-    recent buffer window (warm-started).  A refresh replaces the warm
-    start and the dynamics (with their masks) together, or neither.  The
-    guidance target r* starts at the offline model's ``r_star``, the best
-    reward in its fitted rows, and rises to the best reward seen; the
-    returned dynamics carry the final target as their ``r_star``.  Emits
-    one metrics record per episode; its ``refreshes`` lists the outcome
-    of each refresh due in the episode: "applied", "skipped
-    (uninformative actions)", "skipped (window too small)" or "failed
+    ``mask_refresh`` steps re-estimate masks (warm-started) and refit the
+    dynamics on ``artifacts.rows`` followed by every online row, oldest
+    first.  A refresh replaces the warm start and the dynamics (with their
+    masks) together, or neither.  The guidance target r* starts at the
+    offline model's ``r_star``, the best reward in its fitted rows, and
+    rises to the best reward seen; the returned dynamics carry the final
+    target as their ``r_star``.  Emits one metrics record per episode;
+    its ``refreshes`` lists the outcome of each refresh due in the
+    episode: "applied", "skipped (uninformative actions)" or "failed
     (<reason>)".  A non-finite action or an episode's non-finite return,
-    mean losses or KL integral raises ValueError naming the episode (and
-    step).
+    mean losses or KL integral raises ValueError naming the episode.
     """
     net, dyn, schedule = artifacts.net, artifacts.dyn, artifacts.schedule
     w_warm = artifacts.discovery_w
@@ -372,19 +375,16 @@ def online_stage(env, artifacts, cfg, rng):
                 n_updates += 1
 
             if cfg.mask_refresh > 0 and step_count % cfg.mask_refresh == 0:
-                window = buffer.window(cfg.refresh_window)
-                # a near-constant action coordinate (a converged policy
-                # pinned to the box corners) makes its causal edges
-                # unidentifiable from the window; keep the current model
-                if not window.a.std(axis=0).min() >= \
+                rows = buffer.stacked_on(artifacts.rows)
+                # a near-constant action coordinate makes its causal edges
+                # unidentifiable from the rows; keep the current model
+                if not rows.a.std(axis=0).min() >= \
                         cfg.refresh_min_action_std:
                     refreshes.append("skipped (uninformative actions)")
-                elif len(window) < min_fit_rows(dyn.n, dyn.d):
-                    refreshes.append("skipped (window too small)")
                 else:
                     try:
-                        result = discover_masks(window, cfg.notears, w0=w_warm)
-                        new_dyn = fit_dynamics(window, result.masks)
+                        result = discover_masks(rows, cfg.notears, w0=w_warm)
+                        new_dyn = fit_dynamics(rows, result.masks)
                     except ValueError as exc:
                         # the current model stays
                         refreshes.append(f"failed ({exc})")
@@ -409,5 +409,5 @@ def online_stage(env, artifacts, cfg, rng):
                              f"{', '.join(bad)}")
         records.append(record)
     # a copy: ``with_masks`` shares the offline dynamics between arms
-    return records, OfflineArtifacts(net=net, dyn=replace(dyn, r_star=r_star),
-                                     schedule=schedule, discovery_w=w_warm)
+    return records, replace(artifacts, dyn=replace(dyn, r_star=r_star),
+                            discovery_w=w_warm)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import ddim_sample, ddpm_sample, make_schedule
+from .diffusion import ddim_sample, ddpm_sample
 from .dynamics import (CausalDynamics, do_intervention_joint_grad,
                        fit_dynamics)
 from .guidance import (GuidanceConfig, GuidanceHook, KlAccumulator,
@@ -36,6 +36,8 @@ __all__ = [
 # the fewest diffusion steps and samples check_lemma1 accepts
 LEMMA1_MIN_K_STEPS = 500
 LEMMA1_MIN_SAMPLES = 10 ** 4
+# the most rollout rows theorem1's grid may take: d <= 3 at its defaults
+THEOREM1_MAX_GRID_ROWS = 10 ** 6
 
 
 @dataclass
@@ -268,9 +270,19 @@ def check_theorem1(scm, dyn, schedule, seeds, cfg, gamma_disc=0.99,
     path KL accumulated along guided rollouts and sup_a A^2 from a grid
     search over the action box at states visited by the base policy.
     The guided rollouts replay the base rollouts' random numbers, so at
-    lam = 0 they are the base rollouts and the gap is exactly 0.
+    lam = 0 they are the base rollouts and the gap is exactly 0.  A grid
+    of more than ``THEOREM1_MAX_GRID_ROWS`` rollout rows raises ValueError
+    before any rollout.
     """
     d = dyn.d
+    axes = [np.arange(-1.0, 1.0 + grid_res / 2, grid_res)] * d
+    points = axes[0].size ** d
+    if points * m_rollouts > THEOREM1_MAX_GRID_ROWS:
+        raise ValueError(f"theorem1's advantage grid at d = {d} has {points}"
+                         f" points, {points * m_rollouts} rollout rows, over "
+                         f"the limit of {THEOREM1_MAX_GRID_ROWS}")
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"),
+                    axis=-1).reshape(-1, d)
     net = GaussianPriorNet(np.zeros(d), np.eye(d), schedule)
 
     def base_policy(states, p_rng):
@@ -297,10 +309,6 @@ def check_theorem1(scm, dyn, schedule, seeds, cfg, gamma_disc=0.99,
             guided_rng.standard_normal((n_rollouts, scm.n)), horizon,
             gamma_disc, guided_rng)
         kl = kl_acc.total  # batch-averaged per-trajectory path KL
-
-        axes = [np.arange(-1.0, 1.0 + grid_res / 2, grid_res)] * d
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"),
-                        axis=-1).reshape(-1, d)
         sup_sq = [
             _q_grid_advantage(scm, base_policy, st, grid, m_rollouts,
                               horizon, gamma_disc, rng)

@@ -74,8 +74,7 @@ def bench_spec():
 def bench_cfg(lam):
     return TrainerConfig(offline_steps=1000, k_steps=10, hidden=(64, 64),
                          batch_size=64, online_episodes=200,
-                         mask_refresh=1000, refresh_window=2000,
-                         guidance=GuidanceConfig(lam=lam))
+                         mask_refresh=1000, guidance=GuidanceConfig(lam=lam))
 
 
 @pytest.fixture(scope="module")

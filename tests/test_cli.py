@@ -295,6 +295,40 @@ class TestVerifyCommand:
         assert all(row.split(",")[1:4] == ["0", "0", "0"]
                    for row in rows[1:])
 
+    def test_theorem1_refuses_an_oversized_grid_writing_nothing(
+            self, workdir, capsys, monkeypatch):
+        import cgdp.verify
+        out, cfg_path = workdir
+        with open(cfg_path, "a") as fh:
+            fh.write(f"env.d = 4\nverify.dynamics = {out / 'dyn.txt'}\n")
+        _, dyn = default_linear_instance(n=3, d=4)
+        save_dynamics(dyn, str(out / "dyn.txt"))
+
+        def no_rollout(*args, **kwargs):
+            raise AssertionError("a rollout ran")
+
+        monkeypatch.setattr(cgdp.verify, "_rollout_returns", no_rollout)
+        before = sorted(os.listdir(out))
+        assert run(cfg_path, out, "verify", "theorem1") == 1
+        assert capsys.readouterr().err == (
+            "error: theorem1's advantage grid at d = 4 has 2825761 points, "
+            "33909132 rollout rows, over the limit of 1000000\n")
+        assert sorted(os.listdir(out)) == before
+
+    def test_a_relative_dynamics_path_resolves_under_out(
+            self, workdir, capsys, monkeypatch, tmp_path_factory):
+        out, cfg_path = workdir
+        monkeypatch.chdir(tmp_path_factory.mktemp("elsewhere"))
+        with open(cfg_path, "a") as fh:
+            fh.write("env.n = 4\nverify.dynamics = dynamics.txt\n")
+        _, dyn = default_linear_instance(n=3, d=2)
+        save_dynamics(dyn, str(out / "dynamics.txt"))
+        capsys.readouterr()
+        assert run(cfg_path, out, "verify", "theorem1") == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / 'dynamics.txt'}: n = 3, d = 2 do not match "
+            f"env.n = 4, env.d = 2\n")
+
 
 class TestErrors:
     def test_train_without_dataset_is_runtime_error(self, workdir):
@@ -339,7 +373,7 @@ class TestAblationReuse:
     def test_table_matches_a_fresh_offline_stage_per_arm(self, workdir):
         out, cfg_path = workdir
         with open(cfg_path, "a") as fh:
-            # refreshes at steps 30 (window too small) and 60 (applied)
+            # refreshes at steps 30 and 60, both applied
             fh.write("ablate.seeds = 2\nablate.flip_prob = 0.3\n"
                      "train.online_episodes = 12\n"
                      "train.mask_refresh = 30\n"
@@ -384,13 +418,12 @@ class TestLoudInputs:
         assert run(cfg_path, out, "gen-data") == 0
         capsys.readouterr()
         assert run(cfg_path, out, "train") == 0
-        assert "trained 2 episodes; refreshes: 2 skipped (window too " \
-            "small);" in capsys.readouterr().out
+        assert "trained 2 episodes; refreshes: 2 applied;" in \
+            capsys.readouterr().out
 
     @pytest.mark.parametrize("key, value", [
-        ("train.refresh_window", 0), ("train.k_steps", 0),
-        ("train.online_episodes", -1), ("train.offline_steps", -1),
-        ("train.mask_refresh", -5)])
+        ("train.k_steps", 0), ("train.online_episodes", -1),
+        ("train.offline_steps", -1), ("train.mask_refresh", -5)])
     def test_train_rejects_a_count_below_its_minimum(self, workdir, capsys,
                                                      key, value):
         out, cfg_path = workdir

@@ -91,7 +91,8 @@ class TestHiddenWidths:
                                  "env.kind", "env.goal_x", "env.goal_y",
                                  "train.dyn_kind", "train.dyn_mlp_steps",
                                  "guidance.use_r_star", "guidance.r_star",
-                                 "train.buffer_capacity", "verify.lambda"])
+                                 "train.buffer_capacity", "verify.lambda",
+                                 "train.refresh_window"])
 def test_removed_keys_are_unknown(key):
     with pytest.raises(ValueError, match=f"line 2: unknown config key "
                                          f"'{key}'"):
@@ -119,7 +120,6 @@ train.batch_size = 64
 train.offline_steps = 2000
 train.online_episodes = 200
 train.mask_refresh = 1000
-train.refresh_window = 2000
 train.refresh_min_action_std = 0.4
 train.k_steps = 10
 train.beta_start = 0.0001

@@ -59,6 +59,21 @@ def test_every_exported_name_is_used_in_the_package():
     assert unused == []
 
 
+def test_every_imported_name_is_read():
+    """An import that its module never reads is dead weight: delete it."""
+    unread = []
+    for name, tree in _module_trees():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and
+                isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name.split(".")[0]
+                         for alias in node.names]
+                unread += [f"{name}.{b}" for b in bound if b not in read]
+    assert unread == []
+
+
 def test_every_config_key_is_read_in_the_package():
     """A config key that no module but ``config`` reads sets nothing:
     delete it or wire it in.  A dataclass key is read when its field is

@@ -5,8 +5,9 @@ import pytest
 
 from cgdp.diffusion import (NoiseNet, ddim_sample, ddim_vjp, forward_corrupt,
                             make_schedule)
+from cgdp.discovery import corrupt_masks
 from cgdp.dynamics import CausalDynamics, fit_dynamics
-from cgdp.envs import Environment, EnvSpec, make_env_scm
+from cgdp.envs import Environment, EnvSpec
 from cgdp.guidance import GuidanceConfig, GuidanceHook
 from cgdp.numerics import AdamState
 from cgdp.rl import (CriticPair, ReplayBuffer, TrainerConfig, critic_update,
@@ -53,15 +54,15 @@ def linear_dyn(n=2, d=2):
 
 
 class TestReplayBuffer:
-    def test_window_before_full(self):
-        buf, items = filled_buffer(10, 4)
-        assert same_rows(buf.window(2), columns(items[-2:]))
-        assert same_rows(buf.window(10), columns(items))
-
-    def test_window_larger_than_the_fill(self):
-        buf, items = filled_buffer(8, 3)
-        assert same_rows(buf.window(5), columns(items))
-        assert len(ReplayBuffer(8, 2, 2).window(5)) == 0
+    @pytest.mark.parametrize("count", [0, 3, 8])
+    def test_stacked_on_appends_every_added_row(self, count):
+        base = columns([make_transition(np.random.default_rng(20 + i))
+                        for i in range(4)])
+        buf, items = filled_buffer(8, count)
+        added = columns(items) if items else Transitions.zeros(0, 2, 2)
+        stacked = buf.stacked_on(base)
+        assert same_rows(stacked.take(slice(4)), base)
+        assert same_rows(stacked.take(slice(4, None)), added)
 
     @pytest.mark.parametrize("count", [5, 8])
     def test_sample_gathers_the_drawn_rows(self, count):
@@ -82,7 +83,8 @@ class TestReplayBuffer:
         with pytest.raises(IndexError):
             buf.add(*make_transition(np.random.default_rng(9)))
         assert len(buf) == 4
-        assert same_rows(buf.window(4), columns(items))
+        assert same_rows(buf.stacked_on(Transitions.zeros(0, 2, 2)),
+                         columns(items))
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
@@ -256,8 +258,7 @@ class TestTrainerConfig:
         with pytest.raises(ValueError):
             TrainerConfig(batch_size=0)
 
-    @pytest.mark.parametrize("key", ["batch_size", "refresh_window",
-                                     "k_steps"])
+    @pytest.mark.parametrize("key", ["batch_size", "k_steps"])
     @pytest.mark.parametrize("value", [0, -3])
     def test_rejects_counts_below_one_naming_the_key(self, key, value):
         with pytest.raises(ValueError, match=f"train.{key} must be >= 1"):
@@ -352,26 +353,70 @@ class TestStages:
         records, _ = online_stage(env, art, cfg, np.random.default_rng(1))
         assert records[0]["kl_integral"] > 0.0
 
-    def test_refresh_skips_windows_below_the_refit_minimum(self, monkeypatch):
+    def test_a_refit_reads_the_offline_rows_then_every_online_row(
+            self, monkeypatch):
         import cgdp.rl
         spec = EnvSpec(n=3, d=2, horizon=5, seed=0)
         env = Environment(spec)
         data = generate_dataset(env.scm, 50, 5, 1.5,
                                 np.random.default_rng(0))
         cfg = TrainerConfig(offline_steps=20, hidden=(8,), batch_size=8,
-                            online_episodes=2, mask_refresh=5,
+                            online_episodes=12, mask_refresh=25,
                             refresh_min_action_std=0.0)
         art = offline_stage(data, cfg, np.random.default_rng(0),
                             masks=exact_masks(env.scm))
+        online, calls = [], []
 
-        def no_discovery(*args, **kwargs):
-            raise AssertionError("NOTEARS ran on a window the refit rejects")
+        def recording(fn):
+            def call(rows, *args, **kwargs):
+                calls.append((fn.__name__, len(online), rows))
+                return fn(rows, *args, **kwargs)
+            return call
 
-        monkeypatch.setattr(cgdp.rl, "discover_masks", no_discovery)
+        def recording_step(a, rng, step=env.step):
+            s = env.state.obs
+            state, r, done = step(a, rng)
+            online.append((s, a, r, state.obs, done))
+            return state, r, done
+
+        monkeypatch.setattr(cgdp.rl, "discover_masks",
+                            recording(cgdp.rl.discover_masks))
+        monkeypatch.setattr(cgdp.rl, "fit_dynamics",
+                            recording(cgdp.rl.fit_dynamics))
+        monkeypatch.setattr(env, "step", recording_step)
         records, _ = online_stage(env, art, cfg, np.random.default_rng(1))
-        assert [rec["mask_refresh_flag"] for rec in records] == [0, 0]
-        assert [rec["refreshes"] for rec in records] == \
-            [["skipped (window too small)"]] * 2
+        assert [o for rec in records for o in rec["refreshes"]] == \
+            ["applied"] * 2
+        assert [call[:2] for call in calls] == [
+            ("discover_masks", 25), ("fit_dynamics", 25),
+            ("discover_masks", 50), ("fit_dynamics", 50)]
+        offline = list(zip(data.s, data.a, data.r, data.s_next, data.done))
+        for _, steps, rows in calls:
+            assert same_rows(rows, columns(offline + online[:steps]))
+
+    def test_refreshes_repair_corrupted_masks(self):
+        spec = EnvSpec(n=3, d=2, horizon=5, seed=0)
+        env = Environment(spec)
+        data = generate_dataset(env.scm, 50, 5, 1.5,
+                                np.random.default_rng(0))
+        truth = exact_masks(env.scm)
+        corrupted = corrupt_masks(truth, 0.25, np.random.default_rng(3))
+
+        def distance(masks):
+            return sum(int(np.sum(getattr(masks, name) !=
+                                  getattr(truth, name)))
+                       for name in ("c_ss", "c_as", "u_sr", "u_ar"))
+
+        ends = {}
+        for every in (0, 25):
+            cfg = TrainerConfig(offline_steps=20, hidden=(8,), batch_size=8,
+                                online_episodes=12, mask_refresh=every)
+            art = offline_stage(data, cfg, np.random.default_rng(0),
+                                masks=corrupted.copy())
+            _, final = online_stage(env, art, cfg, np.random.default_rng(1))
+            ends[every] = distance(final.dyn.masks)
+        assert ends[0] == distance(corrupted) > 0
+        assert ends[25] < ends[0]
 
     def test_failed_refit_keeps_masks_and_dynamics_together(self,
                                                             monkeypatch):
@@ -411,10 +456,10 @@ class TestStages:
                             refresh_min_action_std=0.0)
         art = offline_stage(data, cfg, np.random.default_rng(0),
                             masks=exact_masks(env.scm))
-        windows, refits, rewards, targets = [], [], [], []
+        fitted, refits, rewards, targets = [], [], [], []
 
         def recording_fit(transitions, masks):
-            windows.append(transitions)
+            fitted.append(transitions)
             refits.append(fit_dynamics(transitions, masks))
             return refits[-1]
 
@@ -436,13 +481,13 @@ class TestStages:
         assert [o for rec in records for o in rec["refreshes"]] == \
             ["applied"]
         # the target starts at the offline model's r* and rises to the
-        # best reward seen; the refit's own r* is its window's best
+        # best reward seen; the refit's own r* is its rows' best
         assert art.dyn.r_star == float(data.r.max())
         assert targets[0] == art.dyn.r_star
         assert final.dyn.r_star == targets[-1] == max(art.dyn.r_star,
                                                       *rewards)
         assert final.dyn.r_star >= refits[0].r_star == \
-            float(windows[0].r.max())
+            float(fitted[0].r.max())
         assert final.dyn.masks is refits[0].masks
 
     def test_refresh_outcomes_are_recorded(self):
@@ -463,8 +508,7 @@ class TestStages:
                                  for o in rec["refreshes"]]
             assert [rec["mask_refresh_flag"] for rec in records] == [
                 int("applied" in rec["refreshes"]) for rec in records]
-        # the refit needs 10 (n + d) = 50 rows: too few at step 30
-        assert outcomes[0.0] == [(5, "skipped (window too small)"),
-                                 (11, "applied")]
+        # the offline rows alone hold the 10 (n + d) rows a refit needs
+        assert outcomes[0.0] == [(5, "applied"), (11, "applied")]
         assert outcomes[10.0] == [(5, "skipped (uninformative actions)"),
                                   (11, "skipped (uninformative actions)")]

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+import cgdp.verify
 from cgdp.diffusion import make_schedule
 from cgdp.guidance import (GuidanceConfig, GuidanceHook, estimate_lipschitz,
                            euler_maruyama_guided, stability_max_step)
-from cgdp.verify import (GaussianPriorNet, PosteriorSpec,
-                         _exact_guidance_maps, check_lemma1, check_prop1,
-                         check_prop2, check_theorem1,
+from cgdp.verify import (THEOREM1_MAX_GRID_ROWS, GaussianPriorNet,
+                         PosteriorSpec, _exact_guidance_maps, check_lemma1,
+                         check_prop1, check_prop2, check_theorem1,
                          default_linear_instance, gaussian_posterior,
                          stiff_linear_instance)
 
@@ -402,6 +403,21 @@ class TestCheckTheorem1:
                                 GuidanceConfig(lam=1.0), **kwargs)
         assert [row["j_base"] for row in guided["rows"]] == \
             [row["j_base"] for row in rep["rows"]]
+
+    def test_refuses_a_grid_over_the_row_limit_before_any_rollout(
+            self, monkeypatch):
+        # 41 points an axis at the default grid_res, 12 rollouts a point
+        assert 41 ** 3 * 12 <= THEOREM1_MAX_GRID_ROWS < 41 ** 4 * 12
+        scm, dyn = default_linear_instance(n=2, d=4)
+
+        def no_rollout(*args, **kwargs):
+            raise AssertionError("a rollout ran")
+
+        monkeypatch.setattr(cgdp.verify, "_rollout_returns", no_rollout)
+        with pytest.raises(ValueError, match="at d = 4 has 2825761 points, "
+                                             "33909132 rollout rows"):
+            check_theorem1(scm, dyn, make_schedule(30), [0],
+                           GuidanceConfig())
 
     def test_empty_seed_list(self):
         scm, dyn = default_linear_instance()
